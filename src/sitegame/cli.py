@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,18 +26,19 @@ from .report import solve
 from .scenario import Scenario, ScenarioFormatError, load_scenario, scenario_from_dict, validate
 from .solvers import DEFAULT_TOLERANCE
 from .tensor import (
-    PayoffTensor,
     TensorFormatError,
     build_tensor,
     dumps_tensor,
     iterate_profiles,
     tensor_from_dict,
-    tensor_to_dict,
 )
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
+
+# read_text raises UnicodeDecodeError, not OSError, on bytes that are not UTF-8.
+_READ_ERRORS = (OSError, UnicodeDecodeError)
 
 
 def _fail(message: str, code: int) -> int:
@@ -48,7 +50,7 @@ def _load_valid_scenario(path: str) -> Scenario | int:
     """Load and validate a scenario; on failure return an exit code instead."""
     try:
         scenario = load_scenario(path)
-    except OSError as exc:
+    except _READ_ERRORS as exc:
         return _fail(f"cannot read {path}: {exc}", EXIT_INPUT)
     except ScenarioFormatError as exc:
         return _fail(str(exc), EXIT_INPUT)
@@ -63,7 +65,7 @@ def _load_valid_scenario(path: str) -> Scenario | int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.file)
-    except OSError as exc:
+    except _READ_ERRORS as exc:
         return _fail(f"cannot read {args.file}: {exc}", EXIT_INPUT)
     except ScenarioFormatError as exc:
         return _fail(str(exc), EXIT_INPUT)
@@ -90,13 +92,13 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_DOMAIN)
     except ValueError as exc:
         return _fail(str(exc), EXIT_DOMAIN)
-    doc = tensor_to_dict(tensor)
+    text = dumps_tensor(tensor)
     if args.explain:
         breakdowns = [
             [payoff(p, site.position, scenario, site_index=k) for k, site in enumerate(player.sites)]
             for p, player in enumerate(scenario.players)
         ]
-        doc["explain"] = [
+        explain = [
             {
                 "indices": list(profile),
                 "labels": list(tensor.labels_for(profile)),
@@ -113,7 +115,11 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
             }
             for profile in iterate_profiles(tensor.shape)
         ]
-    print(json.dumps(doc, indent=2))
+        # Append "explain" as the document's last member: drop the closing
+        # "\n}\n" and nest the list's own encoding one level deeper.
+        nested = json.dumps(explain, indent=2).replace("\n", "\n  ")
+        text = f'{text[:-3]},\n  "explain": {nested}\n}}\n'
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -129,7 +135,7 @@ def _sniff_document(doc: object) -> str:
 def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except _READ_ERRORS as exc:
         return _fail(f"cannot read {args.file}: {exc}", EXIT_INPUT)
     try:
         doc = json.loads(text)
@@ -137,6 +143,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return _fail(
             f"{args.file}: line {exc.lineno}, column {exc.colno}: {exc.msg}", EXIT_INPUT
         )
+    except ValueError as exc:  # an integer literal longer than int's digit limit
+        return _fail(f"{args.file}: {exc}", EXIT_INPUT)
 
     kind = _sniff_document(doc)
     feasibility = None
@@ -183,7 +191,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         pairwise_spacing=pairwise,
     )
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        print(report.to_json())
     else:
         print(report.to_text())
     return EXIT_OK
@@ -198,8 +206,8 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("tolerance must be >= 0")
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError("tolerance must be a finite number >= 0")
     return value
 
 

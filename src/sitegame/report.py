@@ -8,7 +8,10 @@ significant digits.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import __version__
 from .feasibility import FeasibilityReport, PairSpacingViolation
@@ -19,7 +22,14 @@ from .solvers import (
     find_compromise,
     find_pure_nash,
 )
-from .tensor import PayoffTensor, Profile
+from .tensor import (
+    JSON_SLOT,
+    PayoffTensor,
+    Profile,
+    json_document,
+    json_floats,
+    profile_json_columns,
+)
 
 TOOL_NAME = "sitegame"
 
@@ -36,6 +46,32 @@ class SolveReport:
     pairwise_spacing: dict[Profile, tuple[PairSpacingViolation, ...]] | None = None
 
     def to_dict(self) -> dict:
+        doc = self._head_dict()
+        if self.compromise is not None:
+            doc["residuals"] = [
+                {
+                    "indices": list(profile),
+                    "labels": list(self.tensor.labels_for(profile)),
+                    "residual": residual,
+                }
+                for profile, residual in self.compromise.residuals.items()
+            ]
+        return doc
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2)``, with the residual listing
+        rendered from the shortfall array."""
+        head = self._head_dict()
+        if self.compromise is None:
+            return json.dumps(head, indent=2)
+        indices, labels = profile_json_columns(self.tensor)
+        shortfall = json_floats(self.compromise.shortfall).reshape(-1, 1)
+        n = self.tensor.n_players
+        entry = {"indices": [JSON_SLOT] * n, "labels": [JSON_SLOT] * n, "residual": JSON_SLOT}
+        return json_document(head, "residuals", entry, np.hstack([indices, labels, shortfall]))
+
+    def _head_dict(self) -> dict:
+        """The document without its per-profile residual listing."""
         tensor = self.tensor
         doc: dict = {
             "tool": {"name": TOOL_NAME, "version": __version__},
@@ -104,14 +140,6 @@ class SolveReport:
                     for profile in self.compromise.minimizers
                 ],
             }
-            doc["residuals"] = [
-                {
-                    "indices": list(profile),
-                    "labels": list(tensor.labels_for(profile)),
-                    "residual": residual,
-                }
-                for profile, residual in self.compromise.residuals.items()
-            ]
         return doc
 
     def _profile_entry(self, profile: Profile, residual: float | None = None) -> dict:

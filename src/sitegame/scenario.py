@@ -247,7 +247,10 @@ def _get(mapping: dict, key: str, path: str) -> object:
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioFormatError(f"{path}: integer too large for a float") from None
 
 
 def _string(value: object, path: str) -> str:
@@ -365,4 +368,6 @@ def load_scenario(path: Path | str) -> Scenario:
         raise ScenarioFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than int's digit limit
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
     return scenario_from_dict(doc)

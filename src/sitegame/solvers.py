@@ -13,7 +13,7 @@ Ties are resolved with an absolute tolerance; strategies or profiles within
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,17 +37,19 @@ class CompromiseResult:
 
     ``residuals`` maps every profile (normative order) to
     ``max_i(ideal[i] - payoff_i)``; ``minimizers`` are all profiles whose
-    residual is within tolerance of ``min_residual``.
+    residual is within tolerance of ``min_residual``. ``shortfall`` holds the
+    same residuals as a read-only array of the tensor's shape.
     """
 
     ideal: tuple[float, ...]
     residuals: dict[Profile, float]
     minimizers: tuple[Profile, ...]
     min_residual: float
+    shortfall: np.ndarray = field(compare=False)
 
 
 def _check_tolerance(tolerance: float) -> None:
-    if tolerance < 0:
+    if not tolerance >= 0:  # also rejects NaN
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
 
 
@@ -100,9 +102,10 @@ def find_compromise(
     _check_tolerance(tolerance)
     ideal = ideal_vector(tensor)
     shortfall = (np.asarray(ideal) - tensor.values).max(axis=-1)
+    shortfall.setflags(write=False)
     residuals = {u: float(shortfall[u]) for u in iterate_profiles(tensor.shape)}
     min_residual = float(shortfall.min())
     minimizers = tuple(
         u for u, r in residuals.items() if r <= min_residual + tolerance
     )
-    return CompromiseResult(ideal, residuals, minimizers, min_residual)
+    return CompromiseResult(ideal, residuals, minimizers, min_residual, shortfall)

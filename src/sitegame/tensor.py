@@ -129,14 +129,76 @@ def build_tensor(scenario: Scenario) -> PayoffTensor:
 
 # --- JSON document mapping -------------------------------------------------
 
-def tensor_to_dict(tensor: PayoffTensor) -> dict:
-    """Tensor document; payoff rows listed in normative profile order."""
+def _tensor_head(tensor: PayoffTensor) -> dict:
     return {
         "shape": list(tensor.shape),
         "players": list(tensor.players),
         "strategy_labels": [list(axis) for axis in tensor.strategy_labels],
-        "payoffs": tensor.values.reshape(-1, tensor.n_players).tolist(),
     }
+
+
+def tensor_to_dict(tensor: PayoffTensor) -> dict:
+    """Tensor document; payoff rows listed in normative profile order."""
+    doc = _tensor_head(tensor)
+    doc["payoffs"] = tensor.values.reshape(-1, tensor.n_players).tolist()
+    return doc
+
+
+# --- JSON rendering from arrays ----------------------------------------------
+#
+# The per-profile listings are written straight from the arrays, and must come
+# out exactly as ``json.dumps(doc, indent=2)`` writes them. With an indent,
+# ``json`` encodes in pure Python, one call per value; here a whole document
+# is a single ``%`` over a template of ``json.dumps``'s own layout. A value
+# nested at depth d equals its top-level encoding with every "\n" replaced by
+# "\n" plus 2d spaces: with ``ensure_ascii`` no newline can occur inside a
+# string.
+
+JSON_SLOT = "%s"
+
+
+def json_floats(values: np.ndarray) -> np.ndarray:
+    """``json.dumps``'s spelling of every float in ``values``, as an object
+    array of the same shape.
+
+    Each spelling is computed once per distinct bit pattern (so -0.0 and 0.0
+    stay apart): a tensor built from a scenario holds only Σk_i distinct
+    values among its Πk_i·n cells.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    # The indent-free encoder spells floats the way the indented one does
+    # (float.__repr__, Infinity, -Infinity, NaN); no spelling contains ", ".
+    spelled = json.dumps(distinct.view(float).tolist())[1:-1].split(", ")
+    return np.array(spelled, dtype=object)[inverse].reshape(values.shape)
+
+
+def profile_json_columns(tensor: PayoffTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded strategy indices and labels of every profile, in normative
+    order: two object arrays of shape (n_profiles, n_players)."""
+    grid = np.indices(tensor.shape).reshape(tensor.n_players, -1)
+    indices = np.empty(grid.shape[::-1], dtype=object)
+    labels = np.empty(grid.shape[::-1], dtype=object)
+    for p, axis in enumerate(tensor.strategy_labels):
+        indices[:, p] = np.array([str(k) for k in range(len(axis))], dtype=object)[grid[p]]
+        labels[:, p] = np.array([json.dumps(label) for label in axis], dtype=object)[grid[p]]
+    return indices, labels
+
+
+def json_document(head: dict, key: str, entry: object, slots: np.ndarray, end: str = "") -> str:
+    """``json.dumps(head | {key: listing}, indent=2) + end`` for a non-empty
+    ``head`` and a non-empty listing whose entries all have the structure of
+    ``entry``.
+
+    Every ``"%s"`` string in ``entry`` is a slot; row r of ``slots`` holds the
+    encoded JSON text of entry r's slots, in the order ``json.dumps`` writes
+    them.
+    """
+    top = json.dumps(head, indent=2)[: -len("\n}")].replace("%", "%%")
+    one = json.dumps(entry, indent=2).replace(json.dumps(JSON_SLOT), JSON_SLOT)
+    entries = ",\n    ".join(itertools.repeat(one.replace("\n", "\n    "), len(slots)))
+    template = f"{top},\n  {json.dumps(key)}: [\n    {entries}\n  ]\n}}{end}"
+    return template % tuple(slots.reshape(-1).tolist())
 
 
 def tensor_from_dict(doc: object) -> PayoffTensor:
@@ -197,9 +259,15 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
         for p, entry in enumerate(row):
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                 raise TensorFormatError(f"payoffs[{r}][{p}]: expected a number, got {entry!r}")
-            if not math.isfinite(entry):
+            try:
+                value = float(entry)
+            except OverflowError:
+                raise TensorFormatError(
+                    f"payoffs[{r}][{p}]: integer too large for a float"
+                ) from None
+            if not math.isfinite(value):
                 raise TensorFormatError(f"payoffs[{r}][{p}]: must be finite, got {entry!r}")
-            entries.append(float(entry))
+            entries.append(value)
         rows.append(entries)
 
     values = np.array(rows, dtype=float).reshape(tuple(shape) + (n,))
@@ -212,8 +280,12 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
     )
 
 
-def dumps_tensor(tensor: PayoffTensor, *, indent: int = 2) -> str:
-    return json.dumps(tensor_to_dict(tensor), indent=indent) + "\n"
+def dumps_tensor(tensor: PayoffTensor) -> str:
+    """``json.dumps(tensor_to_dict(tensor), indent=2) + "\\n"``, rendered from
+    the array."""
+    n = tensor.n_players
+    payoffs = json_floats(tensor.values).reshape(-1, n)
+    return json_document(_tensor_head(tensor), "payoffs", [JSON_SLOT] * n, payoffs, "\n")
 
 
 def load_tensor(path: Path | str) -> PayoffTensor:
@@ -225,4 +297,6 @@ def load_tensor(path: Path | str) -> PayoffTensor:
         raise TensorFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than int's digit limit
+        raise TensorFormatError(f"{path}: {exc}") from exc
     return tensor_from_dict(doc)

@@ -118,3 +118,37 @@ def random_tensor(rng: np.random.Generator, max_players: int = 4, max_strategies
         values=values,
         provenance=PROVENANCE_LOADED,
     )
+
+
+# Floats whose JSON spelling is easy to get wrong: signed zero, the smallest
+# subnormal, the switch to exponent notation at 1e-05 and 1e16, the largest
+# double, and integer-valued floats. Drawing from a short pool also repeats
+# values, as a tensor built from a scenario does.
+SPECIAL_FLOATS = (
+    -0.0, 0.0, 5e-324, -5e-324, 1e-05, 0.0001, 1e16, 1e15, -1e16,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.5,
+)
+
+# Labels exercising JSON string escapes: quotes, backslashes, control
+# characters, non-ASCII (escaped by ensure_ascii) and '%', which must not be
+# read as a format directive.
+_json_labels = st.text(alphabet='aZ"\\\n\t\x00%sé☃\U0001f600', max_size=5)
+
+
+@st.composite
+def json_tensors(draw, max_players: int = 3, max_strategies: int = 3):
+    """Tensors with awkward labels and floats, for JSON rendering tests."""
+    n = draw(st.integers(1, max_players))
+    shape = tuple(draw(st.integers(1, max_strategies)) for _ in range(n))
+    size = math.prod(shape) * n
+    number = st.one_of(
+        st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    values = draw(st.lists(number, min_size=size, max_size=size))
+    return PayoffTensor(
+        shape=shape,
+        players=tuple(draw(_json_labels) for _ in range(n)),
+        strategy_labels=tuple(tuple(draw(_json_labels) for _ in range(s)) for s in shape),
+        values=np.array(values).reshape(shape + (n,)),
+        provenance=PROVENANCE_LOADED,
+    )

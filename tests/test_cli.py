@@ -95,6 +95,14 @@ def test_tensor_explain_appends_breakdowns(fixture_files, capsys):
     assert entry["total"] == pytest.approx(sum(entry["income"]) - sum(entry["damage"]))
 
 
+@pytest.mark.parametrize("extra", [[], ["--explain"]])
+def test_tensor_output_is_json_dumps_of_document(fixture_files, capsys, extra):
+    scenario_path, _ = fixture_files
+    code, out, err = run_cli(capsys, "tensor", str(scenario_path), *extra)
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
 def test_tensor_single_site_scenario(tmp_path, capsys):
     doc = {
         "region": {"x_max": 10, "y_max": 10, "rho_min": 0.5, "rho_max": 100, "pi": 3.0},
@@ -342,6 +350,56 @@ def test_negative_tolerance_rejected_by_parser(fixture_files, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", str(tensor_path), "--tolerance", "-1"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_tolerance_rejected_by_parser(fixture_files, capsys, value):
+    _, tensor_path = fixture_files
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", str(tensor_path), "--tolerance", value])
+    assert excinfo.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def _assert_one_line_error(err: str) -> None:
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, digits, fragment",
+    [
+        ("tensor", 401, "payoffs[3][1]"),
+        ("scenario", 401, "players[1].loss[0][2]"),
+        ("tensor", 5001, "digits"),
+    ],
+)
+def test_oversized_integer_literal_exit2(fixture_files, tmp_path, capsys, kind, digits, fragment):
+    scenario_path, tensor_path = fixture_files
+    doc = json.loads((scenario_path if kind == "scenario" else tensor_path).read_text())
+    if kind == "scenario":
+        doc["players"][1]["loss"][0][2] = "BIG"
+    else:
+        doc["payoffs"][3][1] = "BIG"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * (digits - 1)))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    _assert_one_line_error(err)
+    assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["validate", "tensor", "solve"])
+def test_non_utf8_input_exit2(fixture_files, tmp_path, capsys, command):
+    scenario_path, _ = fixture_files
+    path = tmp_path / "latin1.json"
+    path.write_bytes(scenario_path.read_bytes().replace(b'"P1"', b'"P\xe91"', 1))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    _assert_one_line_error(err)
+    assert f"cannot read {path}" in err
 
 
 def test_module_entry_point(fixture_files):

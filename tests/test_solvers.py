@@ -113,6 +113,15 @@ def test_negative_tolerance_rejected(tensor):
         best_response(tensor, 0, (None, 0, 0), tolerance=-1.0)
 
 
+def test_nan_tolerance_rejected(tensor):
+    with pytest.raises(ValueError, match="tolerance"):
+        find_pure_nash(tensor, tolerance=float("nan"))
+    with pytest.raises(ValueError, match="tolerance"):
+        find_compromise(tensor, tolerance=float("nan"))
+    with pytest.raises(ValueError, match="tolerance"):
+        best_response(tensor, 0, (None, 0, 0), tolerance=float("nan"))
+
+
 # --- ideal vector and compromise ---------------------------------------------
 
 def test_ideal_vector_fixture(tensor):

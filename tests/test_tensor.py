@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from sitegame import (
     CandidateSite,
@@ -23,6 +24,7 @@ from sitegame import (
     tensor_from_dict,
     tensor_to_dict,
 )
+from conftest import SPECIAL_FLOATS, json_tensors
 
 # Frozen from the straight-line payoff oracle (see test_payoff.py).
 P1_SITE_TOTALS = [2.6138193948132304, -8.738548914701935, 4.268150139922947]
@@ -237,3 +239,20 @@ def test_json_floats_round_trip_exactly(tensor):
     text = dumps_tensor(tensor)
     reloaded = tensor_from_dict(json.loads(text))
     assert np.array_equal(reloaded.values, tensor.values)
+
+
+_SPECIAL_TENSOR = PayoffTensor(
+    shape=(len(SPECIAL_FLOATS),),
+    players=('q"u\\o\u00e9%s',),
+    strategy_labels=(tuple(f"S{k}" for k in range(len(SPECIAL_FLOATS))),),
+    values=np.array(SPECIAL_FLOATS).reshape(-1, 1),
+    provenance=PROVENANCE_LOADED,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=json_tensors())
+@example(t=_SPECIAL_TENSOR)
+def test_dumps_tensor_is_json_dumps_of_document(t):
+    assert dumps_tensor(t) == json.dumps(tensor_to_dict(t), indent=2) + "\n"
+
