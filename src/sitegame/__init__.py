@@ -32,6 +32,7 @@ from .feasibility import (
     check_profile_spacing,
     check_scenario,
     check_site,
+    profile_spacing,
 )
 from .payoff import Gradient, PayoffBreakdown, ZeroDistanceError, distance, payoff, payoff_gradient
 from .tensor import (
@@ -82,6 +83,7 @@ __all__ = [
     "check_site",
     "check_scenario",
     "check_profile_spacing",
+    "profile_spacing",
     # payoff
     "PayoffBreakdown",
     "Gradient",

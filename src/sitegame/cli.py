@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .feasibility import check_profile_spacing, check_scenario
+from .feasibility import check_scenario, profile_spacing
 from .fixtures import write_fixtures
 from .payoff import ZeroDistanceError, payoff
 from .report import solve
@@ -172,11 +172,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             return _fail(str(exc), EXIT_DOMAIN)
         feasibility = tuple(check_scenario(scenario))
         if args.pairwise_band:
-            pairwise = {}
-            for profile in iterate_profiles(tensor.shape):
-                violations_for_profile = check_profile_spacing(scenario, profile)
-                if violations_for_profile:
-                    pairwise[profile] = tuple(violations_for_profile)
+            pairwise = profile_spacing(scenario)
     else:
         return _fail(f"{args.file}: not a scenario or tensor document", EXIT_INPUT)
 

@@ -3,7 +3,8 @@
 A location is feasible when it lies inside the region box and its distance to
 every natural object falls within the closed band [rho_min, rho_max]. The
 band can optionally also be enforced pairwise between distinct players' chosen
-sites via :func:`check_profile_spacing`.
+sites: per profile via :func:`check_profile_spacing`, or over every profile at
+once via :func:`profile_spacing`.
 
 Feasibility here is advisory: the solvers operate on whatever payoff tensor
 they are given and never consult these checks.
@@ -11,11 +12,15 @@ they are given and never consult these checks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .payoff import distance
-from .scenario import Point, Scenario
+from .scenario import CandidateSite, PlayerSpec, Point, RegionConfig, Scenario
+from .tensor import Profile
 
 BELOW = "below"
 ABOVE = "above"
@@ -66,10 +71,9 @@ def check_site(
     violations = []
     for obj in scenario.objects:
         rho = distance(position, obj.position)
-        if rho < region.rho_min:
-            violations.append(BandViolation(obj.id, rho, BELOW))
-        elif rho > region.rho_max:
-            violations.append(BandViolation(obj.id, rho, ABOVE))
+        bound = _band_bound(rho, region)
+        if bound is not None:
+            violations.append(BandViolation(obj.id, rho, bound))
     return FeasibilityReport(player_id, site_id, position, in_box, tuple(violations))
 
 
@@ -82,6 +86,29 @@ def check_scenario(scenario: Scenario) -> list[FeasibilityReport]:
     ]
 
 
+def _band_bound(rho: float, region: RegionConfig) -> str | None:
+    """BELOW or ABOVE when ``rho`` lies outside the closed band, else None."""
+    if rho < region.rho_min:
+        return BELOW
+    if rho > region.rho_max:
+        return ABOVE
+    return None
+
+
+def _pair_violation(
+    region: RegionConfig,
+    player_a: PlayerSpec,
+    site_a: CandidateSite,
+    player_b: PlayerSpec,
+    site_b: CandidateSite,
+) -> PairSpacingViolation | None:
+    rho = distance(site_a.position, site_b.position)
+    bound = _band_bound(rho, region)
+    if bound is None:
+        return None
+    return PairSpacingViolation(player_a.id, site_a.id, player_b.id, site_b.id, rho, bound)
+
+
 def check_profile_spacing(
     scenario: Scenario, profile: Sequence[int]
 ) -> list[PairSpacingViolation]:
@@ -89,25 +116,54 @@ def check_profile_spacing(
 
     Optional stricter reading of the spacing rule: besides keeping distance to
     natural objects, facilities of distinct players must also keep the band
-    between each other. ``profile`` holds one site index per player.
+    between each other. ``profile`` holds one site index per player; the
+    violations come in (player a, player b) lexicographic order, a < b.
     """
     region = scenario.region
     chosen = [
         (player, player.sites[profile[i]]) for i, player in enumerate(scenario.players)
     ]
     violations = []
-    for a in range(len(chosen)):
-        for b in range(a + 1, len(chosen)):
-            player_a, site_a = chosen[a]
-            player_b, site_b = chosen[b]
-            rho = distance(site_a.position, site_b.position)
-            if rho < region.rho_min:
-                bound = BELOW
-            elif rho > region.rho_max:
-                bound = ABOVE
-            else:
-                continue
-            violations.append(
-                PairSpacingViolation(player_a.id, site_a.id, player_b.id, site_b.id, rho, bound)
-            )
+    for (player_a, site_a), (player_b, site_b) in itertools.combinations(chosen, 2):
+        violation = _pair_violation(region, player_a, site_a, player_b, site_b)
+        if violation is not None:
+            violations.append(violation)
     return violations
+
+
+def profile_spacing(scenario: Scenario) -> dict[Profile, tuple[PairSpacingViolation, ...]]:
+    """:func:`check_profile_spacing` over every profile at once.
+
+    Maps each violating profile, in normative order, to its violations in the
+    order :func:`check_profile_spacing` lists them. The band between two sites
+    depends on those two sites alone, so each site pair of each player pair is
+    classified once, and one ``PairSpacingViolation`` is shared by every
+    profile that contains its pair.
+    """
+    players = scenario.players
+    shape = tuple(len(player.sites) for player in players)
+    violating = np.zeros(shape, dtype=bool)
+    pairs = []  # (a, b, {(k_a, k_b): violation}) for player pairs a < b
+    for a, b in itertools.combinations(range(len(players)), 2):
+        found = {}
+        mask = np.zeros((shape[a], shape[b]), dtype=bool)
+        for k_a, site_a in enumerate(players[a].sites):
+            for k_b, site_b in enumerate(players[b].sites):
+                violation = _pair_violation(scenario.region, players[a], site_a, players[b], site_b)
+                if violation is not None:
+                    found[k_a, k_b] = violation
+                    mask[k_a, k_b] = True
+        if found:
+            axes = [1] * len(shape)
+            axes[a], axes[b] = shape[a], shape[b]
+            violating |= mask.reshape(axes)
+            pairs.append((a, b, found))
+    # argwhere lists indices in C order, which is the normative profile order.
+    return {
+        profile: tuple(
+            found[profile[a], profile[b]]
+            for a, b, found in pairs
+            if (profile[a], profile[b]) in found
+        )
+        for profile in map(tuple, np.argwhere(violating).tolist())
+    }

@@ -48,7 +48,16 @@ class Gradient:
     d_y: float
 
 
-def _resolve_site_index(player: PlayerSpec, position: Point) -> int:
+def _coefficient_row(player: PlayerSpec, position: Point, site_index: int | None) -> int:
+    """``site_index`` if given and in range, else the index of the candidate
+    site at exactly ``position``."""
+    if site_index is not None:
+        if not 0 <= site_index < len(player.sites):
+            raise ValueError(
+                f"site_index {site_index!r} is out of range for player {player.id!r}, "
+                f"which has {len(player.sites)} candidate sites"
+            )
+        return site_index
     for k, site in enumerate(player.sites):
         if site.position.x == position.x and site.position.y == position.y:
             return k
@@ -71,12 +80,13 @@ def payoff(
     row is found by matching ``site_position`` against the player's candidate
     sites exactly; pass ``site_index`` to fix the row and evaluate at an
     arbitrary location (useful for derivative checks and sensitivity probes).
+    A ``site_index`` outside ``range(len(sites))`` raises ValueError.
     """
     player = scenario.players[player_index]
-    row = _resolve_site_index(player, site_position) if site_index is None else site_index
+    row = _coefficient_row(player, site_position, site_index)
     loss_row = player.loss[row]
     weight_row = player.damage_weight[row]
-    site_id = player.sites[row].id if row < len(player.sites) else None
+    site_id = player.sites[row].id
     scale = player.emission / (2.0 * scenario.region.pi_value)
 
     income = []
@@ -104,10 +114,10 @@ def payoff_gradient(
     (symmetrically for d_y). Same coefficient-row resolution as :func:`payoff`.
     """
     player = scenario.players[player_index]
-    row = _resolve_site_index(player, site_position) if site_index is None else site_index
+    row = _coefficient_row(player, site_position, site_index)
     loss_row = player.loss[row]
     weight_row = player.damage_weight[row]
-    site_id = player.sites[row].id if row < len(player.sites) else None
+    site_id = player.sites[row].id
     scale = player.emission / scenario.region.pi_value
 
     d_x = 0.0

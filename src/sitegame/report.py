@@ -8,6 +8,7 @@ significant digits.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -160,6 +161,13 @@ class SolveReport:
             f"tensor {shape} ({tensor.provenance}); players: {', '.join(tensor.players)}"
         )
         lines.append(f"tolerance {_fmt(self.tolerance)}")
+        # One listing row: "  (labels) = (indices): <detail>".
+        slots = ", ".join(["%s"] * tensor.n_players)
+        row = f"  ({slots}) = ({slots}): %s"
+
+        def listed(profile: Profile, detail: str) -> str:
+            return row % (*tensor.labels_for(profile), *profile, detail)
+
         if self.feasibility is not None:
             feasible = sum(1 for report in self.feasibility if report.feasible)
             lines.append(
@@ -180,18 +188,20 @@ class SolveReport:
                 lines.append(
                     f"pairwise spacing violations: {len(self.pairwise_spacing)} profiles"
                 )
+                # Profiles share violation objects: spell each one once.
+                distinct = {
+                    id(v): v for violations in self.pairwise_spacing.values() for v in violations
+                }
+                spelled = {
+                    key: f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})"
+                    for key, v in distinct.items()
+                }
                 for profile, violations in self.pairwise_spacing.items():
-                    descriptions = ", ".join(
-                        f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})"
-                        for v in violations
-                    )
-                    lines.append(f"  {_profile_text(tensor, profile)}: {descriptions}")
+                    lines.append(listed(profile, ", ".join([spelled[id(v)] for v in violations])))
         if self.nash is not None:
             lines.append(f"nash equilibria ({len(self.nash.equilibria)}):")
             for profile, payoffs in zip(self.nash.equilibria, self.nash.payoffs):
-                lines.append(
-                    f"  {_profile_text(tensor, profile)}: payoffs {_vector_text(payoffs)}"
-                )
+                lines.append(listed(profile, f"payoffs {_vector_text(payoffs)}"))
         if self.compromise is not None:
             lines.append(f"ideal vector: {_vector_text(self.compromise.ideal)}")
             lines.append(
@@ -200,12 +210,18 @@ class SolveReport:
             )
             for profile in self.compromise.minimizers:
                 payoffs = tensor.payoff_vector(profile)
-                lines.append(
-                    f"  {_profile_text(tensor, profile)}: payoffs {_vector_text(payoffs)}"
-                )
+                lines.append(listed(profile, f"payoffs {_vector_text(payoffs)}"))
             lines.append("residuals:")
-            for profile, residual in self.compromise.residuals.items():
-                lines.append(f"  {_profile_text(tensor, profile)}: {_fmt(residual)}")
+            # residuals lists every profile in normative order, the order in
+            # which itertools.product walks the label and index axes.
+            labels = itertools.product(*tensor.strategy_labels)
+            indices = itertools.product(*(tuple(map(str, range(s))) for s in tensor.shape))
+            lines.extend(
+                row % (*label, *index, _fmt(residual))
+                for label, index, residual in zip(
+                    labels, indices, self.compromise.residuals.values()
+                )
+            )
         return "\n".join(lines)
 
 
@@ -215,12 +231,6 @@ def _fmt(x: float) -> str:
 
 def _vector_text(values) -> str:
     return "(" + ", ".join(_fmt(v) for v in values) + ")"
-
-
-def _profile_text(tensor: PayoffTensor, profile: Profile) -> str:
-    labels = ", ".join(tensor.labels_for(profile))
-    indices = ", ".join(str(i) for i in profile)
-    return f"({labels}) = ({indices})"
 
 
 def solve(

@@ -85,7 +85,8 @@ def find_pure_nash(
     for p in range(tensor.n_players):
         payoffs_p = tensor.values[..., p]
         stable &= payoffs_p >= payoffs_p.max(axis=p, keepdims=True) - tolerance
-    equilibria = tuple(u for u in iterate_profiles(tensor.shape) if stable[u])
+    # argwhere lists indices in C order, which is the normative profile order.
+    equilibria = tuple(map(tuple, np.argwhere(stable).tolist()))
     return NashResult(equilibria, tuple(tensor.payoff_vector(u) for u in equilibria))
 
 

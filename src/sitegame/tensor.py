@@ -225,15 +225,29 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
     n = len(shape)
     n_profiles = math.prod(shape)
 
-    players = doc.get("players", [f"P{i + 1}" for i in range(n)])
+    payoffs_doc = doc["payoffs"]
+    if not isinstance(payoffs_doc, list):
+        raise TensorFormatError("payoffs: expected a list of payoff vectors")
+    if len(payoffs_doc) != n_profiles:
+        raise TensorFormatError(
+            f"payoffs: expected {n_profiles} rows (product of shape), got {len(payoffs_doc)}"
+        )
+
+    # Defaults are built only when absent and only after the row count check:
+    # a shape may claim any size, and the default labels hold sum(shape) strings.
+    if "players" in doc:
+        players = doc["players"]
+    else:
+        players = [f"P{i + 1}" for i in range(n)]
     if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
         raise TensorFormatError("players: expected a list of strings")
     if len(players) != n:
         raise TensorFormatError(f"players: expected {n} labels, got {len(players)}")
 
-    labels = doc.get(
-        "strategy_labels", [[f"S{k + 1}" for k in range(s)] for s in shape]
-    )
+    if "strategy_labels" in doc:
+        labels = doc["strategy_labels"]
+    else:
+        labels = [[f"S{k + 1}" for k in range(s)] for s in shape]
     if not isinstance(labels, list) or len(labels) != n:
         raise TensorFormatError(f"strategy_labels: expected {n} label lists")
     for p, axis in enumerate(labels):
@@ -244,13 +258,6 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
                 f"strategy_labels[{p}]: expected {shape[p]} labels, got {len(axis)}"
             )
 
-    payoffs_doc = doc["payoffs"]
-    if not isinstance(payoffs_doc, list):
-        raise TensorFormatError("payoffs: expected a list of payoff vectors")
-    if len(payoffs_doc) != n_profiles:
-        raise TensorFormatError(
-            f"payoffs: expected {n_profiles} rows (product of shape), got {len(payoffs_doc)}"
-        )
     rows = []
     for r, row in enumerate(payoffs_doc):
         if not isinstance(row, list) or len(row) != n:

@@ -135,8 +135,13 @@ SPECIAL_FLOATS = (
 _json_labels = st.text(alphabet='aZ"\\\n\t\x00%sé☃\U0001f600', max_size=5)
 
 
+# The same characters plus those of the text report's row layout
+# "  (a, b) = (0, 1): ...": separators and parentheses.
+text_labels = st.text(alphabet='aZ"\\\n\t\x00%s, ()=:é☃\U0001f600', max_size=5)
+
+
 @st.composite
-def json_tensors(draw, max_players: int = 3, max_strategies: int = 3):
+def json_tensors(draw, max_players: int = 3, max_strategies: int = 3, labels=_json_labels):
     """Tensors with awkward labels and floats, for JSON rendering tests."""
     n = draw(st.integers(1, max_players))
     shape = tuple(draw(st.integers(1, max_strategies)) for _ in range(n))
@@ -147,8 +152,8 @@ def json_tensors(draw, max_players: int = 3, max_strategies: int = 3):
     values = draw(st.lists(number, min_size=size, max_size=size))
     return PayoffTensor(
         shape=shape,
-        players=tuple(draw(_json_labels) for _ in range(n)),
-        strategy_labels=tuple(tuple(draw(_json_labels) for _ in range(s)) for s in shape),
+        players=tuple(draw(labels) for _ in range(n)),
+        strategy_labels=tuple(tuple(draw(labels) for _ in range(s)) for s in shape),
         values=np.array(values).reshape(shape + (n,)),
         provenance=PROVENANCE_LOADED,
     )

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +322,28 @@ def test_solve_pairwise_band_flag(fixture_files, tmp_path, scenario, capsys):
     }
     assert flattened == {("C3", "D2")}
     # C1=(6,4) sits exactly 3 away from D2: the closed bound keeps it feasible
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "rho_min, flags, golden",
+    [
+        (None, (), "solve_fixture_scenario.txt"),
+        # rho_min 3 puts C3-D2 (sqrt(5) apart) and three sites below the band
+        (3.0, ("--pairwise-band",), "solve_fixture_scenario_pairwise_band.txt"),
+    ],
+)
+def test_solve_text_matches_golden(tmp_path, scenario, capsys, rho_min, flags, golden):
+    doc = scenario_to_dict(scenario)
+    if rho_min is not None:
+        doc["region"]["rho_min"] = rho_min
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path), *flags)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 # --- fixtures emit and entry points -------------------------------------------

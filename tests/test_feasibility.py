@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from sitegame import (
     check_profile_spacing,
     check_scenario,
     check_site,
+    iterate_profiles,
+    profile_spacing,
 )
 from conftest import scenarios
 
@@ -179,3 +182,71 @@ def test_profile_spacing_detects_close_pair():
     assert (v.player_a, v.site_a, v.player_b, v.site_b) == ("P1", "S1", "P2", "T1")
     assert v.distance == 1.0
     assert v.bound == "below"
+
+
+def _spacing_by_profile(scenario):
+    """check_profile_spacing on every profile, keeping the violating ones."""
+    shape = tuple(len(player.sites) for player in scenario.players)
+    spacing = {}
+    for profile in iterate_profiles(shape):
+        found = check_profile_spacing(scenario, profile)
+        if found:
+            spacing[profile] = tuple(found)
+    return spacing
+
+
+def _assert_same_spacing(got, expected):
+    # Same keys in the same order, same violations in the same order; the
+    # dataclass == compares distances exactly.
+    assert list(got.items()) == list(expected.items())
+    assert all(type(i) is int for profile in got for i in profile)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scenario=scenarios(max_players=4),
+    band=st.tuples(st.sampled_from([0.5, 3.0, 6.0]), st.sampled_from([8.0, 15.0, 100.0])),
+)
+def test_profile_spacing_equals_per_profile_checks(scenario, band):
+    region = dataclasses.replace(scenario.region, rho_min=band[0], rho_max=band[1])
+    scenario = dataclasses.replace(scenario, region=region)
+    _assert_same_spacing(profile_spacing(scenario), _spacing_by_profile(scenario))
+
+
+def _player(player_id, *sites):
+    return PlayerSpec(
+        player_id,
+        0.0,
+        tuple(CandidateSite(f"{player_id}S{k + 1}", Point(*xy)) for k, xy in enumerate(sites)),
+        tuple((1.0,) for _ in sites),
+        tuple((0.0,) for _ in sites),
+    )
+
+
+def test_profile_spacing_single_player_is_empty():
+    scn = Scenario(
+        region=RegionConfig(x_max=10, y_max=10, rho_min=3.0, rho_max=4.0),
+        objects=(NaturalObject("A1", Point(9, 9)),),
+        players=(_player("P1", (0, 0), (1, 0)),),
+    )
+    assert profile_spacing(scn) == {}
+
+
+def test_profile_spacing_coincident_sites():
+    scn = Scenario(
+        region=RegionConfig(x_max=10, y_max=10, rho_min=0.5, rho_max=5.0),
+        objects=(NaturalObject("A1", Point(9, 9)),),
+        players=(
+            _player("P1", (2, 2), (0, 0)),
+            _player("P2", (2, 2), (1, 1)),
+            _player("P3", (2, 3), (9, 0)),
+        ),
+    )
+    spacing = profile_spacing(scn)
+    _assert_same_spacing(spacing, _spacing_by_profile(scn))
+    first = spacing[(0, 0, 0)][0]
+    assert (first.site_a, first.site_b, first.distance, first.bound) == (
+        "P1S1", "P2S1", 0.0, "below"
+    )
+    # P3S2 is more than rho_max from every other site.
+    assert all(profile in spacing for profile in iterate_profiles((2, 2, 2)) if profile[2] == 1)

@@ -109,6 +109,14 @@ def test_gradient_raises_on_zero_distance(scenario):
         payoff_gradient(0, Point(2, 3), scenario, site_index=1)
 
 
+@pytest.mark.parametrize("function", [payoff, payoff_gradient])
+@pytest.mark.parametrize("site_index", [-1, 3])
+def test_out_of_range_site_index_raises(scenario, function, site_index):
+    # player P1 has three candidate sites, rows 0..2
+    with pytest.raises(ValueError, match=rf"site_index {site_index} .* player 'P1'"):
+        function(0, Point(7, 8), scenario, site_index=site_index)
+
+
 def test_unmatched_position_raises(scenario):
     with pytest.raises(ValueError, match="not a candidate site"):
         payoff(0, Point(6.5, 8.0), scenario)

@@ -88,6 +88,15 @@ def test_nash_decoupled_game_with_ties_lists_all_combinations():
     assert find_pure_nash(t).equilibria == ((0, 1), (1, 1))
 
 
+def test_nash_equilibria_are_tuples_of_python_ints():
+    values = np.zeros((2, 3, 2))
+    values[..., 0] = 1.0  # every profile is an equilibrium
+    values[..., 1] = 1.0
+    equilibria = find_pure_nash(_tensor_from_values(values)).equilibria
+    assert len(equilibria) == 6
+    assert all(type(u) is tuple and all(type(i) is int for i in u) for u in equilibria)
+
+
 def test_nash_matching_pennies_has_no_pure_equilibrium():
     values = np.array(
         [[[1.0, -1.0], [-1.0, 1.0]],

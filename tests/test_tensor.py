@@ -1,5 +1,9 @@
 
+import contextlib
 import json
+import resource
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +219,41 @@ def test_from_dict_rejects_malformed_documents(tensor, mutate, fragment):
     mutate(doc)
     with pytest.raises(TensorFormatError, match=fragment):
         tensor_from_dict(doc)
+
+
+@contextlib.contextmanager
+def _address_space_grows_at_most(extra_bytes):
+    """Cap this process's address space a little above its current size, so
+    that a runaway allocation raises MemoryError instead of exhausting the
+    machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    cap = size + extra_bytes
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("extra", [{}, {"strategy_labels": [["a"]]}])
+def test_from_dict_checks_row_count_before_building_defaults(extra):
+    # A shape claiming 10**9 profiles with no rows must fail on the row count,
+    # before a default label list of that size is built.
+    doc = {"shape": [10**9], "payoffs": [], **extra}
+    tracemalloc.start()
+    try:
+        with _address_space_grows_at_most(2**28):
+            with pytest.raises(TensorFormatError, match="1000000000 rows"):
+                tensor_from_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_load_tensor_names_line_and_column(tmp_path):
