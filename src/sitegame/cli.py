@@ -17,15 +17,17 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
 from .feasibility import check_scenario, profile_spacing
 from .fixtures import write_fixtures
-from .payoff import ZeroDistanceError, payoff
+from .payoff import PayoffTerms, ZeroDistanceError
 from .report import solve
-from .scenario import Scenario, ScenarioFormatError, load_scenario, scenario_from_dict, validate
+from .scenario import Scenario, ScenarioFormatError, scenario_from_dict, validate
 from .solvers import DEFAULT_TOLERANCE
 from .tensor import (
+    PayoffTensor,
     TensorFormatError,
     build_tensor,
     dumps_tensor,
@@ -46,34 +48,49 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_valid_scenario(path: str) -> Scenario | int:
-    """Load and validate a scenario; on failure return an exit code instead."""
+def _load(
+    path: str, violations_to: TextIO, *, tensors: bool = False
+) -> Scenario | PayoffTensor | int:
+    """Read, parse and check a scenario document, or, with ``tensors``, a
+    scenario or tensor document told apart by its keys. Returns the valid
+    Scenario or the PayoffTensor; on failure, reports it (each violation to
+    ``violations_to``, anything else as an ``error:`` line on stderr) and
+    returns the exit code."""
     try:
-        scenario = load_scenario(path)
+        text = Path(path).read_text(encoding="utf-8")
     except _READ_ERRORS as exc:
         return _fail(f"cannot read {path}: {exc}", EXIT_INPUT)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return _fail(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}", EXIT_INPUT)
+    except ValueError as exc:  # an integer literal longer than int's digit limit
+        return _fail(f"{path}: {exc}", EXIT_INPUT)
+    if tensors:
+        kind = _sniff_document(doc)
+        if kind == "tensor":
+            try:
+                return tensor_from_dict(doc)
+            except TensorFormatError as exc:
+                return _fail(str(exc), EXIT_INPUT)
+        if kind == "unknown":
+            return _fail(f"{path}: not a scenario or tensor document", EXIT_INPUT)
+    try:
+        scenario = scenario_from_dict(doc)
     except ScenarioFormatError as exc:
         return _fail(str(exc), EXIT_INPUT)
     violations = validate(scenario)
     if violations:
         for violation in violations:
-            print(violation, file=sys.stderr)
+            print(violation, file=violations_to)
         return EXIT_DOMAIN
     return scenario
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.file)
-    except _READ_ERRORS as exc:
-        return _fail(f"cannot read {args.file}: {exc}", EXIT_INPUT)
-    except ScenarioFormatError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    violations = validate(scenario)
-    if violations:
-        for violation in violations:
-            print(violation)
-        return EXIT_DOMAIN
+    scenario = _load(args.file, sys.stdout)
+    if isinstance(scenario, int):
+        return scenario
     sites = sum(len(player.sites) for player in scenario.players)
     print(
         f"valid: {scenario.n_players} players, {scenario.n_objects} objects, "
@@ -83,35 +100,32 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
-    scenario = _load_valid_scenario(args.file)
+    scenario = _load(args.file, sys.stderr)
     if isinstance(scenario, int):
         return scenario
     try:
         tensor = build_tensor(scenario)
-    except ZeroDistanceError as exc:
-        return _fail(str(exc), EXIT_DOMAIN)
-    except ValueError as exc:
+    except (ZeroDistanceError, ValueError) as exc:
         return _fail(str(exc), EXIT_DOMAIN)
     text = dumps_tensor(tensor)
     if args.explain:
-        breakdowns = [
-            [payoff(p, site.position, scenario, site_index=k) for k, site in enumerate(player.sites)]
-            for p, player in enumerate(scenario.players)
-        ]
+        # One entry per (player, site), shared by every profile that picks it.
+        breakdowns = []
+        for p, player in enumerate(scenario.players):
+            terms = PayoffTerms(scenario, p)
+            columns = (terms.income.tolist(), terms.damage.tolist(), terms.total.tolist())
+            breakdowns.append(
+                [
+                    {"player": player.id, "site": site.id, "income": income, "damage": damage,
+                     "total": total}
+                    for site, income, damage, total in zip(player.sites, *columns)
+                ]
+            )
         explain = [
             {
                 "indices": list(profile),
                 "labels": list(tensor.labels_for(profile)),
-                "players": [
-                    {
-                        "player": tensor.players[p],
-                        "site": tensor.strategy_labels[p][profile[p]],
-                        "income": list(breakdowns[p][profile[p]].income),
-                        "damage": list(breakdowns[p][profile[p]].damage),
-                        "total": breakdowns[p][profile[p]].total,
-                    }
-                    for p in range(tensor.n_players)
-                ],
+                "players": [breakdowns[p][k] for p, k in enumerate(profile)],
             }
             for profile in iterate_profiles(tensor.shape)
         ]
@@ -133,48 +147,21 @@ def _sniff_document(doc: object) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except _READ_ERRORS as exc:
-        return _fail(f"cannot read {args.file}: {exc}", EXIT_INPUT)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return _fail(
-            f"{args.file}: line {exc.lineno}, column {exc.colno}: {exc.msg}", EXIT_INPUT
-        )
-    except ValueError as exc:  # an integer literal longer than int's digit limit
-        return _fail(f"{args.file}: {exc}", EXIT_INPUT)
-
-    kind = _sniff_document(doc)
+    loaded = _load(args.file, sys.stderr, tensors=True)
+    if isinstance(loaded, int):
+        return loaded
     feasibility = None
     pairwise = None
-    if kind == "tensor":
-        try:
-            tensor = tensor_from_dict(doc)
-        except TensorFormatError as exc:
-            return _fail(str(exc), EXIT_INPUT)
-    elif kind == "scenario":
-        try:
-            scenario = scenario_from_dict(doc)
-        except ScenarioFormatError as exc:
-            return _fail(str(exc), EXIT_INPUT)
-        violations = validate(scenario)
-        if violations:
-            for violation in violations:
-                print(violation, file=sys.stderr)
-            return EXIT_DOMAIN
-        try:
-            tensor = build_tensor(scenario)
-        except ZeroDistanceError as exc:
-            return _fail(str(exc), EXIT_DOMAIN)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_DOMAIN)
-        feasibility = tuple(check_scenario(scenario))
-        if args.pairwise_band:
-            pairwise = profile_spacing(scenario)
+    if isinstance(loaded, PayoffTensor):
+        tensor = loaded
     else:
-        return _fail(f"{args.file}: not a scenario or tensor document", EXIT_INPUT)
+        try:
+            tensor = build_tensor(loaded)
+        except (ZeroDistanceError, ValueError) as exc:
+            return _fail(str(exc), EXIT_DOMAIN)
+        feasibility = tuple(check_scenario(loaded))
+        if args.pairwise_band:
+            pairwise = profile_spacing(loaded)
 
     run_nash = args.nash or not (args.nash or args.compromise)
     run_compromise = args.compromise or not (args.nash or args.compromise)

@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .payoff import distance
-from .scenario import CandidateSite, PlayerSpec, Point, RegionConfig, Scenario
-from .tensor import Profile
+from .payoff import distance, offsets
+from .scenario import Point, RegionConfig, Scenario
+from .tensor import Profile, checked_profile
 
 BELOW = "below"
 ABOVE = "above"
@@ -66,47 +66,60 @@ def check_site(
     site_id: str | None = None,
 ) -> FeasibilityReport:
     """Check one location against the region box and the per-object band."""
-    region = scenario.region
-    in_box = 0 <= position.x <= region.x_max and 0 <= position.y <= region.y_max
-    violations = []
-    for obj in scenario.objects:
-        rho = distance(position, obj.position)
-        bound = _band_bound(rho, region)
-        if bound is not None:
-            violations.append(BandViolation(obj.id, rho, bound))
-    return FeasibilityReport(player_id, site_id, position, in_box, tuple(violations))
+    return _check_sites(scenario, [(player_id, site_id, position)])[0]
 
 
 def check_scenario(scenario: Scenario) -> list[FeasibilityReport]:
     """Feasibility report for every candidate site, player-major site-minor."""
+    return _check_sites(
+        scenario,
+        [(player.id, s.id, s.position) for player in scenario.players for s in player.sites],
+    )
+
+
+def _check_sites(
+    scenario: Scenario, sites: list[tuple[str | None, str | None, Point]]
+) -> list[FeasibilityReport]:
+    """Reports for (player id, site id, position) triples, from one array of
+    their distances to every natural object."""
+    region = scenario.region
+    objects = scenario.objects
+    _, _, rho = offsets([position for _, _, position in sites], [obj.position for obj in objects])
+    found: list[list[BandViolation]] = [[] for _ in sites]
+    for (r, j), rho_rj, bound in _band_violations(rho, region):
+        found[r].append(BandViolation(objects[j].id, rho_rj, bound))
     return [
-        check_site(site.position, scenario, player_id=player.id, site_id=site.id)
-        for player in scenario.players
-        for site in player.sites
+        FeasibilityReport(
+            player_id,
+            site_id,
+            position,
+            0 <= position.x <= region.x_max and 0 <= position.y <= region.y_max,
+            tuple(violations),
+        )
+        for (player_id, site_id, position), violations in zip(sites, found)
     ]
 
 
-def _band_bound(rho: float, region: RegionConfig) -> str | None:
-    """BELOW or ABOVE when ``rho`` lies outside the closed band, else None."""
-    if rho < region.rho_min:
-        return BELOW
-    if rho > region.rho_max:
-        return ABOVE
-    return None
+def _band(rho, region: RegionConfig):
+    """Whether ``rho`` lies below rho_min, and whether above rho_max, of the
+    closed band: two bools for one distance, two bool arrays for an array."""
+    return rho < region.rho_min, rho > region.rho_max
 
 
-def _pair_violation(
-    region: RegionConfig,
-    player_a: PlayerSpec,
-    site_a: CandidateSite,
-    player_b: PlayerSpec,
-    site_b: CandidateSite,
-) -> PairSpacingViolation | None:
-    rho = distance(site_a.position, site_b.position)
-    bound = _band_bound(rho, region)
-    if bound is None:
-        return None
-    return PairSpacingViolation(player_a.id, site_a.id, player_b.id, site_b.id, rho, bound)
+def _band_violations(
+    rho: np.ndarray, region: RegionConfig
+) -> list[tuple[tuple[int, ...], float, str]]:
+    """Every distance in ``rho`` outside the band, in C order: its index, the
+    distance and BELOW or ABOVE."""
+    below, above = _band(rho, region)
+    outside = below | above
+    return list(
+        zip(
+            map(tuple, np.argwhere(outside).tolist()),
+            rho[outside].tolist(),
+            np.where(below[outside], BELOW, ABOVE).tolist(),
+        )
+    )
 
 
 def check_profile_spacing(
@@ -116,18 +129,25 @@ def check_profile_spacing(
 
     Optional stricter reading of the spacing rule: besides keeping distance to
     natural objects, facilities of distinct players must also keep the band
-    between each other. ``profile`` holds one site index per player; the
-    violations come in (player a, player b) lexicographic order, a < b.
+    between each other. ``profile`` holds one site index per player; an index
+    outside a player's sites raises ValueError. The violations come in
+    (player a, player b) lexicographic order, a < b.
     """
-    region = scenario.region
-    chosen = [
-        (player, player.sites[profile[i]]) for i, player in enumerate(scenario.players)
-    ]
+    players = scenario.players
+    profile = checked_profile(
+        profile, [len(player.sites) for player in players], [player.id for player in players]
+    )
+    chosen = [(player, player.sites[k]) for player, k in zip(players, profile)]
     violations = []
     for (player_a, site_a), (player_b, site_b) in itertools.combinations(chosen, 2):
-        violation = _pair_violation(region, player_a, site_a, player_b, site_b)
-        if violation is not None:
-            violations.append(violation)
+        rho = distance(site_a.position, site_b.position)
+        below, above = _band(rho, scenario.region)
+        if below or above:
+            violations.append(
+                PairSpacingViolation(
+                    player_a.id, site_a.id, player_b.id, site_b.id, rho, BELOW if below else ABOVE
+                )
+            )
     return violations
 
 
@@ -145,15 +165,17 @@ def profile_spacing(scenario: Scenario) -> dict[Profile, tuple[PairSpacingViolat
     violating = np.zeros(shape, dtype=bool)
     pairs = []  # (a, b, {(k_a, k_b): violation}) for player pairs a < b
     for a, b in itertools.combinations(range(len(players)), 2):
-        found = {}
-        mask = np.zeros((shape[a], shape[b]), dtype=bool)
-        for k_a, site_a in enumerate(players[a].sites):
-            for k_b, site_b in enumerate(players[b].sites):
-                violation = _pair_violation(scenario.region, players[a], site_a, players[b], site_b)
-                if violation is not None:
-                    found[k_a, k_b] = violation
-                    mask[k_a, k_b] = True
+        sites_a, sites_b = players[a].sites, players[b].sites
+        _, _, rho = offsets([s.position for s in sites_a], [s.position for s in sites_b])
+        found = {
+            (k_a, k_b): PairSpacingViolation(
+                players[a].id, sites_a[k_a].id, players[b].id, sites_b[k_b].id, rho_ab, bound
+            )
+            for (k_a, k_b), rho_ab, bound in _band_violations(rho, scenario.region)
+        }
         if found:
+            mask = np.zeros((shape[a], shape[b]), dtype=bool)
+            mask[tuple(zip(*found))] = True
             axes = [1] * len(shape)
             axes[a], axes[b] = shape[a], shape[b]
             violating |= mask.reshape(axes)

@@ -5,12 +5,19 @@ A facility earns ``loss / distance`` from every natural object and pays
 every natural object; the payoff is income minus compensation, summed in
 ascending object order. Both terms blow up as the facility approaches an
 object, so evaluation exactly on top of an object is an error.
+
+:class:`PayoffTerms` evaluates these terms for one player at many locations
+at once; :func:`payoff` and :func:`payoff_gradient` are its one-location views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Sequence
+
+import numpy as np
 
 from .scenario import Point, PlayerSpec, Scenario
 
@@ -67,6 +74,101 @@ def _coefficient_row(player: PlayerSpec, position: Point, site_index: int | None
     )
 
 
+def offsets(
+    origins: Sequence[Point], targets: Sequence[Point]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Differences ``origin - target`` of the coordinates and Euclidean
+    distances for every (origin, target) pair: three (origins × targets)
+    arrays ``dx``, ``dy`` and ``rho``.
+
+    Each distance is ``math.hypot`` of its differences, so it equals
+    :func:`distance` bit for bit; ``np.hypot`` rounds some inputs differently.
+    """
+    dx = _coordinates(origins, "x")[:, None] - _coordinates(targets, "x")
+    dy = _coordinates(origins, "y")[:, None] - _coordinates(targets, "y")
+    # Iterating a memoryview yields each difference as a float, without a list.
+    rho = np.fromiter(
+        map(math.hypot, memoryview(dx.ravel()), memoryview(dy.ravel())), dtype=float, count=dx.size
+    )
+    return dx, dy, rho.reshape(dx.shape)
+
+
+def _coordinates(points: Sequence[Point], axis: str) -> np.ndarray:
+    return np.fromiter(map(attrgetter(axis), points), dtype=float, count=len(points))
+
+
+def _ascending_sum(terms: np.ndarray) -> np.ndarray:
+    """``sum(row)`` of every row: +0.0 plus each term in ascending object
+    order, one addition after another, as ``sum`` adds floats."""
+    start = np.zeros(terms.shape[:-1] + (1,))
+    return np.add.accumulate(np.concatenate([start, terms], axis=-1), axis=-1)[..., -1]
+
+
+class PayoffTerms:
+    """The payoff kernel: one player's income and damage terms at several
+    locations, as (locations × objects) arrays, with their totals and
+    gradients.
+
+    Location r is ``positions[r]`` evaluated with coefficient row ``rows[r]``;
+    by default, the player's candidate sites with their own rows. Every
+    element is computed with the operations of the per-object formula, in
+    its order, and every sum adds in ascending object order, so each value
+    equals a loop over the objects bit for bit. Raises ZeroDistanceError for
+    the first location, then object, that coincides with a natural object.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        player_index: int,
+        positions: Sequence[Point] | None = None,
+        rows: Sequence[int] | None = None,
+    ):
+        player = scenario.players[player_index]
+        if positions is None:
+            positions = [site.position for site in player.sites]
+            rows = range(len(player.sites))
+        objects = scenario.objects
+        self.dx, self.dy, self.rho = offsets(positions, [obj.position for obj in objects])
+        if not self.rho.all():
+            r, j = np.argwhere(self.rho == 0.0)[0].tolist()
+            raise ZeroDistanceError(player.id, player.sites[rows[r]].id, objects[j].id)
+        self._loss = np.array([player.loss[k] for k in rows], dtype=float)
+        self._weight = np.array([player.damage_weight[k] for k in rows], dtype=float)
+        if self._loss.shape != self.rho.shape or self._weight.shape != self.rho.shape:
+            raise ValueError(
+                f"player {player.id!r}: every coefficient row needs one entry per object"
+            )
+        self._gradient_scale = player.emission / scenario.region.pi_value
+        scale = player.emission / (2.0 * scenario.region.pi_value)
+        # Python float arithmetic overflows to inf, and makes nan of inf - inf,
+        # without a warning; so does the kernel. A distance whose square
+        # underflows to 0 gives inf here (Python raised ZeroDivisionError),
+        # which PayoffTensor then rejects as not finite.
+        with np.errstate(all="ignore"):
+            self.income = self._loss / self.rho
+            self.damage = self._weight * scale / (self.rho * self.rho)
+            self.total = _ascending_sum(self.income) - _ascending_sum(self.damage)
+
+    def gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """``d_x`` and ``d_y`` of the total at every location; see
+        :func:`payoff_gradient`."""
+        with np.errstate(all="ignore"):
+            rho2 = self.rho * self.rho
+            factor = (
+                -self._loss / (rho2 * self.rho) + self._weight * self._gradient_scale / (rho2 * rho2)
+            )
+            return _ascending_sum(factor * self.dx), _ascending_sum(factor * self.dy)
+
+
+def _terms_at(
+    player_index: int, site_position: Point, scenario: Scenario, site_index: int | None
+) -> PayoffTerms:
+    player = scenario.players[player_index]
+    row = _coefficient_row(player, site_position, site_index)
+    return PayoffTerms(scenario, player_index, [site_position], [row])
+
+
 def payoff(
     player_index: int,
     site_position: Point,
@@ -82,22 +184,10 @@ def payoff(
     arbitrary location (useful for derivative checks and sensitivity probes).
     A ``site_index`` outside ``range(len(sites))`` raises ValueError.
     """
-    player = scenario.players[player_index]
-    row = _coefficient_row(player, site_position, site_index)
-    loss_row = player.loss[row]
-    weight_row = player.damage_weight[row]
-    site_id = player.sites[row].id
-    scale = player.emission / (2.0 * scenario.region.pi_value)
-
-    income = []
-    damage = []
-    for j, obj in enumerate(scenario.objects):
-        rho = distance(site_position, obj.position)
-        if rho == 0.0:
-            raise ZeroDistanceError(player.id, site_id, obj.id)
-        income.append(loss_row[j] / rho)
-        damage.append(weight_row[j] * scale / (rho * rho))
-    return PayoffBreakdown(tuple(income), tuple(damage), sum(income) - sum(damage))
+    terms = _terms_at(player_index, site_position, scenario, site_index)
+    return PayoffBreakdown(
+        tuple(terms.income[0].tolist()), tuple(terms.damage[0].tolist()), terms.total.item()
+    )
 
 
 def payoff_gradient(
@@ -113,24 +203,5 @@ def payoff_gradient(
     damage term ``+weight * emission * dx / (pi_value * rho^4)`` to d_x
     (symmetrically for d_y). Same coefficient-row resolution as :func:`payoff`.
     """
-    player = scenario.players[player_index]
-    row = _coefficient_row(player, site_position, site_index)
-    loss_row = player.loss[row]
-    weight_row = player.damage_weight[row]
-    site_id = player.sites[row].id
-    scale = player.emission / scenario.region.pi_value
-
-    d_x = 0.0
-    d_y = 0.0
-    for j, obj in enumerate(scenario.objects):
-        dx = site_position.x - obj.position.x
-        dy = site_position.y - obj.position.y
-        rho = math.hypot(dx, dy)
-        if rho == 0.0:
-            raise ZeroDistanceError(player.id, site_id, obj.id)
-        rho2 = rho * rho
-        income_factor = -loss_row[j] / (rho2 * rho)
-        damage_factor = weight_row[j] * scale / (rho2 * rho2)
-        d_x += (income_factor + damage_factor) * dx
-        d_y += (income_factor + damage_factor) * dy
-    return Gradient(d_x, d_y)
+    d_x, d_y = _terms_at(player_index, site_position, scenario, site_index).gradient()
+    return Gradient(d_x.item(), d_y.item())

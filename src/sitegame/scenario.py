@@ -115,6 +115,17 @@ def _check_point(point: Point, path: str, out: list[Violation]) -> None:
         out.append(Violation(f"{path}.y", f"must be a finite number, got {point.y!r}"))
 
 
+def _finite_nonnegative_floats(row: tuple) -> bool:
+    """Whether every entry of ``row`` is a float in [0, inf), checked on the
+    whole row. False may also mean a sum that overflows; the caller then
+    checks entry by entry."""
+    return (
+        set(map(type, row)) <= {float}
+        and math.isfinite(sum(row))
+        and min(row, default=0.0) >= 0.0
+    )
+
+
 def _check_matrix(
     matrix: tuple[tuple[float, ...], ...],
     path: str,
@@ -134,6 +145,8 @@ def _check_matrix(
                     f"expected {n_objects} entries (one per object), got {len(row)}",
                 )
             )
+        elif _finite_nonnegative_floats(row):
+            continue
         for j, entry in enumerate(row):
             if not _finite(entry) or entry < 0:
                 out.append(
@@ -261,13 +274,19 @@ def _string(value: object, path: str) -> str:
 
 def _matrix(value: object, path: str) -> tuple[tuple[float, ...], ...]:
     rows = _expect_list(value, path)
-    return tuple(
-        tuple(
-            _number(entry, f"{path}[{i}][{j}]")
-            for j, entry in enumerate(_expect_list(row, f"{path}[{i}]"))
-        )
-        for i, row in enumerate(rows)
-    )
+    return tuple(_matrix_row(row, f"{path}[{i}]") for i, row in enumerate(rows))
+
+
+def _matrix_row(row: object, path: str) -> tuple[float, ...]:
+    # A list of plain ints and floats (bool is a type of its own) converts as
+    # a whole; any other row is walked entry by entry, to name its first bad
+    # entry or to accept subclasses of int and float.
+    if isinstance(row, list) and set(map(type, row)) <= {float, int}:
+        try:
+            return tuple(map(float, row))
+        except OverflowError:
+            pass
+    return tuple(_number(entry, f"{path}[{j}]") for j, entry in enumerate(_expect_list(row, path)))
 
 
 def _labeled_point(value: object, path: str) -> tuple[str, Point]:

@@ -10,13 +10,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .payoff import payoff
+from .payoff import PayoffTerms
 from .scenario import Scenario
 
 Profile = tuple[int, ...]
@@ -76,10 +78,41 @@ class PayoffTensor:
         return math.prod(self.shape)
 
     def payoff_vector(self, profile: Sequence[int]) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values[tuple(profile)])
+        profile = checked_profile(profile, self.shape, self.players)
+        return tuple(float(v) for v in self.values[profile])
 
     def labels_for(self, profile: Sequence[int]) -> tuple[str, ...]:
+        profile = checked_profile(profile, self.shape, self.players)
         return tuple(self.strategy_labels[p][i] for p, i in enumerate(profile))
+
+
+def checked_profile(
+    profile: Sequence[int], shape: Sequence[int], players: Sequence[str]
+) -> Profile:
+    """``profile`` as a tuple, once it is known to hold one index in
+    ``range(shape[p])`` for every player p. Otherwise raises ValueError naming
+    the player and the index: a negative index would silently count from the
+    end."""
+    profile = tuple(profile)
+    if len(profile) != len(shape):
+        raise ValueError(f"profile {profile!r} has {len(profile)} indices for {len(shape)} players")
+    if min(profile, default=0) >= 0 and all(map(operator.lt, profile, shape)):
+        return profile
+    for player, index, size in zip(players, profile, shape):
+        if not 0 <= index < size:
+            raise ValueError(
+                f"strategy index {index!r} is out of range for player {player!r}, "
+                f"which has {size} strategies"
+            )
+    return profile
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def iterate_profiles(shape: Iterable[int]) -> Iterator[Profile]:
@@ -93,28 +126,31 @@ def iterate_profiles(shape: Iterable[int]) -> Iterator[Profile]:
 def build_tensor(scenario: Scenario) -> PayoffTensor:
     """Evaluate the payoff formula at every candidate site and assemble the tensor.
 
-    Each player's payoff depends only on their own site, so the formula is
-    evaluated once per (player, site) and broadcast along the other players'
-    axes. Raises ZeroDistanceError (naming player, site and object) if any
-    candidate site sits on a natural object.
+    Each player's payoff depends only on their own site, so the payoff kernel
+    runs once per player over all of that player's sites, and its totals are
+    broadcast along the other players' axes. Raises ZeroDistanceError (naming
+    player, site and object) if any candidate site sits on a natural object,
+    and ValueError, before allocating anything, if the tensor would not fit
+    in physical memory.
     """
     for player in scenario.players:
         if not player.sites:
             raise ValueError(f"player {player.id!r} has no candidate sites")
     shape = tuple(len(player.sites) for player in scenario.players)
     n = len(scenario.players)
+    nbytes = math.prod(shape) * n * np.dtype(float).itemsize
+    memory = _physical_memory()
+    if memory is not None and nbytes > memory:
+        raise ValueError(
+            f"payoff tensor of shape {shape} for {n} players needs {nbytes} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
 
     values = np.empty(shape + (n,), dtype=float)
-    for p, player in enumerate(scenario.players):
-        totals = np.array(
-            [
-                payoff(p, site.position, scenario, site_index=k).total
-                for k, site in enumerate(player.sites)
-            ]
-        )
+    for p in range(n):
         broadcast_shape = [1] * n
         broadcast_shape[p] = shape[p]
-        values[..., p] = totals.reshape(broadcast_shape)
+        values[..., p] = PayoffTerms(scenario, p).total.reshape(broadcast_shape)
 
     return PayoffTensor(
         shape=shape,
@@ -258,6 +294,36 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
                 f"strategy_labels[{p}]: expected {shape[p]} labels, got {len(axis)}"
             )
 
+    values = _plain_payoffs(payoffs_doc, n)
+    if values is None:
+        values = np.array(_walk_payoffs(payoffs_doc, n), dtype=float)
+    return PayoffTensor(
+        shape=tuple(shape),
+        players=tuple(players),
+        strategy_labels=tuple(tuple(axis) for axis in labels),
+        values=values.reshape(tuple(shape) + (n,)),
+        provenance=PROVENANCE_LOADED,
+    )
+
+
+def _plain_payoffs(payoffs_doc: list, n: int) -> np.ndarray | None:
+    """The payoff rows as one array when every row is a list of ``n`` plain
+    ints and floats, all finite as floats; else None. Checks whole rows, with
+    no Python call per entry."""
+    if not all(isinstance(row, list) and len(row) == n for row in payoffs_doc):
+        return None
+    if not set(map(type, itertools.chain.from_iterable(payoffs_doc))) <= {float, int}:
+        return None
+    try:
+        values = np.array(payoffs_doc, dtype=float)
+    except OverflowError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _walk_payoffs(payoffs_doc: list, n: int) -> list[list[float]]:
+    """The payoff rows checked entry by entry: raises TensorFormatError naming
+    the first bad row or entry."""
     rows = []
     for r, row in enumerate(payoffs_doc):
         if not isinstance(row, list) or len(row) != n:
@@ -276,15 +342,7 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
                 raise TensorFormatError(f"payoffs[{r}][{p}]: must be finite, got {entry!r}")
             entries.append(value)
         rows.append(entries)
-
-    values = np.array(rows, dtype=float).reshape(tuple(shape) + (n,))
-    return PayoffTensor(
-        shape=tuple(shape),
-        players=tuple(players),
-        strategy_labels=tuple(tuple(axis) for axis in labels),
-        values=values,
-        provenance=PROVENANCE_LOADED,
-    )
+    return rows
 
 
 def dumps_tensor(tensor: PayoffTensor) -> str:

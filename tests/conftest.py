@@ -1,4 +1,6 @@
+import contextlib
 import math
+import resource
 
 import hypothesis.strategies as st
 import numpy as np
@@ -156,4 +158,41 @@ def json_tensors(draw, max_players: int = 3, max_strategies: int = 3, labels=_js
         strategy_labels=tuple(tuple(draw(labels) for _ in range(s)) for s in shape),
         values=np.array(values).reshape(shape + (n,)),
         provenance=PROVENANCE_LOADED,
+    )
+
+
+@contextlib.contextmanager
+def address_space_grows_at_most(extra_bytes):
+    """Cap this process's address space a little above its current size, so
+    that a runaway allocation raises MemoryError instead of exhausting the
+    machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    cap = size + extra_bytes
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def twelve_player_scenario() -> Scenario:
+    """12 players with 10 sites each around one object: a 10**12-profile
+    game whose tensor would take 96 TB."""
+    return Scenario(
+        region=RegionConfig(x_max=20, y_max=20, rho_min=0.5, rho_max=100),
+        objects=(NaturalObject("A1", Point(0, 0)),),
+        players=tuple(
+            PlayerSpec(
+                f"P{i + 1}",
+                1.0,
+                tuple(CandidateSite(f"P{i + 1}S{k + 1}", Point(k + 1, i + 1)) for k in range(10)),
+                ((1.0,),) * 10,
+                ((1.0,),) * 10,
+            )
+            for i in range(12)
+        ),
     )

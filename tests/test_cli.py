@@ -8,7 +8,7 @@ import pytest
 
 from sitegame import dumps_scenario, dumps_tensor, fixture_tensor, scenario_to_dict
 from sitegame.cli import main
-from conftest import random_tensor
+from conftest import address_space_grows_at_most, random_tensor, twelve_player_scenario
 from oracles import oracle_compromise, oracle_nash, profile_payoffs
 
 
@@ -434,3 +434,65 @@ def test_module_entry_point(fixture_files):
     )
     assert result.returncode == 0
     assert "(B1, C4, D2)" in result.stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("command", ["tensor", "solve"])
+def test_tensor_larger_than_memory_exit1(tmp_path, capsys, command):
+    path = tmp_path / "twelve.json"
+    path.write_text(dumps_scenario(twelve_player_scenario()), encoding="utf-8")
+    with address_space_grows_at_most(2**28):
+        code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    _assert_one_line_error(err)
+    assert "(10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10)" in err
+    assert "96000000000000 bytes" in err
+
+
+_BROKEN_DOCUMENTS = {
+    "violations": lambda doc: (
+        doc["players"][0]["loss"][1].__setitem__(2, -1.0),
+        doc["players"][2]["damage_weight"][0].pop(),
+    ),
+    "bad entry": lambda doc: doc["players"][1]["loss"][0].__setitem__(1, True),
+    "missing key": lambda doc: doc["players"][1].pop("emission"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_BROKEN_DOCUMENTS))
+def test_commands_load_scenarios_alike(tmp_path, scenario, capsys, broken):
+    # validate, tensor and solve share one loader; validate alone lists the
+    # violations on stdout.
+    doc = scenario_to_dict(scenario)
+    _BROKEN_DOCUMENTS[broken](doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    results = {command: run_cli(capsys, command, str(path)) for command in ("validate", "tensor", "solve")}
+    if broken == "violations":
+        lines = "players[0].loss[1][2]: must be a finite number >= 0, got -1.0\n"
+        lines += "players[2].damage_weight[0]: expected 5 entries (one per object), got 4\n"
+        assert results["validate"] == (1, lines, "")
+        assert results["tensor"] == results["solve"] == (1, "", lines)
+    else:
+        code, out, err = results["validate"]
+        assert code == 2 and out == ""
+        _assert_one_line_error(err)
+        assert results["tensor"] == results["solve"] == results["validate"]
+
+
+@pytest.mark.parametrize("command", ["tensor", "solve"])
+def test_site_a_hair_from_an_object_exit1(tmp_path, scenario, capsys, command):
+    # The squared distance underflows to 0, so the damage term is inf; this
+    # used to end in a ZeroDivisionError traceback.
+    doc = scenario_to_dict(scenario)
+    doc["region"]["rho_min"] = 1e-300
+    doc["objects"][0].update(x=0.0, y=0.0)
+    doc["players"][0]["sites"][0].update(x=1e-170, y=0.0)
+    path = tmp_path / "hair.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    _assert_one_line_error(err)
+    assert "finite" in err

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -250,3 +251,15 @@ def test_profile_spacing_coincident_sites():
     )
     # P3S2 is more than rho_max from every other site.
     assert all(profile in spacing for profile in iterate_profiles((2, 2, 2)) if profile[2] == 1)
+
+
+@pytest.mark.parametrize("player", [0, 1, 2])
+@pytest.mark.parametrize("end", ["-1", "k"])
+def test_check_profile_spacing_rejects_out_of_range_index(scenario, player, end):
+    # A negative index used to wrap silently to a site counted from the end.
+    index = -1 if end == "-1" else len(scenario.players[player].sites)
+    profile = [0] * scenario.n_players
+    profile[player] = index
+    message = rf"strategy index {index} is out of range for player 'P{player + 1}'"
+    with pytest.raises(ValueError, match=message):
+        check_profile_spacing(scenario, profile)

@@ -1,7 +1,5 @@
 
-import contextlib
 import json
-import resource
 import sys
 import tracemalloc
 
@@ -28,7 +26,7 @@ from sitegame import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from conftest import SPECIAL_FLOATS, json_tensors
+from conftest import SPECIAL_FLOATS, address_space_grows_at_most, json_tensors, twelve_player_scenario
 
 # Frozen from the straight-line payoff oracle (see test_payoff.py).
 P1_SITE_TOTALS = [2.6138193948132304, -8.738548914701935, 4.268150139922947]
@@ -221,24 +219,6 @@ def test_from_dict_rejects_malformed_documents(tensor, mutate, fragment):
         tensor_from_dict(doc)
 
 
-@contextlib.contextmanager
-def _address_space_grows_at_most(extra_bytes):
-    """Cap this process's address space a little above its current size, so
-    that a runaway allocation raises MemoryError instead of exhausting the
-    machine."""
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    with open("/proc/self/statm") as statm:
-        size = int(statm.read().split()[0]) * resource.getpagesize()
-    cap = size + extra_bytes
-    if hard != resource.RLIM_INFINITY:
-        cap = min(cap, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 @pytest.mark.parametrize("extra", [{}, {"strategy_labels": [["a"]]}])
 def test_from_dict_checks_row_count_before_building_defaults(extra):
@@ -247,7 +227,7 @@ def test_from_dict_checks_row_count_before_building_defaults(extra):
     doc = {"shape": [10**9], "payoffs": [], **extra}
     tracemalloc.start()
     try:
-        with _address_space_grows_at_most(2**28):
+        with address_space_grows_at_most(2**28):
             with pytest.raises(TensorFormatError, match="1000000000 rows"):
                 tensor_from_dict(doc)
         _, peak = tracemalloc.get_traced_memory()
@@ -295,3 +275,35 @@ _SPECIAL_TENSOR = PayoffTensor(
 def test_dumps_tensor_is_json_dumps_of_document(t):
     assert dumps_tensor(t) == json.dumps(tensor_to_dict(t), indent=2) + "\n"
 
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_build_tensor_refuses_a_tensor_larger_than_physical_memory():
+    scenario = twelve_player_scenario()
+    tracemalloc.start()
+    try:
+        with address_space_grows_at_most(2**28):
+            with pytest.raises(ValueError, match=r"shape \(10, 10, .*, 10\) .* 96000000000000 bytes"):
+                build_tensor(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("method", ["labels_for", "payoff_vector"])
+@pytest.mark.parametrize("player", [0, 1, 2])
+@pytest.mark.parametrize("end", ["-1", "k"])
+def test_out_of_range_strategy_index_raises(tensor, method, player, end):
+    index = -1 if end == "-1" else tensor.shape[player]
+    profile = [0] * tensor.n_players
+    profile[player] = index
+    message = rf"strategy index {index} is out of range for player 'P{player + 1}'"
+    with pytest.raises(ValueError, match=message):
+        getattr(tensor, method)(profile)
+
+
+@pytest.mark.parametrize("method", ["labels_for", "payoff_vector"])
+@pytest.mark.parametrize("profile", [(0, 0), (0, 0, 0, 0)])
+def test_profile_of_wrong_length_raises(tensor, method, profile):
+    with pytest.raises(ValueError, match=f"{len(profile)} indices for 3 players"):
+        getattr(tensor, method)(profile)
