@@ -27,7 +27,6 @@ from .report import solve
 from .scenario import Scenario, ScenarioFormatError, scenario_from_dict, validate
 from .solvers import DEFAULT_TOLERANCE
 from .tensor import (
-    PayoffTensor,
     TensorFormatError,
     build_tensor,
     dumps_tensor,
@@ -48,33 +47,25 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load(
-    path: str, violations_to: TextIO, *, tensors: bool = False
-) -> Scenario | PayoffTensor | int:
-    """Read, parse and check a scenario document, or, with ``tensors``, a
-    scenario or tensor document told apart by its keys. Returns the valid
-    Scenario or the PayoffTensor; on failure, reports it (each violation to
-    ``violations_to``, anything else as an ``error:`` line on stderr) and
-    returns the exit code."""
+def _read_document(path: str) -> tuple[object, int]:
+    """The JSON document at ``path`` and EXIT_OK; on failure, reports it as an
+    ``error:`` line on stderr and returns None and the exit code."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except _READ_ERRORS as exc:
-        return _fail(f"cannot read {path}: {exc}", EXIT_INPUT)
+        return None, _fail(f"cannot read {path}: {exc}", EXIT_INPUT)
     try:
-        doc = json.loads(text)
+        return json.loads(text), EXIT_OK
     except json.JSONDecodeError as exc:
-        return _fail(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}", EXIT_INPUT)
+        return None, _fail(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}", EXIT_INPUT)
     except ValueError as exc:  # an integer literal longer than int's digit limit
-        return _fail(f"{path}: {exc}", EXIT_INPUT)
-    if tensors:
-        kind = _sniff_document(doc)
-        if kind == "tensor":
-            try:
-                return tensor_from_dict(doc)
-            except TensorFormatError as exc:
-                return _fail(str(exc), EXIT_INPUT)
-        if kind == "unknown":
-            return _fail(f"{path}: not a scenario or tensor document", EXIT_INPUT)
+        return None, _fail(f"{path}: {exc}", EXIT_INPUT)
+
+
+def _valid_scenario(doc: object, violations_to: TextIO) -> Scenario | int:
+    """The valid Scenario of a parsed document; on failure, reports it (each
+    violation to ``violations_to``, a format error on stderr) and returns the
+    exit code."""
     try:
         scenario = scenario_from_dict(doc)
     except ScenarioFormatError as exc:
@@ -85,6 +76,13 @@ def _load(
             print(violation, file=violations_to)
         return EXIT_DOMAIN
     return scenario
+
+
+def _load(path: str, violations_to: TextIO) -> Scenario | int:
+    """Read, parse and check a scenario document: the valid Scenario, or the
+    exit code once the failure is reported."""
+    doc, code = _read_document(path)
+    return code if code else _valid_scenario(doc, violations_to)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -147,21 +145,34 @@ def _sniff_document(doc: object) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    loaded = _load(args.file, sys.stderr, tensors=True)
-    if isinstance(loaded, int):
-        return loaded
+    doc, code = _read_document(args.file)
+    if code:
+        return code
+    kind = _sniff_document(doc)
+    scenario = None
+    if kind == "tensor":
+        try:
+            tensor = tensor_from_dict(doc)
+        except TensorFormatError as exc:
+            return _fail(str(exc), EXIT_INPUT)
+    elif kind == "scenario":
+        scenario = _valid_scenario(doc, sys.stderr)
+        if isinstance(scenario, int):
+            return scenario
+    else:
+        return _fail(f"{args.file}: not a scenario or tensor document", EXIT_INPUT)
+    del doc  # free the document tree before the tensor is built and solved
+
     feasibility = None
     pairwise = None
-    if isinstance(loaded, PayoffTensor):
-        tensor = loaded
-    else:
+    if scenario is not None:
         try:
-            tensor = build_tensor(loaded)
+            tensor = build_tensor(scenario)
         except (ZeroDistanceError, ValueError) as exc:
             return _fail(str(exc), EXIT_DOMAIN)
-        feasibility = tuple(check_scenario(loaded))
+        feasibility = tuple(check_scenario(scenario))
         if args.pairwise_band:
-            pairwise = profile_spacing(loaded)
+            pairwise = profile_spacing(scenario)
 
     run_nash = args.nash or not (args.nash or args.compromise)
     run_compromise = args.compromise or not (args.nash or args.compromise)

@@ -23,7 +23,9 @@ from .scenario import Point, PlayerSpec, Scenario
 
 
 class ZeroDistanceError(ArithmeticError):
-    """The payoff is singular: the evaluated location sits on a natural object."""
+    """The payoff is singular: the evaluated location sits on a natural object,
+    or so close to it that a power of the distance in the formula is 0 as a
+    float."""
 
     def __init__(self, player_id: str, site_id: str | None, object_id: str):
         self.player_id = player_id
@@ -97,9 +99,17 @@ def _coordinates(points: Sequence[Point], axis: str) -> np.ndarray:
     return np.fromiter(map(attrgetter(axis), points), dtype=float, count=len(points))
 
 
-def _ascending_sum(terms: np.ndarray) -> np.ndarray:
-    """``sum(row)`` of every row: +0.0 plus each term in ascending object
-    order, one addition after another, as ``sum`` adds floats."""
+def _sums(terms: np.ndarray) -> np.ndarray:
+    """``sum(row)`` of every row, by ``sum`` itself: the per-object code summed
+    income and damage with ``sum``, which compensates float rounding from
+    Python 3.12 on, so only ``sum`` gives its totals on every version."""
+    # A memoryview of a row yields its terms as floats, without a list.
+    return np.fromiter(map(sum, map(memoryview, terms)), dtype=float, count=len(terms))
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """``0.0`` plus each term of every row in ascending object order, one
+    addition after another, as the per-object gradient loop added them."""
     start = np.zeros(terms.shape[:-1] + (1,))
     return np.add.accumulate(np.concatenate([start, terms], axis=-1), axis=-1)[..., -1]
 
@@ -112,9 +122,10 @@ class PayoffTerms:
     Location r is ``positions[r]`` evaluated with coefficient row ``rows[r]``;
     by default, the player's candidate sites with their own rows. Every
     element is computed with the operations of the per-object formula, in
-    its order, and every sum adds in ascending object order, so each value
-    equals a loop over the objects bit for bit. Raises ZeroDistanceError for
-    the first location, then object, that coincides with a natural object.
+    its order, and every sum adds as the per-object code did, so each value
+    equals a loop over the objects bit for bit. Where that loop divided by
+    zero (a distance, or a power of it, that is 0 as a float), the kernel
+    raises ZeroDistanceError for the first such location, then object.
     """
 
     def __init__(
@@ -128,37 +139,44 @@ class PayoffTerms:
         if positions is None:
             positions = [site.position for site in player.sites]
             rows = range(len(player.sites))
-        objects = scenario.objects
-        self.dx, self.dy, self.rho = offsets(positions, [obj.position for obj in objects])
-        if not self.rho.all():
-            r, j = np.argwhere(self.rho == 0.0)[0].tolist()
-            raise ZeroDistanceError(player.id, player.sites[rows[r]].id, objects[j].id)
+        self._player = player
+        self._rows = rows
+        self._objects = scenario.objects
+        self.dx, self.dy, self.rho = offsets(positions, [obj.position for obj in self._objects])
         self._loss = np.array([player.loss[k] for k in rows], dtype=float)
         self._weight = np.array([player.damage_weight[k] for k in rows], dtype=float)
-        if self._loss.shape != self.rho.shape or self._weight.shape != self.rho.shape:
-            raise ValueError(
-                f"player {player.id!r}: every coefficient row needs one entry per object"
-            )
         self._gradient_scale = player.emission / scenario.region.pi_value
         scale = player.emission / (2.0 * scenario.region.pi_value)
         # Python float arithmetic overflows to inf, and makes nan of inf - inf,
-        # without a warning; so does the kernel. A distance whose square
-        # underflows to 0 gives inf here (Python raised ZeroDivisionError),
-        # which PayoffTensor then rejects as not finite.
+        # without a warning; so does the kernel.
         with np.errstate(all="ignore"):
+            rho2 = self._nonzero(self.rho * self.rho)
+            if self._loss.shape != self.rho.shape or self._weight.shape != self.rho.shape:
+                raise ValueError(
+                    f"player {player.id!r}: every coefficient row needs one entry per object"
+                )
             self.income = self._loss / self.rho
-            self.damage = self._weight * scale / (self.rho * self.rho)
-            self.total = _ascending_sum(self.income) - _ascending_sum(self.damage)
+            self.damage = self._weight * scale / rho2
+            self.total = _sums(self.income) - _sums(self.damage)
+
+    def _nonzero(self, denominators: np.ndarray) -> np.ndarray:
+        """``denominators``, once none is 0; else raises ZeroDistanceError for
+        the first location, then object, where one is."""
+        if not denominators.all():
+            r, j = np.argwhere(denominators == 0.0)[0].tolist()
+            site_id = self._player.sites[self._rows[r]].id
+            raise ZeroDistanceError(self._player.id, site_id, self._objects[j].id)
+        return denominators
 
     def gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """``d_x`` and ``d_y`` of the total at every location; see
         :func:`payoff_gradient`."""
         with np.errstate(all="ignore"):
             rho2 = self.rho * self.rho
-            factor = (
-                -self._loss / (rho2 * self.rho) + self._weight * self._gradient_scale / (rho2 * rho2)
-            )
-            return _ascending_sum(factor * self.dx), _ascending_sum(factor * self.dy)
+            # rho^4 is 0 wherever rho^3 is, as both are 0 only for rho < 1.
+            rho4 = self._nonzero(rho2 * rho2)
+            factor = -self._loss / (rho2 * self.rho) + self._weight * self._gradient_scale / rho4
+            return _running_sums(factor * self.dx), _running_sums(factor * self.dy)
 
 
 def _terms_at(

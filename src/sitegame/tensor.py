@@ -37,7 +37,9 @@ class PayoffTensor:
 
     ``values`` has shape ``shape + (n_players,)``; ``values[profile][p]`` is
     player p's payoff at that profile. The array is frozen after construction
-    so tensors can be shared across threads.
+    so tensors can be shared across threads. A read-only, C-contiguous float
+    array is kept as it is rather than copied, so a large tensor is never
+    held twice; whoever passes one must not write to it through another view.
     """
 
     shape: tuple[int, ...]
@@ -56,12 +58,20 @@ class PayoffTensor:
             raise ValueError(f"every player needs at least one strategy, got shape {shape}")
         if len(labels) != len(shape) or any(len(axis) != s for axis, s in zip(labels, shape)):
             raise ValueError("strategy_labels must match shape")
-        values = np.array(self.values, dtype=float)
+        values = self.values
+        if not (
+            isinstance(values, np.ndarray)
+            and values.dtype == float
+            and values.flags.c_contiguous
+            and not values.flags.writeable
+        ):
+            values = np.array(values, dtype=float)
         if values.shape != shape + (len(players),):
             raise ValueError(
                 f"values shape {values.shape} does not match {shape + (len(players),)}"
             )
-        if not np.all(np.isfinite(values)):
+        # min and max are nan if any value is, and need no array of flags.
+        if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
             raise ValueError("all payoff values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "shape", shape)
@@ -151,6 +161,7 @@ def build_tensor(scenario: Scenario) -> PayoffTensor:
         broadcast_shape = [1] * n
         broadcast_shape[p] = shape[p]
         values[..., p] = PayoffTerms(scenario, p).total.reshape(broadcast_shape)
+    values.setflags(write=False)
 
     return PayoffTensor(
         shape=shape,
@@ -297,11 +308,13 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
     values = _plain_payoffs(payoffs_doc, n)
     if values is None:
         values = np.array(_walk_payoffs(payoffs_doc, n), dtype=float)
+    values = values.reshape(tuple(shape) + (n,))
+    values.setflags(write=False)
     return PayoffTensor(
         shape=tuple(shape),
         players=tuple(players),
         strategy_labels=tuple(tuple(axis) for axis in labels),
-        values=values.reshape(tuple(shape) + (n,)),
+        values=values,
         provenance=PROVENANCE_LOADED,
     )
 
@@ -315,10 +328,13 @@ def _plain_payoffs(payoffs_doc: list, n: int) -> np.ndarray | None:
     if not set(map(type, itertools.chain.from_iterable(payoffs_doc))) <= {float, int}:
         return None
     try:
-        values = np.array(payoffs_doc, dtype=float)
+        # fromiter fills one array; np.array of nested lists peaks at twice that.
+        values = np.fromiter(
+            itertools.chain.from_iterable(payoffs_doc), dtype=float, count=len(payoffs_doc) * n
+        )
     except OverflowError:
         return None
-    return values if np.isfinite(values).all() else None
+    return values if math.isfinite(values.min()) and math.isfinite(values.max()) else None
 
 
 def _walk_payoffs(payoffs_doc: list, n: int) -> list[list[float]]:

@@ -483,8 +483,8 @@ def test_commands_load_scenarios_alike(tmp_path, scenario, capsys, broken):
 
 @pytest.mark.parametrize("command", ["tensor", "solve"])
 def test_site_a_hair_from_an_object_exit1(tmp_path, scenario, capsys, command):
-    # The squared distance underflows to 0, so the damage term is inf; this
-    # used to end in a ZeroDivisionError traceback.
+    # The squared distance underflows to 0; this used to end in a
+    # ZeroDivisionError traceback.
     doc = scenario_to_dict(scenario)
     doc["region"]["rho_min"] = 1e-300
     doc["objects"][0].update(x=0.0, y=0.0)
@@ -494,5 +494,5 @@ def test_site_a_hair_from_an_object_exit1(tmp_path, scenario, capsys, command):
     code, out, err = run_cli(capsys, command, str(path))
     assert code == 1
     assert out == ""
-    _assert_one_line_error(err)
-    assert "finite" in err
+    player, site, obj = doc["players"][0]["id"], doc["players"][0]["sites"][0]["id"], doc["objects"][0]["id"]
+    assert err == f"error: player {player!r}: site {site!r} coincides with natural object {obj!r}\n"

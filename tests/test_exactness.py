@@ -9,13 +9,14 @@ floats are compared through ``repr`` or their bit patterns, so that -0.0 and
 """
 
 import dataclasses
+import importlib
 import math
 from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from sitegame import (
     BandViolation,
@@ -38,9 +39,12 @@ from sitegame import (
 )
 from sitegame import scenario as scenario_module
 from sitegame.feasibility import ABOVE, BELOW
-from sitegame.payoff import Gradient, _ascending_sum
+from sitegame.payoff import Gradient, _running_sums, _sums
 from sitegame.scenario import Violation, _expect_list, _finite, _number
 from conftest import scenarios
+
+# The package's payoff function hides its module of the same name.
+payoff_module = importlib.import_module("sitegame.payoff")
 
 
 # --- the per-object code ------------------------------------------------------
@@ -129,14 +133,15 @@ def outcome(call):
         return zero_distance_fields(call)
 
 
-def assert_same(kernel_call, per_object_call, finite):
+def assert_same(kernel_call, per_object_call, player, site):
     """The kernel's outcome equals the per-object code's. Where a distance is
-    so small that its square underflows to 0, the per-object code divided by
-    zero; the kernel gives inf or nan there instead."""
+    so small that a power of it underflows to 0, the per-object code divided
+    by zero; the kernel raises ZeroDistanceError there instead, naming the
+    player and the site."""
     try:
         expected = outcome(per_object_call)
     except ZeroDivisionError:
-        assert not finite(kernel_call())
+        assert zero_distance_fields(kernel_call)[:2] == (player.id, site.id)
     else:
         assert outcome(kernel_call) == expected
 
@@ -206,6 +211,18 @@ def kernel_scenarios(draw):
     return scenario
 
 
+def first_singular_site(scenario):
+    """Player and site id of the first candidate site, in normative order,
+    where the per-object payoff raises."""
+    for p, player in enumerate(scenario.players):
+        for k, site in enumerate(player.sites):
+            try:
+                per_object_payoff(p, site.position, scenario, k)
+            except ArithmeticError:
+                return player.id, site.id
+    return None
+
+
 def assert_kernel_matches(scenario, anywhere):
     for p, player in enumerate(scenario.players):
         for k, site in enumerate(player.sites):
@@ -213,12 +230,14 @@ def assert_kernel_matches(scenario, anywhere):
                 assert_same(
                     lambda: payoff(p, position, scenario, site_index=k),
                     lambda: per_object_payoff(p, position, scenario, k),
-                    lambda breakdown: math.isfinite(breakdown.total),
+                    player,
+                    site,
                 )
                 assert_same(
                     lambda: payoff_gradient(p, position, scenario, site_index=k),
                     lambda: per_object_gradient(p, position, scenario, k),
-                    lambda gradient: math.isfinite(gradient.d_x) and math.isfinite(gradient.d_y),
+                    player,
+                    site,
                 )
     try:
         expected = per_object_tensor_values(scenario)
@@ -227,9 +246,7 @@ def assert_kernel_matches(scenario, anywhere):
             lambda: per_object_tensor_values(scenario)
         )
     except ZeroDivisionError:
-        # A non-finite total, or a later site on an object.
-        with pytest.raises((ValueError, ZeroDistanceError)):
-            build_tensor(scenario)
+        assert zero_distance_fields(lambda: build_tensor(scenario))[:2] == first_singular_site(scenario)
     else:
         assert bits(build_tensor(scenario).values) == bits(expected)
     assert repr(check_scenario(scenario)) == repr(per_object_check_scenario(scenario))
@@ -279,16 +296,18 @@ def _zero_rows(scenario):
     )
 
 
-def _site_a_hair_from_an_object(scenario):
-    # 1e-170 from the object: the squared distance underflows to 0.
-    player = scenario.players[0]
-    objects = (dataclasses.replace(scenario.objects[0], position=Point(0.0, 0.0)),)
-    sites = (dataclasses.replace(player.sites[0], position=Point(1e-170, 0.0)),)
-    return dataclasses.replace(
-        scenario,
-        objects=objects + scenario.objects[1:],
-        players=(dataclasses.replace(player, sites=sites + player.sites[1:]),) + scenario.players[1:],
-    )
+def _site_off_an_object(distance):
+    def move(scenario):
+        player = scenario.players[0]
+        objects = (dataclasses.replace(scenario.objects[0], position=Point(0.0, 0.0)),)
+        sites = (dataclasses.replace(player.sites[0], position=Point(distance, 0.0)),)
+        return dataclasses.replace(
+            scenario,
+            objects=objects + scenario.objects[1:],
+            players=(dataclasses.replace(player, sites=sites + player.sites[1:]),) + scenario.players[1:],
+        )
+
+    return move
 
 
 @pytest.mark.parametrize(
@@ -299,7 +318,10 @@ def _site_a_hair_from_an_object(scenario):
         _one_object,
         _zero_rows,
         _site_on_object,
-        _site_a_hair_from_an_object,
+        # The squared distance underflows to 0.
+        _site_off_an_object(1e-170),
+        # The fourth power of the distance underflows to 0; the payoff is finite.
+        _site_off_an_object(1e-100),
     ],
     ids=[
         "int coordinates",
@@ -308,22 +330,53 @@ def _site_a_hair_from_an_object(scenario):
         "signed zeros",
         "site on object",
         "site a hair from an object",
+        "site near an object",
     ],
 )
 def test_kernel_equals_per_object_code_on_the_fixture(scenario, variant):
     assert_kernel_matches(variant(scenario), Point(6.5, 2.25))
 
 
-@given(
-    row=st.lists(
-        st.one_of(st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324]), st.floats(allow_nan=False)),
-        max_size=12,
-    )
+_ROWS = st.lists(
+    st.one_of(st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 1e100, -1e100]), st.floats(allow_nan=False)),
+    max_size=12,
 )
-def test_ascending_sum_is_sum(row):
+
+
+@given(row=_ROWS)
+@example(row=[1.0, 1e100, -1e100])
+def test_sums_are_sum(row):
+    # [1.0, 1e100, -1e100] sums to 0.0 one addition after another, but to 1.0
+    # with the compensated sum() of Python 3.12 and later.
+    assert bits(_sums(np.array([row, row], dtype=float).reshape(2, len(row)))) == bits([sum(row)] * 2)
+
+
+@given(row=_ROWS)
+@example(row=[1.0, 1e100, -1e100])
+@example(row=[-0.0, -0.0])
+def test_running_sums_add_one_term_after_another(row):
+    expected = 0.0
+    for term in row:
+        expected += term
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _ascending_sum(np.array([row, row], dtype=float).reshape(2, len(row)))
-    assert bits(total) == bits([sum(row)] * 2)
+        total = _running_sums(np.array([row, row], dtype=float).reshape(2, len(row)))
+    assert bits(total) == bits([expected] * 2)
+
+
+def test_totals_follow_the_running_pythons_sum(scenario):
+    # sum() rounds differently from Python 3.12 on. The per-object code summed
+    # with sum(), so the kernel must call it, whatever it does: here a
+    # stand-in with other rounding (math.fsum) must carry through to payoff
+    # and build_tensor.
+    with mock.patch.object(payoff_module, "sum", math.fsum, create=True):
+        values = build_tensor(scenario).values
+        for p, player in enumerate(scenario.players):
+            for k, site in enumerate(player.sites):
+                breakdown = payoff(p, site.position, scenario, site_index=k)
+                total = math.fsum(breakdown.income) - math.fsum(breakdown.damage)
+                assert breakdown.total == total
+                assert set(values.take(k, axis=p)[..., p].ravel().tolist()) == {total}
+    assert values.tolist() != build_tensor(scenario).values.tolist()
 
 
 # --- the per-entry document code -----------------------------------------------

@@ -1,4 +1,5 @@
 
+import importlib
 import json
 import sys
 import tracemalloc
@@ -27,6 +28,8 @@ from sitegame import (
     tensor_to_dict,
 )
 from conftest import SPECIAL_FLOATS, address_space_grows_at_most, json_tensors, twelve_player_scenario
+
+tensor_module = importlib.import_module("sitegame.tensor")
 
 # Frozen from the straight-line payoff oracle (see test_payoff.py).
 P1_SITE_TOTALS = [2.6138193948132304, -8.738548914701935, 4.268150139922947]
@@ -254,6 +257,21 @@ def test_constructor_rejects_nonfinite_values():
         )
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_constructor_rejects_one_nonfinite_value_among_finite_ones(bad, where):
+    values = np.array([[1.0], [-2.0], [3.0]])
+    values[where, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PayoffTensor(
+            shape=(3,),
+            players=("P1",),
+            strategy_labels=(("S1", "S2", "S3"),),
+            values=values,
+            provenance=PROVENANCE_LOADED,
+        )
+
+
 def test_json_floats_round_trip_exactly(tensor):
     text = dumps_tensor(tensor)
     reloaded = tensor_from_dict(json.loads(text))
@@ -288,6 +306,61 @@ def test_build_tensor_refuses_a_tensor_larger_than_physical_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("spare", [0, -1])
+def test_build_tensor_refuses_one_byte_over_physical_memory(scenario, monkeypatch, spare):
+    nbytes = 3 * 4 * 2 * 3 * 8
+    monkeypatch.setattr(tensor_module, "_physical_memory", lambda: nbytes + spare)
+    if spare < 0:
+        with pytest.raises(ValueError, match=f"needs {nbytes} bytes, more than the {nbytes - 1} bytes"):
+            build_tensor(scenario)
+    else:
+        assert build_tensor(scenario).values.nbytes == nbytes
+
+
+def _many_site_scenario(sites):
+    return Scenario(
+        region=RegionConfig(x_max=100, y_max=100, rho_min=0.5, rho_max=1000),
+        objects=(NaturalObject("A1", Point(0, 0)),),
+        players=tuple(
+            PlayerSpec(
+                f"P{i + 1}",
+                1.0,
+                tuple(CandidateSite(f"P{i + 1}S{k + 1}", Point(k + 1, i + 1)) for k in range(sites)),
+                ((1.0,),) * sites,
+                ((1.0,),) * sites,
+            )
+            for i in range(3)
+        ),
+    )
+
+
+@pytest.mark.parametrize("how", ["built", "loaded"])
+def test_a_built_or_loaded_tensor_is_held_once(how):
+    # 50**3 profiles x 3 players x 8 bytes = 3 MB. The physical-memory check
+    # of build_tensor counts one tensor, so no second copy may be made.
+    scenario = _many_site_scenario(50)
+    document = tensor_to_dict(build_tensor(scenario)) if how == "loaded" else None
+    tracemalloc.start()
+    try:
+        tensor = build_tensor(scenario) if how == "built" else tensor_from_dict(document)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tensor.values.nbytes == 50**3 * 3 * 8
+    assert peak < 1.25 * tensor.values.nbytes
+
+
+def test_a_writable_array_is_copied():
+    values = np.zeros((2, 1))
+    tensor = PayoffTensor(
+        shape=(2,), players=("P1",), strategy_labels=(("S1", "S2"),), values=values,
+        provenance=PROVENANCE_LOADED,
+    )
+    values[0, 0] = 1.0
+    assert tensor.values.tolist() == [[0.0], [0.0]]
+    assert values.flags.writeable
 
 
 @pytest.mark.parametrize("method", ["labels_for", "payoff_vector"])
