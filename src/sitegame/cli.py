@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 from typing import TextIO
 
+import numpy as np
+
 from . import __version__
 from .feasibility import check_scenario, profile_spacing
 from .fixtures import write_fixtures
@@ -176,14 +178,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     run_nash = args.nash or not (args.nash or args.compromise)
     run_compromise = args.compromise or not (args.nash or args.compromise)
-    report = solve(
-        tensor,
-        nash=run_nash,
-        compromise=run_compromise,
-        tolerance=args.tolerance,
-        feasibility=feasibility,
-        pairwise_spacing=pairwise,
-    )
+    # Payoffs further apart than the largest float overflow a residual to
+    # inf; that is reported below, so numpy's warning would only repeat it.
+    with np.errstate(over="ignore"):
+        report = solve(
+            tensor,
+            nash=run_nash,
+            compromise=run_compromise,
+            tolerance=args.tolerance,
+            feasibility=feasibility,
+            pairwise_spacing=pairwise,
+        )
+    if report.compromise is not None:
+        shortfall = report.compromise.shortfall
+        if not math.isfinite(shortfall.max()):
+            profile = tuple(np.argwhere(~np.isfinite(shortfall))[0].tolist())
+            return _fail(
+                f"compromise residual overflows to inf at profile {list(profile)} "
+                f"(labels {list(tensor.labels_for(profile))!r}): payoffs too far apart for a float",
+                EXIT_DOMAIN,
+            )
     if args.format == "json":
         print(report.to_json())
     else:

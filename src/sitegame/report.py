@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,11 @@ from .tensor import (
     JSON_SLOT,
     PayoffTensor,
     Profile,
+    distinct_spellings,
+    index_spellings,
     json_document,
     json_floats,
+    profile_columns,
     profile_json_columns,
 )
 
@@ -161,9 +165,7 @@ class SolveReport:
             f"tensor {shape} ({tensor.provenance}); players: {', '.join(tensor.players)}"
         )
         lines.append(f"tolerance {_fmt(self.tolerance)}")
-        # One listing row: "  (labels) = (indices): <detail>".
-        slots = ", ".join(["%s"] * tensor.n_players)
-        row = f"  ({slots}) = ({slots}): %s"
+        row = _row_template(tensor.n_players)
 
         def listed(profile: Profile, detail: str) -> str:
             return row % (*tensor.labels_for(profile), *profile, detail)
@@ -188,16 +190,9 @@ class SolveReport:
                 lines.append(
                     f"pairwise spacing violations: {len(self.pairwise_spacing)} profiles"
                 )
-                # Profiles share violation objects: spell each one once.
-                distinct = {
-                    id(v): v for violations in self.pairwise_spacing.values() for v in violations
-                }
-                spelled = {
-                    key: f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})"
-                    for key, v in distinct.items()
-                }
-                for profile, violations in self.pairwise_spacing.items():
-                    lines.append(listed(profile, ", ".join([spelled[id(v)] for v in violations])))
+            if self.pairwise_spacing:
+                details = _spacing_details(self.pairwise_spacing, tensor.shape)
+                lines.extend(_listing(tensor, *details))
         if self.nash is not None:
             lines.append(f"nash equilibria ({len(self.nash.equilibria)}):")
             for profile, payoffs in zip(self.nash.equilibria, self.nash.payoffs):
@@ -212,21 +207,66 @@ class SolveReport:
                 payoffs = tensor.payoff_vector(profile)
                 lines.append(listed(profile, f"payoffs {_vector_text(payoffs)}"))
             lines.append("residuals:")
-            # residuals lists every profile in normative order, the order in
-            # which itertools.product walks the label and index axes.
-            labels = itertools.product(*tensor.strategy_labels)
-            indices = itertools.product(*(tuple(map(str, range(s))) for s in tensor.shape))
-            lines.extend(
-                row % (*label, *index, _fmt(residual))
-                for label, index, residual in zip(
-                    labels, indices, self.compromise.residuals.values()
-                )
-            )
+            shortfall = self.compromise.shortfall.reshape(-1)
+            residuals = distinct_spellings(shortfall, lambda floats: list(map(_fmt, floats)))
+            lines.extend(_listing(tensor, np.arange(shortfall.size), residuals.reshape(-1, 1)))
         return "\n".join(lines)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _row_template(n_players: int, n_details: int = 1) -> str:
+    """One listing row, "  (labels) = (indices): <details>", as a template of
+    n_players label, n_players index and n_details detail slots."""
+    slots = ", ".join(["%s"] * n_players)
+    return f"  ({slots}) = ({slots}): " + "%s" * n_details
+
+
+# A listing is filled a block of rows at a time: one ``%`` over a whole
+# listing would hold all of its slots in one tuple beside its text.
+LISTING_BLOCK_ROWS = 4096
+
+
+def _listing(tensor: PayoffTensor, profiles: np.ndarray, details: np.ndarray) -> Iterator[str]:
+    """The rows "  (labels) = (indices): details" of a text listing, one
+    string per block of rows.
+
+    Row r lists the profile whose flat (C-order) index is ``profiles[r]``,
+    then the strings of ``details[r]`` side by side.
+    """
+    row = _row_template(tensor.n_players, details.shape[1])
+    labels, indices = tensor.strategy_labels, index_spellings(tensor.shape)
+    for start in range(0, len(profiles), LISTING_BLOCK_ROWS):
+        block = slice(start, start + LISTING_BLOCK_ROWS)
+        grid = np.unravel_index(profiles[block], tensor.shape)
+        filled = np.hstack(
+            [profile_columns(labels, grid), profile_columns(indices, grid), details[block]]
+        )
+        yield "\n".join(itertools.repeat(row, len(filled))) % tuple(filled.reshape(-1).tolist())
+
+
+def _spacing_details(
+    spacing: dict[Profile, tuple[PairSpacingViolation, ...]], shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of a non-empty pairwise listing's profiles and its
+    detail slots: row r holds profile r's violations, the second and later
+    each led by ", ", padded with empty strings."""
+    profiles = np.ravel_multi_index(np.array(list(spacing), dtype=np.intp).T, shape)
+    listed = list(itertools.chain.from_iterable(spacing.values()))
+    # Profiles share violation objects: spell each one once, bare and led by ", ".
+    distinct = list({id(v): v for v in listed}.values())
+    position = {id(v): i for i, v in enumerate(distinct)}
+    which = np.fromiter(map(position.__getitem__, map(id, listed)), np.intp, len(listed))
+    spelled = [f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})" for v in distinct]
+    spellings = np.array([(text, ", " + text) for text in spelled], dtype=object).reshape(-1, 2)
+    counts = np.fromiter(map(len, spacing.values()), np.intp, len(spacing))
+    rows = np.repeat(np.arange(len(spacing)), counts)
+    column = np.arange(len(listed)) - np.repeat(np.cumsum(counts) - counts, counts)
+    details = np.full((len(spacing), counts.max()), "", dtype=object)
+    details[rows, column] = spellings[which, np.minimum(column, 1)]
+    return profiles, details
 
 
 def _vector_text(values) -> str:

@@ -13,6 +13,7 @@ Ties are resolved with an absolute tolerance; strategies or profiles within
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,18 +32,78 @@ class NashResult:
     payoffs: tuple[tuple[float, ...], ...]
 
 
+class Residuals(Mapping):
+    """Read-only ``{profile: residual}`` view of a shortfall array.
+
+    Holds no entry per profile: keys come from :func:`iterate_profiles` (the
+    normative order), values from the array. It has exactly the keys of the
+    equivalent dict, a tuple of one in-range index per player, so it compares
+    equal to that dict and raises KeyError for any other key.
+    """
+
+    __slots__ = ("_shortfall",)
+
+    def __init__(self, shortfall: np.ndarray) -> None:
+        self._shortfall = shortfall
+
+    def __getitem__(self, profile: Profile) -> float:
+        hash(profile)  # an unhashable key raises TypeError, as with a dict
+        shape = self._shortfall.shape
+        if not isinstance(profile, tuple) or len(profile) != len(shape):
+            raise KeyError(profile)
+        try:
+            # range.index finds the int that a dict key would equal (1.0, True).
+            index = tuple(map(range.index, map(range, shape), profile))
+        except ValueError:
+            raise KeyError(profile) from None
+        return float(self._shortfall[index])
+
+    def __iter__(self) -> Iterator[Profile]:
+        return iterate_profiles(self._shortfall.shape)
+
+    def __len__(self) -> int:
+        return self._shortfall.size
+
+    def __repr__(self) -> str:
+        return f"Residuals({self._shortfall!r})"
+
+    def values(self) -> ValuesView:
+        return _ResidualValues(self)
+
+    def items(self) -> ItemsView:
+        return _ResidualItems(self)
+
+
+class _ResidualValues(ValuesView):
+    """The residuals in normative order, read from the array in one pass."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping._shortfall.reshape(-1).tolist())
+
+
+class _ResidualItems(ItemsView):
+    """(profile, residual) pairs in normative order, values read in one pass."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[Profile, float]]:
+        return zip(self._mapping, self._mapping._shortfall.reshape(-1).tolist())
+
+
 @dataclass(frozen=True)
 class CompromiseResult:
     """Ideal payoffs, per-profile shortfall residuals and their minimizers.
 
     ``residuals`` maps every profile (normative order) to
-    ``max_i(ideal[i] - payoff_i)``; ``minimizers`` are all profiles whose
-    residual is within tolerance of ``min_residual``. ``shortfall`` holds the
-    same residuals as a read-only array of the tensor's shape.
+    ``max_i(ideal[i] - payoff_i)``, as a read-only view of ``shortfall``, the
+    same residuals as a read-only array of the tensor's shape; ``minimizers``
+    are all profiles whose residual is within tolerance of ``min_residual``.
     """
 
     ideal: tuple[float, ...]
-    residuals: dict[Profile, float]
+    residuals: Mapping[Profile, float]
     minimizers: tuple[Profile, ...]
     min_residual: float
     shortfall: np.ndarray = field(compare=False)
@@ -104,9 +165,9 @@ def find_compromise(
     ideal = ideal_vector(tensor)
     shortfall = (np.asarray(ideal) - tensor.values).max(axis=-1)
     shortfall.setflags(write=False)
-    residuals = {u: float(shortfall[u]) for u in iterate_profiles(tensor.shape)}
     min_residual = float(shortfall.min())
+    # argwhere lists indices in C order, which is the normative profile order.
     minimizers = tuple(
-        u for u, r in residuals.items() if r <= min_residual + tolerance
+        map(tuple, np.argwhere(shortfall <= min_residual + tolerance).tolist())
     )
-    return CompromiseResult(ideal, residuals, minimizers, min_residual, shortfall)
+    return CompromiseResult(ideal, Residuals(shortfall), minimizers, min_residual, shortfall)

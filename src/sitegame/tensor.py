@@ -14,7 +14,7 @@ import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -204,32 +204,55 @@ def tensor_to_dict(tensor: PayoffTensor) -> dict:
 JSON_SLOT = "%s"
 
 
-def json_floats(values: np.ndarray) -> np.ndarray:
-    """``json.dumps``'s spelling of every float in ``values``, as an object
-    array of the same shape.
+def distinct_spellings(values: np.ndarray, spell: Callable[[list[float]], list[str]]) -> np.ndarray:
+    """The spelling of every float in ``values``, as an object array of the
+    same shape; ``spell`` maps a list of floats to their spellings.
 
-    Each spelling is computed once per distinct bit pattern (so -0.0 and 0.0
-    stay apart): a tensor built from a scenario holds only Σk_i distinct
-    values among its Πk_i·n cells.
+    ``spell`` sees each distinct bit pattern once (so -0.0 and 0.0 stay
+    apart): a tensor built from a scenario holds only Σk_i distinct values
+    among its Πk_i·n cells.
     """
     bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
+    spelled = spell(distinct.view(float).tolist())
+    return np.array(spelled, dtype=object)[inverse].reshape(values.shape)
+
+
+def _json_spellings(floats: list[float]) -> list[str]:
     # The indent-free encoder spells floats the way the indented one does
     # (float.__repr__, Infinity, -Infinity, NaN); no spelling contains ", ".
-    spelled = json.dumps(distinct.view(float).tolist())[1:-1].split(", ")
-    return np.array(spelled, dtype=object)[inverse].reshape(values.shape)
+    return json.dumps(floats)[1:-1].split(", ")
+
+
+def json_floats(values: np.ndarray) -> np.ndarray:
+    """``json.dumps``'s spelling of every float in ``values``, as an object
+    array of the same shape."""
+    return distinct_spellings(values, _json_spellings)
+
+
+def profile_columns(axes: Sequence[Sequence[str]], grid: Sequence[np.ndarray]) -> np.ndarray:
+    """One row per profile, one column per player: entry [r, p] is
+    ``axes[p][grid[p][r]]``, an object array of shape (len(grid[0]), len(axes))."""
+    columns = np.empty((len(grid[0]), len(axes)), dtype=object)
+    for p, axis in enumerate(axes):
+        columns[:, p] = np.array(axis, dtype=object)[grid[p]]
+    return columns
+
+
+def index_spellings(shape: Sequence[int]) -> list[list[str]]:
+    """Each player's strategy indices as decimal strings, for profile_columns."""
+    return [[str(k) for k in range(s)] for s in shape]
 
 
 def profile_json_columns(tensor: PayoffTensor) -> tuple[np.ndarray, np.ndarray]:
     """Encoded strategy indices and labels of every profile, in normative
     order: two object arrays of shape (n_profiles, n_players)."""
     grid = np.indices(tensor.shape).reshape(tensor.n_players, -1)
-    indices = np.empty(grid.shape[::-1], dtype=object)
-    labels = np.empty(grid.shape[::-1], dtype=object)
-    for p, axis in enumerate(tensor.strategy_labels):
-        indices[:, p] = np.array([str(k) for k in range(len(axis))], dtype=object)[grid[p]]
-        labels[:, p] = np.array([json.dumps(label) for label in axis], dtype=object)[grid[p]]
-    return indices, labels
+    labels = [[json.dumps(label) for label in axis] for axis in tensor.strategy_labels]
+    return (
+        profile_columns(index_spellings(tensor.shape), grid),
+        profile_columns(labels, grid),
+    )
 
 
 def json_document(head: dict, key: str, entry: object, slots: np.ndarray, end: str = "") -> str:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,48 @@ def test_solve_text_matches_golden(tmp_path, scenario, capsys, rho_min, flags, g
     code, out, err = run_cli(capsys, "solve", str(path), *flags)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_solve_fixture_tensor_text_matches_golden(fixture_files, capsys):
+    # Every residual of the fixture tensor is distinct.
+    _, tensor_path = fixture_files
+    code, out, err = run_cli(capsys, "solve", str(tensor_path))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "solve_fixture_tensor.txt").read_text(encoding="utf-8")
+
+
+# Finite payoffs 2e308 apart: the residual of (b, x) and of (b, y) overflows.
+_OVERFLOW_TENSOR = {
+    "shape": [2, 2],
+    "strategy_labels": [["a", "b\n"], ["x", "y"]],
+    "payoffs": [[1e308, 0.0], [1e308, 1.0], [-1e308, 0.0], [-1e308, 2.0]],
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("--format", "json"), ("--compromise",)])
+def test_solve_residual_overflow_exit1(tmp_path, capsys, flags):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_OVERFLOW_TENSOR), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise
+        code, out, err = run_cli(capsys, "solve", str(path), *flags)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: compromise residual overflows to inf at profile [1, 0] "
+        "(labels ['b\\n', 'x']): payoffs too far apart for a float\n"
+    )
+
+
+def test_solve_nash_ignores_residual_overflow(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_OVERFLOW_TENSOR), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = run_cli(capsys, "solve", str(path), "--nash")
+        doc = run_cli(capsys, "solve", str(path), "--nash", "--format", "json")
+    assert text[0] == doc[0] == 0 and text[2] == doc[2] == ""
+    assert "nash equilibria (1):\n  (a, y) = (0, 1): payoffs (1e+308, 1)\n" in text[1]
+    assert [e["indices"] for e in json.loads(doc[1])["nash"]["equilibria"]] == [[0, 1]]
 
 
 # --- fixtures emit and entry points -------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,18 +8,29 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from sitegame import (
+    DEFAULT_TOLERANCE,
     PROVENANCE_LOADED,
     __version__,
+    CandidateSite,
+    NaturalObject,
     PayoffTensor,
+    PlayerSpec,
+    Point,
+    RegionConfig,
+    Scenario,
+    SolveReport,
     ZeroDistanceError,
     build_tensor,
     check_profile_spacing,
     check_scenario,
+    find_compromise,
+    find_pure_nash,
     fixture_tensor,
     iterate_profiles,
     profile_spacing,
     solve,
 )
+from sitegame.report import LISTING_BLOCK_ROWS
 from conftest import json_tensors, scenarios, text_labels
 
 SOLVER_CHOICES = [(True, True), (True, False), (False, True), (False, False)]
@@ -186,3 +198,94 @@ def test_to_text_with_feasibility_sections(scenario, pairwise, band):
         pairwise_spacing=profile_spacing(scenario) if pairwise else None,
     )
     assert report.to_text() == _reference_text(report)
+
+
+# --- listings longer than one block --------------------------------------------
+
+def _seeded_tensor(shape, seed=0):
+    n = len(shape)
+    return PayoffTensor(
+        shape=shape,
+        players=tuple(f"P{i + 1}" for i in range(n)),
+        strategy_labels=tuple(tuple(f"S{j + 1}" for j in range(s)) for s in shape),
+        values=np.random.default_rng(seed).uniform(-10.0, 10.0, size=shape + (n,)),
+        provenance=PROVENANCE_LOADED,
+    )
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (LISTING_BLOCK_ROWS,),  # exactly one block
+        (LISTING_BLOCK_ROWS + 1,),  # one block and one row
+        (2, LISTING_BLOCK_ROWS // 2, 3),  # three blocks, the last one short
+    ],
+)
+def test_to_text_residual_listing_across_blocks(shape):
+    report = solve(_seeded_tensor(shape))
+    assert report.to_text() == _reference_text(report)
+
+
+def _crowded_scenario(players, sites, seed=0):
+    """Sites scattered over a 20 x 20 square around three objects, with a
+    band of [2, 16]: most profiles hold a pair of sites outside it."""
+    rng = np.random.default_rng(seed)
+
+    def point():
+        return Point(*map(float, rng.uniform(0.0, 20.0, 2)))
+
+    objects = tuple(NaturalObject(f"A{j + 1}", point()) for j in range(3))
+    return Scenario(
+        region=RegionConfig(20.0, 20.0, 2.0, 16.0),
+        objects=objects,
+        players=tuple(
+            PlayerSpec(
+                f"P{i + 1}",
+                float(rng.uniform(1.0, 80.0)),
+                tuple(CandidateSite(f"P{i + 1}S{k + 1}", point()) for k in range(sites)),
+                tuple(tuple(map(float, rng.uniform(0.0, 20.0, 3))) for _ in range(sites)),
+                tuple(tuple(map(float, rng.uniform(0.0, 3.0, 3))) for _ in range(sites)),
+            )
+            for i in range(players)
+        ),
+    )
+
+
+def test_to_text_pairwise_listing_across_blocks():
+    scenario = _crowded_scenario(players=4, sites=12)
+    spacing = profile_spacing(scenario)
+    assert len(spacing) > 2 * LISTING_BLOCK_ROWS
+    report = solve(
+        build_tensor(scenario),
+        feasibility=tuple(check_scenario(scenario)),
+        pairwise_spacing=spacing,
+    )
+    assert report.to_text() == _reference_text(report)
+
+
+@pytest.mark.parametrize(
+    "spacing", [{}, {(0, 0, 0): ()}, {(2, 3, 1): (), (0, 1, 0): ()}]
+)
+def test_to_text_pairwise_rows_without_violations(spacing):
+    # profile_spacing lists only violating profiles, but a report may be
+    # given any mapping: rows with no violations end after ": ".
+    report = solve(fixture_tensor(), feasibility=(), pairwise_spacing=spacing)
+    assert report.to_text() == _reference_text(report)
+
+
+def test_compromise_and_text_allocate_little_beyond_the_text():
+    # 46,656 profiles. Rendering a row at a time, or the whole listing in one
+    # piece, peaked at more than 4.5 times the text's length.
+    scenario = _crowded_scenario(players=6, sites=6)
+    t = build_tensor(scenario)
+    nash = find_pure_nash(t)
+    feasibility = tuple(check_scenario(scenario))
+    tracemalloc.start()
+    try:
+        compromise = find_compromise(t)
+        text = SolveReport(t, DEFAULT_TOLERANCE, nash, compromise, feasibility).to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.n_profiles >= 40_000
+    assert peak < 3.5 * len(text)

@@ -276,3 +276,60 @@ def test_compromise_residual_recomputation(t):
         )
         assert residual == direct
         assert result.min_residual <= residual
+
+
+# --- the residuals mapping -----------------------------------------------------
+
+def _residuals_dict(result, shape):
+    """The residuals as a dict built one profile at a time."""
+    return {u: float(result.shortfall[u]) for u in iterate_profiles(shape)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(t=tensors(), tolerance=st.sampled_from([0.0, 1e-9, 0.5, 5.0]))
+def test_residuals_mapping_behaves_as_the_dict(t, tolerance):
+    result = find_compromise(t, tolerance)
+    residuals = result.residuals
+    expected = _residuals_dict(result, t.shape)
+    assert residuals == expected and expected == residuals
+    assert list(residuals) == list(expected)
+    assert list(residuals.items()) == list(expected.items())
+    assert all(type(value) is float for value in residuals.values())
+    assert list(residuals.values()) == list(expected.values())
+    assert len(residuals) == len(expected)
+    for profile in expected:
+        assert profile in residuals
+        assert residuals[profile] == expected[profile]
+        assert residuals.get(profile) == expected.get(profile)
+
+    first = next(iter(expected))
+    absent = [first[:-1], first + (0,), [0] * t.n_players, 0, None]
+    for p, size in enumerate(t.shape):
+        for index in (-1, size, 0.5, "0"):
+            absent.append(first[:p] + (index,) + first[p + 1:])
+    for key in absent:
+        if isinstance(key, list):
+            with pytest.raises(TypeError):
+                expected[key]
+            with pytest.raises(TypeError):
+                residuals[key]
+            continue
+        assert key not in residuals and key not in expected
+        assert residuals.get(key, "missing") == "missing"
+        with pytest.raises(KeyError):
+            residuals[key]
+    # Keys a dict lookup would equate with the int index.
+    for alias in (tuple(map(float, first)), tuple(map(np.int64, first)), tuple(map(bool, first))):
+        if alias in expected:
+            assert residuals[alias] == expected[alias]
+
+    with pytest.raises(TypeError):
+        residuals[first] = 0.0
+    with pytest.raises(TypeError):
+        del residuals[first]
+    old_minimizers = tuple(
+        u for u, r in expected.items() if r <= result.min_residual + tolerance
+    )
+    assert result.minimizers == old_minimizers
+    assert all(type(i) is int for u in result.minimizers for i in u)
+
