@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 from typing import TextIO
 
 import numpy as np
@@ -26,7 +25,7 @@ from .feasibility import check_scenario, profile_spacing
 from .fixtures import write_fixtures
 from .payoff import PayoffTerms, ZeroDistanceError
 from .report import solve
-from .scenario import Scenario, ScenarioFormatError, scenario_from_dict, validate
+from .scenario import Scenario, ScenarioFormatError, read_json, scenario_from_dict, validate
 from .solvers import DEFAULT_TOLERANCE
 from .tensor import (
     TensorFormatError,
@@ -53,15 +52,11 @@ def _read_document(path: str) -> tuple[object, int]:
     """The JSON document at ``path`` and EXIT_OK; on failure, reports it as an
     ``error:`` line on stderr and returns None and the exit code."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return read_json(path), EXIT_OK
     except _READ_ERRORS as exc:
         return None, _fail(f"cannot read {path}: {exc}", EXIT_INPUT)
-    try:
-        return json.loads(text), EXIT_OK
-    except json.JSONDecodeError as exc:
-        return None, _fail(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}", EXIT_INPUT)
-    except ValueError as exc:  # an integer literal longer than int's digit limit
-        return None, _fail(f"{path}: {exc}", EXIT_INPUT)
+    except ScenarioFormatError as exc:
+        return None, _fail(str(exc), EXIT_INPUT)
 
 
 def _valid_scenario(doc: object, violations_to: TextIO) -> Scenario | int:

@@ -34,6 +34,7 @@ from .tensor import (
     json_floats,
     profile_columns,
     profile_json_columns,
+    tensor_head,
 )
 
 TOOL_NAME = "sitegame"
@@ -81,12 +82,7 @@ class SolveReport:
         doc: dict = {
             "tool": {"name": TOOL_NAME, "version": __version__},
             "tolerance": self.tolerance,
-            "tensor": {
-                "provenance": tensor.provenance,
-                "shape": list(tensor.shape),
-                "players": list(tensor.players),
-                "strategy_labels": [list(axis) for axis in tensor.strategy_labels],
-            },
+            "tensor": {"provenance": tensor.provenance, **tensor_head(tensor)},
         }
         if self.feasibility is not None:
             feasibility: dict = {
@@ -141,7 +137,7 @@ class SolveReport:
                 "min_residual": self.compromise.min_residual,
                 "count": len(self.compromise.minimizers),
                 "minimizers": [
-                    self._profile_entry(profile, residual=self.compromise.residuals[profile])
+                    self._profile_entry(profile, residual=float(self.compromise.shortfall[profile]))
                     for profile in self.compromise.minimizers
                 ],
             }
@@ -217,11 +213,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _row_template(n_players: int, n_details: int = 1) -> str:
-    """One listing row, "  (labels) = (indices): <details>", as a template of
-    n_players label, n_players index and n_details detail slots."""
+def _row_template(n_players: int) -> str:
+    """One listing row, "  (labels) = (indices): <detail>", as a template of
+    n_players label, n_players index and one detail slot."""
     slots = ", ".join(["%s"] * n_players)
-    return f"  ({slots}) = ({slots}): " + "%s" * n_details
+    return f"  ({slots}) = ({slots}): %s"
 
 
 # A listing is filled a block of rows at a time: one ``%`` over a whole
@@ -234,9 +230,9 @@ def _listing(tensor: PayoffTensor, profiles: np.ndarray, details: np.ndarray) ->
     string per block of rows.
 
     Row r lists the profile whose flat (C-order) index is ``profiles[r]``,
-    then the strings of ``details[r]`` side by side.
+    then the detail string ``details[r, 0]``.
     """
-    row = _row_template(tensor.n_players, details.shape[1])
+    row = _row_template(tensor.n_players)
     labels, indices = tensor.strategy_labels, index_spellings(tensor.shape)
     for start in range(0, len(profiles), LISTING_BLOCK_ROWS):
         block = slice(start, start + LISTING_BLOCK_ROWS)
@@ -251,22 +247,16 @@ def _spacing_details(
     spacing: dict[Profile, tuple[PairSpacingViolation, ...]], shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of a non-empty pairwise listing's profiles and its
-    detail slots: row r holds profile r's violations, the second and later
-    each led by ", ", padded with empty strings."""
+    detail column: row r holds profile r's violations, joined by ", "."""
     profiles = np.ravel_multi_index(np.array(list(spacing), dtype=np.intp).T, shape)
-    listed = list(itertools.chain.from_iterable(spacing.values()))
-    # Profiles share violation objects: spell each one once, bare and led by ", ".
-    distinct = list({id(v): v for v in listed}.values())
-    position = {id(v): i for i, v in enumerate(distinct)}
-    which = np.fromiter(map(position.__getitem__, map(id, listed)), np.intp, len(listed))
-    spelled = [f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})" for v in distinct]
-    spellings = np.array([(text, ", " + text) for text in spelled], dtype=object).reshape(-1, 2)
-    counts = np.fromiter(map(len, spacing.values()), np.intp, len(spacing))
-    rows = np.repeat(np.arange(len(spacing)), counts)
-    column = np.arange(len(listed)) - np.repeat(np.cumsum(counts) - counts, counts)
-    details = np.full((len(spacing), counts.max()), "", dtype=object)
-    details[rows, column] = spellings[which, np.minimum(column, 1)]
-    return profiles, details
+    # Profiles share violation objects: spell each one once.
+    distinct = {id(v): v for v in itertools.chain.from_iterable(spacing.values())}
+    spelled = {
+        key: f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})"
+        for key, v in distinct.items()
+    }
+    details = [", ".join([spelled[id(v)] for v in row]) for row in spacing.values()]
+    return profiles, np.array(details, dtype=object).reshape(-1, 1)
 
 
 def _vector_text(values) -> str:

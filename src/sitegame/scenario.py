@@ -374,19 +374,27 @@ def dumps_scenario(scenario: Scenario, *, indent: int = 2) -> str:
     return json.dumps(scenario_to_dict(scenario), indent=indent) + "\n"
 
 
+def read_json(path: Path | str, error: type[ValueError] = ScenarioFormatError) -> object:
+    """Read and parse a JSON file.
+
+    Raises ``error`` naming the path, and the line/column for malformed JSON.
+    I/O errors propagate as OSError, and bytes that are not UTF-8 as
+    UnicodeDecodeError.
+    """
+    # Outside the try: UnicodeDecodeError is a ValueError too.
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than int's digit limit
+        raise error(f"{path}: {exc}") from exc
+
+
 def load_scenario(path: Path | str) -> Scenario:
     """Read and parse a scenario JSON file.
 
-    Raises ScenarioFormatError naming the line/column for malformed JSON, or
-    the offending key path for schema problems. I/O errors propagate as OSError.
+    Raises ScenarioFormatError for malformed JSON (see read_json) or naming
+    the offending key path for schema problems.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # an integer literal longer than int's digit limit
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_json(path))

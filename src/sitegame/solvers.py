@@ -13,8 +13,9 @@ Ties are resolved with an absolute tolerance; strategies or profiles within
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -32,81 +33,28 @@ class NashResult:
     payoffs: tuple[tuple[float, ...], ...]
 
 
-class Residuals(Mapping):
-    """Read-only ``{profile: residual}`` view of a shortfall array.
-
-    Holds no entry per profile: keys come from :func:`iterate_profiles` (the
-    normative order), values from the array. It has exactly the keys of the
-    equivalent dict, a tuple of one in-range index per player, so it compares
-    equal to that dict and raises KeyError for any other key.
-    """
-
-    __slots__ = ("_shortfall",)
-
-    def __init__(self, shortfall: np.ndarray) -> None:
-        self._shortfall = shortfall
-
-    def __getitem__(self, profile: Profile) -> float:
-        hash(profile)  # an unhashable key raises TypeError, as with a dict
-        shape = self._shortfall.shape
-        if not isinstance(profile, tuple) or len(profile) != len(shape):
-            raise KeyError(profile)
-        try:
-            # range.index finds the int that a dict key would equal (1.0, True).
-            index = tuple(map(range.index, map(range, shape), profile))
-        except ValueError:
-            raise KeyError(profile) from None
-        return float(self._shortfall[index])
-
-    def __iter__(self) -> Iterator[Profile]:
-        return iterate_profiles(self._shortfall.shape)
-
-    def __len__(self) -> int:
-        return self._shortfall.size
-
-    def __repr__(self) -> str:
-        return f"Residuals({self._shortfall!r})"
-
-    def values(self) -> ValuesView:
-        return _ResidualValues(self)
-
-    def items(self) -> ItemsView:
-        return _ResidualItems(self)
-
-
-class _ResidualValues(ValuesView):
-    """The residuals in normative order, read from the array in one pass."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._mapping._shortfall.reshape(-1).tolist())
-
-
-class _ResidualItems(ItemsView):
-    """(profile, residual) pairs in normative order, values read in one pass."""
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[Profile, float]]:
-        return zip(self._mapping, self._mapping._shortfall.reshape(-1).tolist())
-
-
 @dataclass(frozen=True)
 class CompromiseResult:
     """Ideal payoffs, per-profile shortfall residuals and their minimizers.
 
-    ``residuals`` maps every profile (normative order) to
-    ``max_i(ideal[i] - payoff_i)``, as a read-only view of ``shortfall``, the
-    same residuals as a read-only array of the tensor's shape; ``minimizers``
-    are all profiles whose residual is within tolerance of ``min_residual``.
+    ``shortfall`` holds ``max_i(ideal[i] - payoff_i)`` for every profile, as
+    a read-only array of the tensor's shape; ``minimizers`` are all profiles
+    whose residual is within tolerance of ``min_residual``.
     """
 
     ideal: tuple[float, ...]
-    residuals: Mapping[Profile, float]
     minimizers: tuple[Profile, ...]
     min_residual: float
     shortfall: np.ndarray = field(compare=False)
+
+    @cached_property
+    def residuals(self) -> MappingProxyType[Profile, float]:
+        """Read-only ``{profile: residual}`` dict in normative order, built on
+        first access with one entry per profile; index ``shortfall`` for a
+        point lookup."""
+        return MappingProxyType(
+            dict(zip(iterate_profiles(self.shortfall.shape), self.shortfall.reshape(-1).tolist()))
+        )
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -170,4 +118,4 @@ def find_compromise(
     minimizers = tuple(
         map(tuple, np.argwhere(shortfall <= min_residual + tolerance).tolist())
     )
-    return CompromiseResult(ideal, Residuals(shortfall), minimizers, min_residual, shortfall)
+    return CompromiseResult(ideal, minimizers, min_residual, shortfall)

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .payoff import PayoffTerms
-from .scenario import Scenario
+from .scenario import Scenario, read_json
 
 Profile = tuple[int, ...]
 
@@ -176,7 +176,8 @@ def build_tensor(scenario: Scenario) -> PayoffTensor:
 
 # --- JSON document mapping -------------------------------------------------
 
-def _tensor_head(tensor: PayoffTensor) -> dict:
+def tensor_head(tensor: PayoffTensor) -> dict:
+    """The keys a tensor document puts before its payoffs."""
     return {
         "shape": list(tensor.shape),
         "players": list(tensor.players),
@@ -186,7 +187,7 @@ def _tensor_head(tensor: PayoffTensor) -> dict:
 
 def tensor_to_dict(tensor: PayoffTensor) -> dict:
     """Tensor document; payoff rows listed in normative profile order."""
-    doc = _tensor_head(tensor)
+    doc = tensor_head(tensor)
     doc["payoffs"] = tensor.values.reshape(-1, tensor.n_players).tolist()
     return doc
 
@@ -389,18 +390,9 @@ def dumps_tensor(tensor: PayoffTensor) -> str:
     the array."""
     n = tensor.n_players
     payoffs = json_floats(tensor.values).reshape(-1, n)
-    return json_document(_tensor_head(tensor), "payoffs", [JSON_SLOT] * n, payoffs, "\n")
+    return json_document(tensor_head(tensor), "payoffs", [JSON_SLOT] * n, payoffs, "\n")
 
 
 def load_tensor(path: Path | str) -> PayoffTensor:
     """Read and parse a tensor JSON file; see load_scenario for error style."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TensorFormatError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # an integer literal longer than int's digit limit
-        raise TensorFormatError(f"{path}: {exc}") from exc
-    return tensor_from_dict(doc)
+    return tensor_from_dict(read_json(path, TensorFormatError))

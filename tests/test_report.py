@@ -289,3 +289,16 @@ def test_compromise_and_text_allocate_little_beyond_the_text():
         tracemalloc.stop()
     assert t.n_profiles >= 40_000
     assert peak < 3.5 * len(text)
+
+
+def test_rendering_leaves_the_residuals_dict_unbuilt(tensor, scenario):
+    # ``residuals`` is built on first access; no render path may ask for it.
+    t = build_tensor(scenario)
+    reports = [
+        solve(tensor),
+        solve(t, feasibility=tuple(check_scenario(scenario)), pairwise_spacing=profile_spacing(scenario)),
+    ]
+    for report in reports:
+        report.to_text()
+        report.to_json()
+        assert "residuals" not in vars(report.compromise)

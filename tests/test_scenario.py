@@ -200,3 +200,13 @@ def test_valid_scenarios_feed_all_modules(scenario):
     for p, player in enumerate(scenario.players):
         for k, site in enumerate(player.sites):
             payoff(p, site.position, scenario, site_index=k)
+
+
+def test_load_scenario_oversized_integer_literal(tmp_path, scenario):
+    doc = scenario_to_dict(scenario)
+    doc["players"][1]["loss"][0][2] = "BIG"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * 5000), encoding="utf-8")
+    with pytest.raises(ScenarioFormatError) as raised:
+        load_scenario(path)
+    assert str(raised.value).startswith(f"{path}: ") and "5001 digits" in str(raised.value)

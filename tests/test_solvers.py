@@ -333,3 +333,8 @@ def test_residuals_mapping_behaves_as_the_dict(t, tolerance):
     assert result.minimizers == old_minimizers
     assert all(type(i) is int for u in result.minimizers for i in u)
 
+
+
+def test_residuals_dict_is_built_once(tensor):
+    result = find_compromise(tensor)
+    assert result.residuals is result.residuals

@@ -380,3 +380,13 @@ def test_out_of_range_strategy_index_raises(tensor, method, player, end):
 def test_profile_of_wrong_length_raises(tensor, method, profile):
     with pytest.raises(ValueError, match=f"{len(profile)} indices for 3 players"):
         getattr(tensor, method)(profile)
+
+
+def test_load_tensor_oversized_integer_literal(tmp_path, tensor):
+    doc = tensor_to_dict(tensor)
+    doc["payoffs"][3][1] = "BIG"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * 5000), encoding="utf-8")
+    with pytest.raises(TensorFormatError) as raised:
+        load_tensor(path)
+    assert str(raised.value).startswith(f"{path}: ") and "5001 digits" in str(raised.value)
