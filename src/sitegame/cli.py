@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 domain error (invalid scenario, singular payoff),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import TextIO
@@ -23,17 +22,11 @@ import numpy as np
 from . import __version__
 from .feasibility import check_scenario, profile_spacing
 from .fixtures import write_fixtures
-from .payoff import PayoffTerms, ZeroDistanceError
+from .payoff import ZeroDistanceError
 from .report import solve
 from .scenario import Scenario, ScenarioFormatError, read_json, scenario_from_dict, validate
 from .solvers import DEFAULT_TOLERANCE
-from .tensor import (
-    TensorFormatError,
-    build_tensor,
-    dumps_tensor,
-    iterate_profiles,
-    tensor_from_dict,
-)
+from .tensor import TensorFormatError, build_tensor, dumps_tensor, tensor_from_dict
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -102,33 +95,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         tensor = build_tensor(scenario)
     except (ZeroDistanceError, ValueError) as exc:
         return _fail(str(exc), EXIT_DOMAIN)
-    text = dumps_tensor(tensor)
-    if args.explain:
-        # One entry per (player, site), shared by every profile that picks it.
-        breakdowns = []
-        for p, player in enumerate(scenario.players):
-            terms = PayoffTerms(scenario, p)
-            columns = (terms.income.tolist(), terms.damage.tolist(), terms.total.tolist())
-            breakdowns.append(
-                [
-                    {"player": player.id, "site": site.id, "income": income, "damage": damage,
-                     "total": total}
-                    for site, income, damage, total in zip(player.sites, *columns)
-                ]
-            )
-        explain = [
-            {
-                "indices": list(profile),
-                "labels": list(tensor.labels_for(profile)),
-                "players": [breakdowns[p][k] for p, k in enumerate(profile)],
-            }
-            for profile in iterate_profiles(tensor.shape)
-        ]
-        # Append "explain" as the document's last member: drop the closing
-        # "\n}\n" and nest the list's own encoding one level deeper.
-        nested = json.dumps(explain, indent=2).replace("\n", "\n  ")
-        text = f'{text[:-3]},\n  "explain": {nested}\n}}\n'
-    sys.stdout.write(text)
+    sys.stdout.write(dumps_tensor(tensor, scenario if args.explain else None))
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +70,11 @@ class SolveReport:
         head = self._head_dict()
         if self.compromise is None:
             return json.dumps(head, indent=2)
-        indices, labels = profile_json_columns(self.tensor)
         shortfall = json_floats(self.compromise.shortfall).reshape(-1, 1)
         n = self.tensor.n_players
         entry = {"indices": [JSON_SLOT] * n, "labels": [JSON_SLOT] * n, "residual": JSON_SLOT}
-        return json_document(head, "residuals", entry, np.hstack([indices, labels, shortfall]))
+        slots = np.hstack([*profile_json_columns(self.tensor), shortfall])
+        return json_document(head, [("residuals", entry, slots)])
 
     def _head_dict(self) -> dict:
         """The document without its per-profile residual listing."""
@@ -161,11 +161,6 @@ class SolveReport:
             f"tensor {shape} ({tensor.provenance}); players: {', '.join(tensor.players)}"
         )
         lines.append(f"tolerance {_fmt(self.tolerance)}")
-        row = _row_template(tensor.n_players)
-
-        def listed(profile: Profile, detail: str) -> str:
-            return row % (*tensor.labels_for(profile), *profile, detail)
-
         if self.feasibility is not None:
             feasible = sum(1 for report in self.feasibility if report.feasible)
             lines.append(
@@ -191,17 +186,14 @@ class SolveReport:
                 lines.extend(_listing(tensor, *details))
         if self.nash is not None:
             lines.append(f"nash equilibria ({len(self.nash.equilibria)}):")
-            for profile, payoffs in zip(self.nash.equilibria, self.nash.payoffs):
-                lines.append(listed(profile, f"payoffs {_vector_text(payoffs)}"))
+            lines.extend(_listing(tensor, *_payoff_details(tensor, self.nash.equilibria)))
         if self.compromise is not None:
             lines.append(f"ideal vector: {_vector_text(self.compromise.ideal)}")
             lines.append(
                 f"compromise minimizers ({len(self.compromise.minimizers)}), "
                 f"min residual {_fmt(self.compromise.min_residual)}:"
             )
-            for profile in self.compromise.minimizers:
-                payoffs = tensor.payoff_vector(profile)
-                lines.append(listed(profile, f"payoffs {_vector_text(payoffs)}"))
+            lines.extend(_listing(tensor, *_payoff_details(tensor, self.compromise.minimizers)))
             lines.append("residuals:")
             shortfall = self.compromise.shortfall.reshape(-1)
             residuals = distinct_spellings(shortfall, lambda floats: list(map(_fmt, floats)))
@@ -211,13 +203,6 @@ class SolveReport:
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
-
-
-def _row_template(n_players: int) -> str:
-    """One listing row, "  (labels) = (indices): <detail>", as a template of
-    n_players label, n_players index and one detail slot."""
-    slots = ", ".join(["%s"] * n_players)
-    return f"  ({slots}) = ({slots}): %s"
 
 
 # A listing is filled a block of rows at a time: one ``%`` over a whole
@@ -232,7 +217,8 @@ def _listing(tensor: PayoffTensor, profiles: np.ndarray, details: np.ndarray) ->
     Row r lists the profile whose flat (C-order) index is ``profiles[r]``,
     then the detail string ``details[r, 0]``.
     """
-    row = _row_template(tensor.n_players)
+    slots = ", ".join(["%s"] * tensor.n_players)
+    row = f"  ({slots}) = ({slots}): %s"
     labels, indices = tensor.strategy_labels, index_spellings(tensor.shape)
     for start in range(0, len(profiles), LISTING_BLOCK_ROWS):
         block = slice(start, start + LISTING_BLOCK_ROWS)
@@ -248,7 +234,7 @@ def _spacing_details(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of a non-empty pairwise listing's profiles and its
     detail column: row r holds profile r's violations, joined by ", "."""
-    profiles = np.ravel_multi_index(np.array(list(spacing), dtype=np.intp).T, shape)
+    profiles = _flat_indices(spacing, shape)
     # Profiles share violation objects: spell each one once.
     distinct = {id(v): v for v in itertools.chain.from_iterable(spacing.values())}
     spelled = {
@@ -257,6 +243,22 @@ def _spacing_details(
     }
     details = [", ".join([spelled[id(v)] for v in row]) for row in spacing.values()]
     return profiles, np.array(details, dtype=object).reshape(-1, 1)
+
+
+def _flat_indices(profiles: Iterable[Profile], shape: tuple[int, ...]) -> np.ndarray:
+    """The flat (C-order) index of each profile."""
+    grid = np.array(list(profiles), dtype=np.intp).reshape(-1, len(shape))
+    return np.ravel_multi_index(grid.T, shape)
+
+
+def _payoff_details(
+    tensor: PayoffTensor, profiles: Iterable[Profile]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of ``profiles`` and a detail column of their payoff
+    vectors, "payoffs (...)"."""
+    flat = _flat_indices(profiles, tensor.shape)
+    payoffs = tensor.values.reshape(-1, tensor.n_players)[flat].tolist()
+    return flat, np.array([f"payoffs {_vector_text(v)}" for v in payoffs], dtype=object)[:, None]
 
 
 def _vector_text(values) -> str:

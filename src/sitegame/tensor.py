@@ -245,31 +245,40 @@ def index_spellings(shape: Sequence[int]) -> list[list[str]]:
     return [[str(k) for k in range(s)] for s in shape]
 
 
-def profile_json_columns(tensor: PayoffTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded strategy indices and labels of every profile, in normative
-    order: two object arrays of shape (n_profiles, n_players)."""
+def profile_json_columns(tensor: PayoffTensor, *axes: Sequence[Sequence[str]]) -> list[np.ndarray]:
+    """For every profile in normative order, the encoded strategy indices, the
+    encoded labels, then each of ``axes`` (``axes[i][p][k]``: the text for
+    player p's strategy k), each an object array of shape (n_profiles, n_players)."""
     grid = np.indices(tensor.shape).reshape(tensor.n_players, -1)
     labels = [[json.dumps(label) for label in axis] for axis in tensor.strategy_labels]
-    return (
-        profile_columns(index_spellings(tensor.shape), grid),
-        profile_columns(labels, grid),
-    )
+    return [profile_columns(axis, grid) for axis in (index_spellings(tensor.shape), labels, *axes)]
 
 
-def json_document(head: dict, key: str, entry: object, slots: np.ndarray, end: str = "") -> str:
-    """``json.dumps(head | {key: listing}, indent=2) + end`` for a non-empty
-    ``head`` and a non-empty listing whose entries all have the structure of
-    ``entry``.
+def json_document(
+    head: dict, listings: Sequence[tuple[str, object, np.ndarray]], end: str = ""
+) -> str:
+    """``json.dumps(head | {key: listing, ...}, indent=2) + end`` for a
+    non-empty ``head`` followed by the non-empty ``(key, entry, slots)``
+    listings in order, where every entry of a listing has the structure of
+    its ``entry``.
 
     Every ``"%s"`` string in ``entry`` is a slot; row r of ``slots`` holds the
     encoded JSON text of entry r's slots, in the order ``json.dumps`` writes
     them.
     """
-    top = json.dumps(head, indent=2)[: -len("\n}")].replace("%", "%%")
-    one = json.dumps(entry, indent=2).replace(json.dumps(JSON_SLOT), JSON_SLOT)
-    entries = ",\n    ".join(itertools.repeat(one.replace("\n", "\n    "), len(slots)))
-    template = f"{top},\n  {json.dumps(key)}: [\n    {entries}\n  ]\n}}{end}"
-    return template % tuple(slots.reshape(-1).tolist())
+    pieces = [json.dumps(head, indent=2)[: -len("\n}")].replace("%", "%%")]
+    for key, entry, slots in listings:
+        one = json.dumps(entry, indent=2).replace(json.dumps(JSON_SLOT), JSON_SLOT)
+        one = one.replace("\n", "\n    ")
+        pieces += [f",\n  {json.dumps(key)}: [\n    ", one]
+        pieces += itertools.repeat(",\n    " + one, len(slots) - 1)
+        pieces.append("\n  ]")
+    pieces.append(f"\n}}{end}")
+    # One join and no named slot list: a second copy of either, held during
+    # the ``%``, would raise the peak.
+    return "".join(pieces) % tuple(
+        itertools.chain.from_iterable(slots.reshape(-1).tolist() for _, _, slots in listings)
+    )
 
 
 def tensor_from_dict(doc: object) -> PayoffTensor:
@@ -385,12 +394,28 @@ def _walk_payoffs(payoffs_doc: list, n: int) -> list[list[float]]:
     return rows
 
 
-def dumps_tensor(tensor: PayoffTensor) -> str:
+def dumps_tensor(tensor: PayoffTensor, explain: Scenario | None = None) -> str:
     """``json.dumps(tensor_to_dict(tensor), indent=2) + "\\n"``, rendered from
-    the array."""
+    the array. Given the scenario the tensor was built from as ``explain``,
+    the document ends with an ``explain`` listing: for every profile, its
+    indices, labels and each player's income and damage terms and total."""
     n = tensor.n_players
-    payoffs = json_floats(tensor.values).reshape(-1, n)
-    return json_document(tensor_head(tensor), "payoffs", [JSON_SLOT] * n, payoffs, "\n")
+    listings = [("payoffs", [JSON_SLOT] * n, json_floats(tensor.values).reshape(-1, n))]
+    if explain is not None:
+        # One breakdown per (player, site), encoded once at its depth in the
+        # document and shared by every profile that picks that site.
+        breakdowns = []
+        for p, player in enumerate(explain.players):
+            terms = PayoffTerms(explain, p)
+            columns = (terms.income.tolist(), terms.damage.tolist(), terms.total.tolist())
+            breakdowns.append([
+                json.dumps({"player": player.id, "site": site.id, "income": income,
+                            "damage": damage, "total": total}, indent=2).replace("\n", "\n        ")
+                for site, income, damage, total in zip(player.sites, *columns)
+            ])
+        entry = {"indices": [JSON_SLOT] * n, "labels": [JSON_SLOT] * n, "players": [JSON_SLOT] * n}
+        listings.append(("explain", entry, np.hstack(profile_json_columns(tensor, breakdowns))))
+    return json_document(tensor_head(tensor), listings, "\n")
 
 
 def load_tensor(path: Path | str) -> PayoffTensor:

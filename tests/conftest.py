@@ -161,6 +161,48 @@ def json_tensors(draw, max_players: int = 3, max_strategies: int = 3, labels=_js
     )
 
 
+def seeded_scenario(players: int, sites: int, objects: int, seed: int = 0) -> Scenario:
+    """A valid scenario with uniformly random sites, objects and
+    coefficients in a 100 x 100 square, and a band wide enough for all."""
+    rng = np.random.default_rng(seed)
+
+    def point():
+        return Point(*map(float, rng.uniform(0.0, 100.0, 2)))
+
+    def rows(high):
+        return tuple(tuple(map(float, rng.uniform(0.0, high, objects))) for _ in range(sites))
+
+    return Scenario(
+        region=RegionConfig(100.0, 100.0, 1e-9, 1000.0),
+        objects=tuple(NaturalObject(f"A{j + 1}", point()) for j in range(objects)),
+        players=tuple(
+            PlayerSpec(
+                f"P{i + 1}",
+                float(rng.uniform(1.0, 80.0)),
+                tuple(CandidateSite(f"P{i + 1}S{k + 1}", point()) for k in range(sites)),
+                rows(20.0),
+                rows(3.0),
+            )
+            for i in range(players)
+        ),
+    )
+
+
+class CountingSink:
+    """A text stream that keeps only the number of characters written, so a
+    test can measure what a writer allocates without holding its output."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
 @contextlib.contextmanager
 def address_space_grows_at_most(extra_bytes):
     """Cap this process's address space a little above its current size, so

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,7 +11,13 @@ import pytest
 
 from sitegame import dumps_scenario, dumps_tensor, fixture_tensor, scenario_to_dict
 from sitegame.cli import main
-from conftest import address_space_grows_at_most, random_tensor, twelve_player_scenario
+from conftest import (
+    CountingSink,
+    address_space_grows_at_most,
+    random_tensor,
+    seeded_scenario,
+    twelve_player_scenario,
+)
 from oracles import oracle_compromise, oracle_nash, profile_payoffs
 
 
@@ -103,6 +111,32 @@ def test_tensor_output_is_json_dumps_of_document(fixture_files, capsys, extra):
     code, out, err = run_cli(capsys, "tensor", str(scenario_path), *extra)
     assert code == 0
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_tensor_explain_matches_golden(fixture_files, capsys):
+    scenario_path, _ = fixture_files
+    code, out, err = run_cli(capsys, "tensor", str(scenario_path), "--explain")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "tensor_fixture_explain.json").read_text(encoding="utf-8")
+
+
+def test_tensor_explain_allocates_little_beyond_its_output(tmp_path):
+    # 1,296 profiles and 8.3 MB of output. Encoding one dict per profile and
+    # splicing the listing into the payoffs document peaked at 4.1 times the
+    # output's length.
+    path = tmp_path / "scenario.json"
+    path.write_text(dumps_scenario(seeded_scenario(players=4, sites=6, objects=20)), encoding="utf-8")
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["tensor", str(path), "--explain"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.written > 8_000_000
+    assert peak < 2 * sink.written
 
 
 def test_tensor_single_site_scenario(tmp_path, capsys):

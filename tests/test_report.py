@@ -291,6 +291,20 @@ def test_compromise_and_text_allocate_little_beyond_the_text():
     assert peak < 3.5 * len(text)
 
 
+def test_to_json_allocates_little_beyond_its_output():
+    # 32,768 profiles and 7.5 MB of JSON; the residual listing peaked at 4.4
+    # times the output's length while its template was joined twice.
+    report = solve(_seeded_tensor((8,) * 5))
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 7_000_000
+    assert peak < 3.5 * len(text)
+
+
 def test_rendering_leaves_the_residuals_dict_unbuilt(tensor, scenario):
     # ``residuals`` is built on first access; no render path may ask for it.
     t = build_tensor(scenario)

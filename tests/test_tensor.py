@@ -1,4 +1,5 @@
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -6,7 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import hypothesis.strategies as st
+from hypothesis import assume, example, given, settings
 
 from sitegame import (
     CandidateSite,
@@ -27,7 +29,16 @@ from sitegame import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from conftest import SPECIAL_FLOATS, address_space_grows_at_most, json_tensors, twelve_player_scenario
+from sitegame.payoff import PayoffTerms
+from conftest import (
+    SPECIAL_FLOATS,
+    address_space_grows_at_most,
+    json_tensors,
+    scenarios,
+    seeded_scenario,
+    text_labels,
+    twelve_player_scenario,
+)
 
 tensor_module = importlib.import_module("sitegame.tensor")
 
@@ -292,6 +303,101 @@ _SPECIAL_TENSOR = PayoffTensor(
 @example(t=_SPECIAL_TENSOR)
 def test_dumps_tensor_is_json_dumps_of_document(t):
     assert dumps_tensor(t) == json.dumps(tensor_to_dict(t), indent=2) + "\n"
+
+
+def _explain_reference(tensor, scenario):
+    """The tensor document with its explain listing, built one dict per
+    profile."""
+    breakdowns = []
+    for p, player in enumerate(scenario.players):
+        terms = PayoffTerms(scenario, p)
+        columns = (terms.income.tolist(), terms.damage.tolist(), terms.total.tolist())
+        breakdowns.append(
+            [
+                {"player": player.id, "site": site.id, "income": income, "damage": damage,
+                 "total": total}
+                for site, income, damage, total in zip(player.sites, *columns)
+            ]
+        )
+    doc = tensor_to_dict(tensor)
+    doc["explain"] = [
+        {
+            "indices": list(profile),
+            "labels": list(tensor.labels_for(profile)),
+            "players": [breakdowns[p][k] for p, k in enumerate(profile)],
+        }
+        for profile in iterate_profiles(tensor.shape)
+    ]
+    return doc
+
+
+def _relabeled(scenario, ids, negative_zero):
+    """``scenario`` with player and site ids drawn from ``ids``; with
+    ``negative_zero``, every 0.0 coefficient is -0.0."""
+
+    def signed(rows):
+        return tuple(tuple(-0.0 if negative_zero and v == 0 else v for v in row) for row in rows)
+
+    players = tuple(
+        dataclasses.replace(
+            player,
+            id=next(ids),
+            sites=tuple(dataclasses.replace(site, id=next(ids)) for site in player.sites),
+            loss=signed(player.loss),
+            damage_weight=signed(player.damage_weight),
+        )
+        for player in scenario.players
+    )
+    return dataclasses.replace(scenario, players=players)
+
+
+@st.composite
+def explain_scenarios(draw):
+    """Scenarios whose player and site ids need JSON escapes or hold '%',
+    some with -0.0 coefficients."""
+    scenario = draw(scenarios())
+    # Up to 3 players with up to 3 sites each: at most 12 ids.
+    ids = iter(draw(st.lists(text_labels, min_size=12, max_size=12)))
+    return _relabeled(scenario, ids, draw(st.booleans()))
+
+
+_ONE_SITE = Scenario(
+    region=RegionConfig(10.0, 10.0, 0.5, 100.0),
+    objects=(NaturalObject("A1", Point(3.0, 4.0)), NaturalObject("A2", Point(0.0, 0.0))),
+    players=(
+        PlayerSpec(
+            '%s"\\\n\u00e9', 2.0, (CandidateSite("%", Point(3.0, 5.0)),), ((0.0, 1.0),), ((1.5, 0.0),)
+        ),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=explain_scenarios())
+@example(scenario=_ONE_SITE)
+@example(scenario=_relabeled(_ONE_SITE, iter(["P\t1", "S%d"]), True))
+@example(scenario=_relabeled(seeded_scenario(3, 1, 2), iter(["%s", "", "\x00", "\u2603", "a", "b"]), False))
+def test_dumps_tensor_explain_is_json_dumps_of_document(scenario):
+    try:
+        t = build_tensor(scenario)
+    except ZeroDistanceError:
+        assume(False)
+    expected = json.dumps(_explain_reference(t, scenario), indent=2) + "\n"
+    assert dumps_tensor(t, scenario) == expected
+
+
+def test_dumps_tensor_allocates_little_beyond_its_output():
+    # 46,656 profiles and 7.6 MB of output; the tensor-only writer peaked at
+    # 2.55 times the output's length while it joined its template twice.
+    t = build_tensor(seeded_scenario(players=6, sites=6, objects=200))
+    tracemalloc.start()
+    try:
+        text = dumps_tensor(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 7_000_000
+    assert peak < 2.4 * len(text)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
