@@ -6,116 +6,104 @@ as facilities get closer. This package evaluates the payoff function and its
 gradient, checks siting feasibility, assembles the finite game's payoff
 tensor, enumerates pure Nash equilibria, and computes the compromise set
 (profiles minimizing the worst shortfall from each player's best payoff).
+
+The public names are loaded from their submodules on first access (PEP 562),
+so ``import sitegame`` alone imports neither numpy nor any submodule.
 """
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-from .scenario import (
-    CandidateSite,
-    NaturalObject,
-    PlayerSpec,
-    Point,
-    RegionConfig,
-    Scenario,
-    ScenarioFormatError,
-    Violation,
-    dumps_scenario,
-    load_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    validate,
-)
-from .feasibility import (
-    BandViolation,
-    FeasibilityReport,
-    PairSpacingViolation,
-    check_profile_spacing,
-    check_scenario,
-    check_site,
-    profile_spacing,
-)
-from .payoff import Gradient, PayoffBreakdown, ZeroDistanceError, distance, payoff, payoff_gradient
-from .tensor import (
-    PROVENANCE_COMPUTED,
-    PROVENANCE_LOADED,
-    PayoffTensor,
-    Profile,
-    TensorFormatError,
-    build_tensor,
-    dumps_tensor,
-    iterate_profiles,
-    load_tensor,
-    tensor_from_dict,
-    tensor_to_dict,
-)
-from .solvers import (
-    DEFAULT_TOLERANCE,
-    CompromiseResult,
-    NashResult,
-    best_response,
-    find_compromise,
-    find_pure_nash,
-    ideal_vector,
-)
-from .report import SolveReport, solve
-from .fixtures import fixture_scenario, fixture_tensor, write_fixtures
+# The solvers' default tie tolerance, defined here rather than in `solvers`
+# so that the CLI can build its parser without importing numpy.
+DEFAULT_TOLERANCE = 1e-9
 
-__all__ = [
-    "__version__",
-    # scenario
-    "Point",
-    "RegionConfig",
-    "NaturalObject",
-    "CandidateSite",
-    "PlayerSpec",
-    "Scenario",
-    "Violation",
-    "ScenarioFormatError",
-    "validate",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "dumps_scenario",
-    "load_scenario",
-    # feasibility
-    "BandViolation",
-    "FeasibilityReport",
-    "PairSpacingViolation",
-    "check_site",
-    "check_scenario",
-    "check_profile_spacing",
-    "profile_spacing",
-    # payoff
-    "PayoffBreakdown",
-    "Gradient",
-    "ZeroDistanceError",
-    "distance",
-    "payoff",
-    "payoff_gradient",
-    # tensor
-    "Profile",
-    "PayoffTensor",
-    "TensorFormatError",
-    "PROVENANCE_COMPUTED",
-    "PROVENANCE_LOADED",
-    "build_tensor",
-    "iterate_profiles",
-    "tensor_from_dict",
-    "tensor_to_dict",
-    "dumps_tensor",
-    "load_tensor",
-    # solvers
-    "DEFAULT_TOLERANCE",
-    "NashResult",
-    "CompromiseResult",
-    "best_response",
-    "find_pure_nash",
-    "ideal_vector",
-    "find_compromise",
-    # report
-    "SolveReport",
-    "solve",
-    # fixtures
-    "fixture_scenario",
-    "fixture_tensor",
-    "write_fixtures",
-]
+# The public names of each submodule.
+_EXPORTS = {
+    "scenario": (
+        "Point",
+        "RegionConfig",
+        "NaturalObject",
+        "CandidateSite",
+        "PlayerSpec",
+        "Scenario",
+        "Violation",
+        "ScenarioFormatError",
+        "validate",
+        "scenario_from_dict",
+        "scenario_to_dict",
+        "dumps_scenario",
+        "load_scenario",
+    ),
+    "feasibility": (
+        "BandViolation",
+        "FeasibilityReport",
+        "PairSpacingViolation",
+        "check_site",
+        "check_scenario",
+        "check_profile_spacing",
+        "profile_spacing",
+    ),
+    "payoff": (
+        "PayoffBreakdown",
+        "Gradient",
+        "ZeroDistanceError",
+        "distance",
+        "payoff",
+        "payoff_gradient",
+    ),
+    "tensor": (
+        "Profile",
+        "PayoffTensor",
+        "TensorFormatError",
+        "PROVENANCE_COMPUTED",
+        "PROVENANCE_LOADED",
+        "build_tensor",
+        "iterate_profiles",
+        "tensor_from_dict",
+        "tensor_to_dict",
+        "dumps_tensor",
+        "load_tensor",
+    ),
+    "solvers": (
+        "NashResult",
+        "CompromiseResult",
+        "best_response",
+        "find_pure_nash",
+        "ideal_vector",
+        "find_compromise",
+    ),
+    "report": ("SolveReport", "solve"),
+    "fixtures": ("fixture_scenario", "fixture_tensor", "write_fixtures"),
+}
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", "DEFAULT_TOLERANCE", *_SUBMODULE_OF]
+
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULE_OF:
+        value = getattr(importlib.import_module(f".{_SUBMODULE_OF[name]}", __name__), name)
+        globals()[name] = value  # later lookups skip this function
+        return value
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value: object) -> None:
+        # Importing a submodule binds it on the package; `sitegame.payoff`
+        # names the function, so the `payoff` module must not be bound over it.
+        if name not in _SUBMODULE_OF or not isinstance(value, types.ModuleType):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

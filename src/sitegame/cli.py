@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TextIO
 
-import numpy as np
-
-from . import __version__
-from .feasibility import check_scenario, profile_spacing
-from .fixtures import write_fixtures
-from .payoff import ZeroDistanceError
-from .report import solve
+# Each command imports the modules it runs: `validate` needs only `scenario`,
+# which does not import numpy.
+from . import DEFAULT_TOLERANCE, __version__
 from .scenario import Scenario, ScenarioFormatError, read_json, scenario_from_dict, validate
-from .solvers import DEFAULT_TOLERANCE
-from .tensor import TensorFormatError, build_tensor, dumps_tensor, tensor_from_dict
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -35,10 +30,23 @@ EXIT_INPUT = 2
 # read_text raises UnicodeDecodeError, not OSError, on bytes that are not UTF-8.
 _READ_ERRORS = (OSError, UnicodeDecodeError)
 
+# Characters per write to stdout: the text layer encodes one slice at a time
+# instead of a second copy of the whole document.
+WRITE_SLICE = 1 << 20
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _write(text: str, end: str = "") -> None:
+    """Write ``text`` and then ``end`` to stdout, ``WRITE_SLICE`` characters
+    at a time."""
+    out = sys.stdout
+    for start in range(0, len(text), WRITE_SLICE):
+        out.write(text[start : start + WRITE_SLICE])
+    out.write(end)
 
 
 def _read_document(path: str) -> tuple[object, int]:
@@ -88,6 +96,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
+    from .payoff import ZeroDistanceError
+    from .tensor import build_tensor, dumps_tensor
+
     scenario = _load(args.file, sys.stderr)
     if isinstance(scenario, int):
         return scenario
@@ -95,7 +106,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
         tensor = build_tensor(scenario)
     except (ZeroDistanceError, ValueError) as exc:
         return _fail(str(exc), EXIT_DOMAIN)
-    sys.stdout.write(dumps_tensor(tensor, scenario if args.explain else None))
+    _write(dumps_tensor(tensor, scenario if args.explain else None))
     return EXIT_OK
 
 
@@ -109,6 +120,13 @@ def _sniff_document(doc: object) -> str:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .feasibility import check_scenario, profile_spacing
+    from .payoff import ZeroDistanceError
+    from .report import solve
+    from .tensor import TensorFormatError, build_tensor, tensor_from_dict
+
     doc, code = _read_document(args.file)
     if code:
         return code
@@ -160,14 +178,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"(labels {list(tensor.labels_for(profile))!r}): payoffs too far apart for a float",
                 EXIT_DOMAIN,
             )
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    _write(report.to_json() if args.format == "json" else report.to_text(), end="\n")
     return EXIT_OK
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
+    from .fixtures import write_fixtures
+
     paths = write_fixtures(args.directory)
     for path in paths:
         print(path)
@@ -225,6 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # sitegame makes no BLAS call, yet numpy's bundled OpenBLAS starts worker
+    # threads at import that busy-wait, costing CPU time but no wall time.
+    # Commands import numpy only after this line; importing the package or
+    # this module does not. A value the caller set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -20,9 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import DEFAULT_TOLERANCE
 from .tensor import PayoffTensor, Profile, iterate_profiles
-
-DEFAULT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,10 @@ def find_pure_nash(
     for p in range(tensor.n_players):
         payoffs_p = tensor.values[..., p]
         stable &= payoffs_p >= payoffs_p.max(axis=p, keepdims=True) - tolerance
-    # argwhere lists indices in C order, which is the normative profile order.
+    # argwhere and boolean indexing both list profiles in C order, which is
+    # the normative profile order.
     equilibria = tuple(map(tuple, np.argwhere(stable).tolist()))
-    return NashResult(equilibria, tuple(tensor.payoff_vector(u) for u in equilibria))
+    return NashResult(equilibria, tuple(map(tuple, tensor.values[stable].tolist())))
 
 
 def ideal_vector(tensor: PayoffTensor) -> tuple[float, ...]:

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from sitegame import dumps_scenario, dumps_tensor, fixture_tensor, scenario_to_dict
+from sitegame import cli
 from sitegame.cli import main
 from conftest import (
     CountingSink,
@@ -137,6 +139,45 @@ def test_tensor_explain_allocates_little_beyond_its_output(tmp_path):
     assert code == 0
     assert sink.written > 8_000_000
     assert peak < 2 * sink.written
+
+
+class RecordingRaw(io.RawIOBase):
+    """A raw binary stream that keeps each write it receives."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tensor", "{scenario}", "--explain"], ["solve", "{scenario}", "--format", "json"], ["solve", "{scenario}"]],
+    ids=["tensor", "solve-json", "solve-text"],
+)
+def test_output_reaches_the_raw_stream_in_slices(tmp_path, capsys, monkeypatch, argv):
+    path = tmp_path / "scenario.json"
+    path.write_text(dumps_scenario(seeded_scenario(players=4, sites=5, objects=3)), encoding="utf-8")
+    argv = [str(path) if arg == "{scenario}" else arg for arg in argv]
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    # Above the 8 KiB in which the text and buffered layers gather small writes.
+    slice_size = 12_288
+    assert len(expected) > 2 * slice_size
+    monkeypatch.setattr(cli, "WRITE_SLICE", slice_size)
+    raw = RecordingRaw()
+    stream = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(argv) == 0
+    stream.flush()
+    assert max(map(len, raw.writes)) <= slice_size
+    assert b"".join(raw.writes) == expected.encode("utf-8")
 
 
 def test_tensor_single_site_scenario(tmp_path, capsys):

@@ -97,6 +97,21 @@ def test_nash_equilibria_are_tuples_of_python_ints():
     assert all(type(u) is tuple and all(type(i) is int for i in u) for u in equilibria)
 
 
+def test_nash_payoffs_follow_the_equilibria_when_all_profiles_tie():
+    # Each player's payoff ignores their own strategy, so every profile is an
+    # equilibrium, and the profiles' payoff vectors all differ.
+    rng = np.random.default_rng(3)
+    shape = (2, 3, 4)
+    values = np.empty(shape + (3,))
+    for p in range(3):
+        values[..., p] = rng.uniform(-10.0, 10.0, size=shape).take([0], axis=p)
+    t = _tensor_from_values(values)
+    result = find_pure_nash(t)
+    assert result.equilibria == tuple(iterate_profiles(shape))
+    assert result.payoffs == tuple(t.payoff_vector(u) for u in result.equilibria)
+    assert all(type(v) is float for vector in result.payoffs for v in vector)
+
+
 def test_nash_matching_pennies_has_no_pure_equilibrium():
     values = np.array(
         [[[1.0, -1.0], [-1.0, 1.0]],

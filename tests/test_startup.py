@@ -1,0 +1,139 @@
+"""What a fresh interpreter loads: the package namespace resolves its names on
+first access, and the CLI runs numpy's BLAS on one thread."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import sitegame
+
+SRC = str(Path(sitegame.__file__).resolve().parent.parent)
+
+
+def run_python(*args, env=None):
+    """Run a fresh interpreter that imports this checkout's sitegame, with
+    OPENBLAS_NUM_THREADS unset unless ``env`` sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**base, **(env or {})}
+    )
+
+
+def run_code(code, env=None):
+    result = run_python("-c", textwrap.dedent(code), env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_sitegame_imports_no_submodule_and_no_numpy():
+    out = run_code(
+        """
+        import sys
+        import sitegame
+        print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("sitegame")))
+        """
+    )
+    assert out.split("\n")[0] == "False ['sitegame']"
+
+
+def test_public_names_are_their_submodules_objects():
+    # `sitegame.tensor` imports the `payoff` module, which the import system
+    # binds on the package; `sitegame.payoff` must stay the function.
+    run_code(
+        """
+        import importlib
+        import sitegame
+        import sitegame.tensor
+
+        assert sitegame.report.__name__ == "sitegame.report"  # not imported before
+        namespace = {}
+        exec("from sitegame import *", namespace)
+        for name, module in sitegame._SUBMODULE_OF.items():
+            value = getattr(importlib.import_module(f"sitegame.{module}"), name)
+            assert getattr(sitegame, name) is value, name
+            assert namespace[name] is value, name
+        assert set(namespace) - {"__builtins__"} == set(sitegame.__all__)
+        assert set(sitegame.__all__) <= set(dir(sitegame))
+        solvers = importlib.import_module("sitegame.solvers")
+        assert sitegame.DEFAULT_TOLERANCE is solvers.DEFAULT_TOLERANCE
+        assert callable(sitegame.payoff) and sitegame.tensor.build_tensor is sitegame.build_tensor
+        """
+    )
+
+
+def test_unknown_attribute_raises_attribute_error():
+    out = run_code(
+        """
+        import sitegame
+        try:
+            sitegame.no_such_name
+        except AttributeError as exc:
+            print(exc)
+        try:
+            from sitegame import no_such_name
+        except ImportError as exc:
+            print(type(exc).__name__)
+        """
+    )
+    assert out == "module 'sitegame' has no attribute 'no_such_name'\nImportError\n"
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise(tmp_path, given, expected):
+    # Importing the module leaves the environment alone, so a process that
+    # imports it as a library (and the children it starts) keeps its setting.
+    scenario_path, _ = sitegame.write_fixtures(tmp_path)
+    env = None if given is None else {"OPENBLAS_NUM_THREADS": given}
+    out = run_code(
+        f"""
+        import contextlib, io, os, sys
+        from sitegame.cli import main
+        print(os.environ.get("OPENBLAS_NUM_THREADS"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["validate", {str(scenario_path)!r}]) == 0
+        print(os.environ["OPENBLAS_NUM_THREADS"], "numpy" in sys.modules)
+        """,
+        env=env,
+    )
+    assert out == f"{given}\n{expected} False\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_cli_process_runs_no_blas_worker_thread(tmp_path):
+    scenario_path, _ = sitegame.write_fixtures(tmp_path)
+    out = run_code(
+        f"""
+        import contextlib, io, os
+        from sitegame.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["tensor", {str(scenario_path)!r}]) == 0
+        print(len(os.listdir("/proc/self/task")))
+        """
+    )
+    assert out == "1\n"
+
+
+def _imported_modules(importtime_log):
+    """Module names listed by ``python -X importtime``."""
+    return {line.rsplit("|", 1)[1].strip() for line in importtime_log.splitlines() if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize(
+    "command, not_loaded",
+    [
+        ("validate", {"numpy", "sitegame.payoff", "sitegame.tensor", "sitegame.solvers"}),
+        ("tensor", {"sitegame.solvers"}),
+    ],
+)
+def test_command_loads_only_what_it_runs(tmp_path, command, not_loaded):
+    scenario_path, _ = sitegame.write_fixtures(tmp_path)
+    result = run_python("-X", "importtime", "-m", "sitegame", command, str(scenario_path))
+    assert result.returncode == 0, result.stderr
+    loaded = _imported_modules(result.stderr)
+    assert "sitegame.cli" in loaded and "sitegame.scenario" in loaded
+    assert not loaded & ({"sitegame.report", "sitegame.feasibility", "sitegame.fixtures"} | not_loaded)
