@@ -7,16 +7,17 @@ Subcommands:
   fixtures emit <dir>      write the bundled example files
 
 Exit codes: 0 success, 1 domain error (invalid scenario, singular payoff),
-2 unreadable or unparseable input.
+2 unreadable or unparseable input, or output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from typing import TextIO
+from collections.abc import Callable
 
 # Each command imports the modules it runs: `validate` needs only `scenario`,
 # which does not import numpy.
@@ -27,131 +28,119 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
-# read_text raises UnicodeDecodeError, not OSError, on bytes that are not UTF-8.
-_READ_ERRORS = (OSError, UnicodeDecodeError)
-
 # Characters per write to stdout: the text layer encodes one slice at a time
 # instead of a second copy of the whole document.
 WRITE_SLICE = 1 << 20
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Exit(Exception):
+    """Ends a command with exit ``code``; ``main`` writes ``message``, if any,
+    as one ``error:`` line on stderr."""
+
+    def __init__(self, code: int, message: str | None = None) -> None:
+        super().__init__(message)
+        self.code = code
+        self.message = message
 
 
 def _write(text: str, end: str = "") -> None:
     """Write ``text`` and then ``end`` to stdout, ``WRITE_SLICE`` characters
-    at a time."""
+    at a time, and flush it. Output that cannot be written exits 2, without a
+    message for a broken pipe."""
     out = sys.stdout
-    for start in range(0, len(text), WRITE_SLICE):
-        out.write(text[start : start + WRITE_SLICE])
-    out.write(end)
-
-
-def _read_document(path: str) -> tuple[object, int]:
-    """The JSON document at ``path`` and EXIT_OK; on failure, reports it as an
-    ``error:`` line on stderr and returns None and the exit code."""
     try:
-        return read_json(path), EXIT_OK
-    except _READ_ERRORS as exc:
-        return None, _fail(f"cannot read {path}: {exc}", EXIT_INPUT)
+        for start in range(0, len(text), WRITE_SLICE):
+            out.write(text[start : start + WRITE_SLICE])
+        out.write(end)
+        out.flush()
+    except OSError as exc:
+        # Python flushes stdout again at exit; what is left goes to devnull.
+        # A stream without a file descriptor raises io.UnsupportedOperation,
+        # a ValueError.
+        with contextlib.suppress(AttributeError, ValueError):
+            fd = out.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        message = None if isinstance(exc, BrokenPipeError) else f"cannot write to stdout: {exc}"
+        raise _Exit(EXIT_INPUT, message)
+
+
+def _read_document(path: str) -> object:
+    """The parsed JSON document at ``path``."""
+    try:
+        return read_json(path)
+    except (OSError, UnicodeDecodeError) as exc:  # read_text's error for non-UTF-8 bytes
+        raise _Exit(EXIT_INPUT, f"cannot read {path}: {exc}")
     except ScenarioFormatError as exc:
-        return None, _fail(str(exc), EXIT_INPUT)
+        raise _Exit(EXIT_INPUT, str(exc))
 
 
-def _valid_scenario(doc: object, violations_to: TextIO) -> Scenario | int:
-    """The valid Scenario of a parsed document; on failure, reports it (each
-    violation to ``violations_to``, a format error on stderr) and returns the
-    exit code."""
+def _valid_scenario(doc: object, report: Callable[[str], object]) -> Scenario:
+    """The valid Scenario of a parsed document; its violations, if any, go to
+    ``report`` one per line before exit 1."""
     try:
         scenario = scenario_from_dict(doc)
     except ScenarioFormatError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+        raise _Exit(EXIT_INPUT, str(exc))
     violations = validate(scenario)
     if violations:
-        for violation in violations:
-            print(violation, file=violations_to)
-        return EXIT_DOMAIN
+        report("".join(f"{violation}\n" for violation in violations))
+        raise _Exit(EXIT_DOMAIN)
     return scenario
 
 
-def _load(path: str, violations_to: TextIO) -> Scenario | int:
-    """Read, parse and check a scenario document: the valid Scenario, or the
-    exit code once the failure is reported."""
-    doc, code = _read_document(path)
-    return code if code else _valid_scenario(doc, violations_to)
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load(args.file, sys.stdout)
-    if isinstance(scenario, int):
-        return scenario
-    sites = sum(len(player.sites) for player in scenario.players)
-    print(
-        f"valid: {scenario.n_players} players, {scenario.n_objects} objects, "
-        f"{sites} candidate sites"
-    )
-    return EXIT_OK
-
-
-def _cmd_tensor(args: argparse.Namespace) -> int:
+def _build_tensor(scenario: Scenario):
     from .payoff import ZeroDistanceError
-    from .tensor import build_tensor, dumps_tensor
+    from .tensor import build_tensor
 
-    scenario = _load(args.file, sys.stderr)
-    if isinstance(scenario, int):
-        return scenario
     try:
-        tensor = build_tensor(scenario)
+        return build_tensor(scenario)
     except (ZeroDistanceError, ValueError) as exc:
-        return _fail(str(exc), EXIT_DOMAIN)
-    _write(dumps_tensor(tensor, scenario if args.explain else None))
-    return EXIT_OK
+        raise _Exit(EXIT_DOMAIN, str(exc))
 
 
-def _sniff_document(doc: object) -> str:
-    if isinstance(doc, dict):
-        if "payoffs" in doc:
-            return "tensor"
-        if "region" in doc or "players" in doc:
-            return "scenario"
-    return "unknown"
+def _cmd_validate(args: argparse.Namespace) -> None:
+    scenario = _valid_scenario(_read_document(args.file), _write)
+    sites = sum(len(player.sites) for player in scenario.players)
+    _write(
+        f"valid: {scenario.n_players} players, {scenario.n_objects} objects, "
+        f"{sites} candidate sites",
+        end="\n",
+    )
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_tensor(args: argparse.Namespace) -> None:
+    from .tensor import dumps_tensor
+
+    scenario = _valid_scenario(_read_document(args.file), sys.stderr.write)
+    _write(dumps_tensor(_build_tensor(scenario), scenario if args.explain else None))
+
+
+def _cmd_solve(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .feasibility import check_scenario, profile_spacing
-    from .payoff import ZeroDistanceError
     from .report import solve
-    from .tensor import TensorFormatError, build_tensor, tensor_from_dict
+    from .tensor import TensorFormatError, tensor_from_dict
 
-    doc, code = _read_document(args.file)
-    if code:
-        return code
-    kind = _sniff_document(doc)
+    doc = _read_document(args.file)
     scenario = None
-    if kind == "tensor":
+    if isinstance(doc, dict) and "payoffs" in doc:
         try:
             tensor = tensor_from_dict(doc)
         except TensorFormatError as exc:
-            return _fail(str(exc), EXIT_INPUT)
-    elif kind == "scenario":
-        scenario = _valid_scenario(doc, sys.stderr)
-        if isinstance(scenario, int):
-            return scenario
+            raise _Exit(EXIT_INPUT, str(exc))
+    elif isinstance(doc, dict) and ("region" in doc or "players" in doc):
+        scenario = _valid_scenario(doc, sys.stderr.write)
     else:
-        return _fail(f"{args.file}: not a scenario or tensor document", EXIT_INPUT)
+        raise _Exit(EXIT_INPUT, f"{args.file}: not a scenario or tensor document")
     del doc  # free the document tree before the tensor is built and solved
 
     feasibility = None
     pairwise = None
     if scenario is not None:
-        try:
-            tensor = build_tensor(scenario)
-        except (ZeroDistanceError, ValueError) as exc:
-            return _fail(str(exc), EXIT_DOMAIN)
+        tensor = _build_tensor(scenario)
         feasibility = tuple(check_scenario(scenario))
         if args.pairwise_band:
             pairwise = profile_spacing(scenario)
@@ -173,22 +162,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         shortfall = report.compromise.shortfall
         if not math.isfinite(shortfall.max()):
             profile = tuple(np.argwhere(~np.isfinite(shortfall))[0].tolist())
-            return _fail(
+            raise _Exit(
+                EXIT_DOMAIN,
                 f"compromise residual overflows to inf at profile {list(profile)} "
                 f"(labels {list(tensor.labels_for(profile))!r}): payoffs too far apart for a float",
-                EXIT_DOMAIN,
             )
     _write(report.to_json() if args.format == "json" else report.to_text(), end="\n")
-    return EXIT_OK
 
 
-def _cmd_fixtures(args: argparse.Namespace) -> int:
+def _cmd_fixtures(args: argparse.Namespace) -> None:
     from .fixtures import write_fixtures
 
-    paths = write_fixtures(args.directory)
-    for path in paths:
-        print(path)
-    return EXIT_OK
+    try:
+        paths = write_fixtures(args.directory)
+    except OSError as exc:
+        raise _Exit(EXIT_INPUT, f"cannot write {args.directory}: {exc}")
+    _write("".join(f"{path}\n" for path in paths))
 
 
 def _nonnegative_float(text: str) -> float:
@@ -248,7 +237,13 @@ def main(argv: list[str] | None = None) -> int:
     # this module does not. A value the caller set is kept.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except _Exit as exc:
+        if exc.message is not None:
+            print(f"error: {exc.message}", file=sys.stderr)
+        return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

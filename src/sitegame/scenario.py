@@ -387,7 +387,9 @@ def read_json(path: Path | str, error: type[ValueError] = ScenarioFormatError) -
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal longer than int's digit limit
+    except (ValueError, RecursionError) as exc:
+        # An integer literal longer than int's digit limit, or arrays and
+        # objects nested deeper than the interpreter's recursion limit.
         raise error(f"{path}: {exc}") from exc
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import subprocess
@@ -7,10 +8,19 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from sitegame import dumps_scenario, dumps_tensor, fixture_tensor, scenario_to_dict
+from sitegame import (
+    dumps_scenario,
+    dumps_tensor,
+    fixture_scenario,
+    fixture_tensor,
+    scenario_to_dict,
+    tensor_to_dict,
+)
 from sitegame import cli
 from sitegame.cli import main
 from conftest import (
@@ -479,6 +489,17 @@ def test_fixtures_emit_writes_loadable_files(tmp_path, capsys):
     assert np.array_equal(tensor.values, fixture_tensor().values)
 
 
+def test_fixtures_emit_into_unusable_directory_exit2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    directory = afile / "sub"
+    code, out, err = run_cli(capsys, "fixtures", "emit", str(directory))
+    assert code == 2
+    assert out == ""
+    _assert_one_line_error(err)
+    assert err.startswith(f"error: cannot write {directory}: ")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
@@ -541,6 +562,17 @@ def test_non_utf8_input_exit2(fixture_files, tmp_path, capsys, command):
     assert code == 2
     _assert_one_line_error(err)
     assert f"cannot read {path}" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "tensor", "solve"])
+def test_nested_too_deep_exit2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    _assert_one_line_error(err)
+    assert f"error: {path}: " in err
 
 
 def test_module_entry_point(fixture_files):
@@ -614,3 +646,110 @@ def test_site_a_hair_from_an_object_exit1(tmp_path, scenario, capsys, command):
     assert out == ""
     player, site, obj = doc["players"][0]["id"], doc["players"][0]["sites"][0]["id"], doc["objects"][0]["id"]
     assert err == f"error: player {player!r}: site {site!r} coincides with natural object {obj!r}\n"
+
+
+# --- output that cannot be written --------------------------------------------
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{tensor}"],
+        ["solve", "{scenario}", "--format", "json"],
+        ["tensor", "{scenario}"],
+        ["validate", "{scenario}"],
+        ["fixtures", "emit", "{out}"],
+    ],
+    ids=["solve-text", "solve-json", "tensor", "validate", "fixtures-emit"],
+)
+def test_full_device_on_stdout_exit2(fixture_files, tmp_path, argv):
+    scenario_path, tensor_path = fixture_files
+    paths = {"{scenario}": scenario_path, "{tensor}": tensor_path, "{out}": tmp_path / "out"}
+    argv = [sys.executable, "-m", "sitegame", *(str(paths.get(arg, arg)) for arg in argv)]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 2
+    _assert_one_line_error(result.stderr)
+    assert result.stderr.startswith("error: cannot write to stdout: ")
+    assert "Exception ignored" not in result.stderr
+
+
+def test_broken_pipe_exit2_silently(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(dumps_scenario(seeded_scenario(players=4, sites=6, objects=20)), encoding="utf-8")
+    # Several MB of output: far more than a pipe holds, so the writer is
+    # still writing when the reader goes away.
+    with subprocess.Popen(
+        [sys.executable, "-m", "sitegame", "tensor", str(path), "--explain"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as process:
+        assert process.stdout.read(100).startswith(b"{")
+        process.stdout.close()
+        err = process.stderr.read()
+        assert process.wait(timeout=120) == 2
+    assert err == b""
+
+
+# --- mutated fixture documents ------------------------------------------------
+
+_FIXTURE_DOCUMENTS = {"scenario": scenario_to_dict(fixture_scenario()), "tensor": tensor_to_dict(fixture_tensor())}
+
+
+def _subtree_paths(node, path=()):
+    """The key path of ``node`` and of every value inside it."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _subtree_paths(child, (*path, key))
+
+
+_SUBTREE_PATHS = {kind: list(_subtree_paths(doc)) for kind, doc in _FIXTURE_DOCUMENTS.items()}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture document with one subtree, possibly the whole document,
+    replaced by a random JSON value."""
+    kind = draw(st.sampled_from(sorted(_FIXTURE_DOCUMENTS)))
+    path = draw(st.sampled_from(_SUBTREE_PATHS[kind]))
+    value = draw(_JSON_VALUES)
+    if not path:
+        return value
+    doc = copy.deepcopy(_FIXTURE_DOCUMENTS[kind])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=mutated_documents(),
+    argv=st.sampled_from(
+        [
+            ["validate"],
+            ["tensor"],
+            ["tensor", "--explain"],
+            ["solve"],
+            ["solve", "--pairwise-band"],
+            ["solve", "--format", "json"],
+        ]
+    ),
+)
+def test_mutated_documents_end_in_an_exit_code(tmp_path_factory, doc, argv):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+    if code == 2:
+        _assert_one_line_error(err.getvalue())

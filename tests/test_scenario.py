@@ -210,3 +210,11 @@ def test_load_scenario_oversized_integer_literal(tmp_path, scenario):
     with pytest.raises(ScenarioFormatError) as raised:
         load_scenario(path)
     assert str(raised.value).startswith(f"{path}: ") and "5001 digits" in str(raised.value)
+
+
+def test_load_scenario_nested_too_deep(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    with pytest.raises(ScenarioFormatError) as raised:
+        load_scenario(path)
+    assert str(raised.value).startswith(f"{path}: ") and "recursion" in str(raised.value)
