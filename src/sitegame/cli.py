@@ -66,6 +66,14 @@ def _write(text: str, end: str = "") -> None:
         raise _Exit(EXIT_INPUT, message)
 
 
+def _write_stderr(text: str) -> None:
+    """Write ``text`` to stderr and flush it; a stderr that cannot be written
+    must not change the exit code."""
+    with contextlib.suppress(OSError):
+        sys.stderr.write(text)
+        sys.stderr.flush()
+
+
 def _read_document(path: str) -> object:
     """The parsed JSON document at ``path``."""
     try:
@@ -113,7 +121,7 @@ def _cmd_validate(args: argparse.Namespace) -> None:
 def _cmd_tensor(args: argparse.Namespace) -> None:
     from .tensor import dumps_tensor
 
-    scenario = _valid_scenario(_read_document(args.file), sys.stderr.write)
+    scenario = _valid_scenario(_read_document(args.file), _write_stderr)
     _write(dumps_tensor(_build_tensor(scenario), scenario if args.explain else None))
 
 
@@ -132,7 +140,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
         except TensorFormatError as exc:
             raise _Exit(EXIT_INPUT, str(exc))
     elif isinstance(doc, dict) and ("region" in doc or "players" in doc):
-        scenario = _valid_scenario(doc, sys.stderr.write)
+        scenario = _valid_scenario(doc, _write_stderr)
     else:
         raise _Exit(EXIT_INPUT, f"{args.file}: not a scenario or tensor document")
     del doc  # free the document tree before the tensor is built and solved
@@ -241,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except _Exit as exc:
         if exc.message is not None:
-            print(f"error: {exc.message}", file=sys.stderr)
+            _write_stderr(f"error: {exc.message}\n")
         return exc.code
     return EXIT_OK
 

@@ -13,6 +13,7 @@ they are given and never consult these checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -156,36 +157,57 @@ def profile_spacing(scenario: Scenario) -> dict[Profile, tuple[PairSpacingViolat
 
     Maps each violating profile, in normative order, to its violations in the
     order :func:`check_profile_spacing` lists them. The band between two sites
-    depends on those two sites alone, so each site pair of each player pair is
-    classified once, and one ``PairSpacingViolation`` is shared by every
-    profile that contains its pair.
+    depends on those two sites alone, so each player pair classifies its site
+    pairs once, into a code per site pair (0 where the band holds). Every
+    profile then carries a key naming its set of violations so far: mixed
+    radix over the pairs, re-ranked to ``0 .. distinct - 1`` after each pair
+    so it stays below ``n_profiles * (k_a * k_b + 1)``. The dict holds one
+    tuple per distinct set, shared by every profile with that set, and one
+    ``PairSpacingViolation`` per violating site pair.
     """
     players = scenario.players
     shape = tuple(len(player.sites) for player in players)
-    violating = np.zeros(shape, dtype=bool)
-    pairs = []  # (a, b, {(k_a, k_b): violation}) for player pairs a < b
+    key = np.zeros(math.prod(shape), dtype=np.int64)
+    sets: list[tuple[PairSpacingViolation, ...]] = [()]  # the set each key names
     for a, b in itertools.combinations(range(len(players)), 2):
         sites_a, sites_b = players[a].sites, players[b].sites
         _, _, rho = offsets([s.position for s in sites_a], [s.position for s in sites_b])
-        found = {
-            (k_a, k_b): PairSpacingViolation(
+        found = [
+            PairSpacingViolation(
                 players[a].id, sites_a[k_a].id, players[b].id, sites_b[k_b].id, rho_ab, bound
             )
             for (k_a, k_b), rho_ab, bound in _band_violations(rho, scenario.region)
-        }
-        if found:
-            mask = np.zeros((shape[a], shape[b]), dtype=bool)
-            mask[tuple(zip(*found))] = True
-            axes = [1] * len(shape)
-            axes[a], axes[b] = shape[a], shape[b]
-            violating |= mask.reshape(axes)
-            pairs.append((a, b, found))
-    # argwhere lists indices in C order, which is the normative profile order.
-    return {
-        profile: tuple(
-            found[profile[a], profile[b]]
-            for a, b, found in pairs
-            if (profile[a], profile[b]) in found
-        )
-        for profile in map(tuple, np.argwhere(violating).tolist())
-    }
+        ]
+        if not found:
+            continue
+        # Code c adds suffixes[c] to a profile's set; found and the mask both
+        # list the site pairs in C order.
+        suffixes = [(), *((violation,) for violation in found)]
+        below, above = _band(rho, scenario.region)
+        codes = np.zeros(rho.shape, dtype=np.int64)
+        codes[below | above] = np.arange(1, len(suffixes))
+        axes = [1] * len(shape)
+        axes[a], axes[b] = shape[a], shape[b]
+        key = (key.reshape(shape) * len(suffixes) + codes.reshape(axes)).reshape(-1)
+        distinct, key = _rank(key, len(sets) * len(suffixes))
+        sets = [
+            sets[prior] + suffixes[code]
+            for prior, code in zip(*map(np.ndarray.tolist, np.divmod(distinct, len(suffixes))))
+        ]
+    if not any(sets):
+        return {}
+    # Ranks keep the order of keys, so the empty set, if some profile has it,
+    # is key 0.
+    violating = np.flatnonzero(key) if not sets[0] else np.arange(key.size)
+    profiles = zip(*(axis.tolist() for axis in np.unravel_index(violating, shape)))
+    return dict(zip(profiles, map(sets.__getitem__, key[violating].tolist())))
+
+
+def _rank(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(key, return_inverse=True)`` for keys in ``range(bound)``:
+    without a sort when a table of ``bound`` entries is no larger than ``key``."""
+    if bound > key.size:
+        return np.unique(key, return_inverse=True)
+    seen = np.zeros(bound, dtype=bool)
+    seen[key] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]

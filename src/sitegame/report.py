@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Iterable, Iterator
+import math
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .tensor import (
     index_spellings,
     json_document,
     json_floats,
-    profile_columns,
     profile_json_columns,
     tensor_head,
 )
@@ -215,18 +215,33 @@ def _listing(tensor: PayoffTensor, profiles: np.ndarray, details: np.ndarray) ->
     string per block of rows.
 
     Row r lists the profile whose flat (C-order) index is ``profiles[r]``,
-    then the detail string ``details[r, 0]``.
+    then the detail string ``details[r, 0]``. The players split into a head
+    and a tail whose profile counts are about equal; the labels and indices
+    of every head profile and of every tail profile are spelled once, and a
+    row fills five slots from them.
     """
-    slots = ", ".join(["%s"] * tensor.n_players)
-    row = f"  ({slots}) = ({slots}): %s"
-    labels, indices = tensor.strategy_labels, index_spellings(tensor.shape)
+    shape = tensor.shape
+    h = min(range(1, len(shape) + 1), key=lambda h: math.prod(shape[:h]) + math.prod(shape[h:]))
+    tail_size = math.prod(shape[h:])
+    axes = (tensor.strategy_labels, index_spellings(shape))
+    # A head spelling ends in ", " when a tail spelling follows it.
+    heads = [_spellings(axis[:h], ", " if h < len(shape) else "") for axis in axes]
+    tails = [_spellings(axis[h:], "") for axis in axes]
+    row = "  (%s%s) = (%s%s): %s"
     for start in range(0, len(profiles), LISTING_BLOCK_ROWS):
         block = slice(start, start + LISTING_BLOCK_ROWS)
-        grid = np.unravel_index(profiles[block], tensor.shape)
-        filled = np.hstack(
-            [profile_columns(labels, grid), profile_columns(indices, grid), details[block]]
+        head, tail = divmod(profiles[block], tail_size)
+        filled = np.column_stack(
+            [heads[0][head], tails[0][tail], heads[1][head], tails[1][tail], details[block]]
         )
         yield "\n".join(itertools.repeat(row, len(filled))) % tuple(filled.reshape(-1).tolist())
+
+
+def _spellings(axes: Sequence[Sequence[str]], end: str) -> np.ndarray:
+    """For every profile of ``axes`` in C order, its entries joined by ", "
+    and followed by ``end``, as an object array."""
+    spelled = [", ".join(entries) + end for entries in itertools.product(*axes)]
+    return np.array(spelled, dtype=object)
 
 
 def _spacing_details(
@@ -234,25 +249,29 @@ def _spacing_details(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of a non-empty pairwise listing's profiles and its
     detail column: row r holds profile r's violations, joined by ", "."""
-    profiles = _flat_indices(spacing, shape)
-    # Profiles share violation objects: spell each one once.
-    distinct = {id(v): v for v in itertools.chain.from_iterable(spacing.values())}
+    # profile_spacing shares one tuple among the profiles with the same
+    # violations: spell each tuple object once.
+    ids = list(map(id, spacing.values()))
     spelled = {
-        key: f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})"
-        for key, v in distinct.items()
+        key: ", ".join(
+            [f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})" for v in row]
+        )
+        for key, row in dict(zip(ids, spacing.values())).items()
     }
-    details = [", ".join([spelled[id(v)] for v in row]) for row in spacing.values()]
-    return profiles, np.array(details, dtype=object).reshape(-1, 1)
+    details = np.array(list(map(spelled.__getitem__, ids)), dtype=object)
+    return _flat_indices(spacing, shape), details.reshape(-1, 1)
 
 
-def _flat_indices(profiles: Iterable[Profile], shape: tuple[int, ...]) -> np.ndarray:
+def _flat_indices(profiles: Collection[Profile], shape: tuple[int, ...]) -> np.ndarray:
     """The flat (C-order) index of each profile."""
-    grid = np.array(list(profiles), dtype=np.intp).reshape(-1, len(shape))
-    return np.ravel_multi_index(grid.T, shape)
+    grid = np.fromiter(
+        itertools.chain.from_iterable(profiles), dtype=np.intp, count=len(profiles) * len(shape)
+    )
+    return np.ravel_multi_index(grid.reshape(-1, len(shape)).T, shape)
 
 
 def _payoff_details(
-    tensor: PayoffTensor, profiles: Iterable[Profile]
+    tensor: PayoffTensor, profiles: Collection[Profile]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices of ``profiles`` and a detail column of their payoff
     vectors, "payoffs (...)"."""

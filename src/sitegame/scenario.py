@@ -269,7 +269,21 @@ def _number(value: object, path: str) -> float:
 def _string(value: object, path: str) -> str:
     if not isinstance(value, str):
         raise ScenarioFormatError(f"{path}: expected a string, got {type(value).__name__}")
+    if not encodes_as_utf8(value):
+        raise ScenarioFormatError(f"{path}: {NOT_UTF8}, got {value!r}")
     return value
+
+
+# JSON's "\ud800" escape parses to a lone surrogate, which no output can write.
+NOT_UTF8 = "expected a string that encodes as UTF-8 (no lone surrogate)"
+
+
+def encodes_as_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _matrix(value: object, path: str) -> tuple[tuple[float, ...], ...]:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .payoff import PayoffTerms
-from .scenario import Scenario, read_json
+from .scenario import NOT_UTF8, Scenario, encodes_as_utf8, read_json
 
 Profile = tuple[int, ...]
 
@@ -323,6 +323,7 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
         raise TensorFormatError("players: expected a list of strings")
     if len(players) != n:
         raise TensorFormatError(f"players: expected {n} labels, got {len(players)}")
+    _check_utf8(players, "players")
 
     if "strategy_labels" in doc:
         labels = doc["strategy_labels"]
@@ -337,6 +338,7 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
             raise TensorFormatError(
                 f"strategy_labels[{p}]: expected {shape[p]} labels, got {len(axis)}"
             )
+        _check_utf8(axis, f"strategy_labels[{p}]")
 
     values = _plain_payoffs(payoffs_doc, n)
     if values is None:
@@ -350,6 +352,14 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
         values=values,
         provenance=PROVENANCE_LOADED,
     )
+
+
+def _check_utf8(labels: list[str], path: str) -> None:
+    """Raise TensorFormatError naming the first of ``labels`` that does not
+    encode as UTF-8."""
+    for k, label in enumerate(labels):
+        if not encodes_as_utf8(label):
+            raise TensorFormatError(f"{path}[{k}]: {NOT_UTF8}, got {label!r}")
 
 
 def _plain_payoffs(payoffs_doc: list, n: int) -> np.ndarray | None:

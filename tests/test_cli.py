@@ -564,6 +564,46 @@ def test_non_utf8_input_exit2(fixture_files, tmp_path, capsys, command):
     assert f"cannot read {path}" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["tensor"], ["solve"], ["solve", "--format", "json"]]
+)
+def test_lone_surrogate_label_exit2(fixture_files, tmp_path, capsys, argv):
+    # JSON's "\ud800" escape parses to a string no output can encode as
+    # UTF-8: text output used to end in a UnicodeEncodeError traceback, while
+    # validate, tensor and JSON output exited 0.
+    scenario_path, _ = fixture_files
+    doc = json.loads(scenario_path.read_text())
+    doc["players"][0]["id"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    _assert_one_line_error(err)
+    assert err.startswith("error: players[0].id: ")
+
+
+@pytest.mark.parametrize(
+    "key, path",
+    [(("players", 2), "players[2]"), (("strategy_labels", 1, 2), "strategy_labels[1][2]")],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lone_surrogate_tensor_label_exit2(fixture_files, tmp_path, capsys, key, path, fmt):
+    _, tensor_path = fixture_files
+    doc = json.loads(tensor_path.read_text())
+    parent = doc
+    for part in key[:-1]:
+        parent = parent[part]
+    parent[key[-1]] = "C\udc00"
+    doc_path = tmp_path / "surrogate.json"
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(doc_path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    _assert_one_line_error(err)
+    assert err.startswith(f"error: {path}: ")
+
+
 @pytest.mark.parametrize("command", ["validate", "tensor", "solve"])
 def test_nested_too_deep_exit2(tmp_path, capsys, command):
     path = tmp_path / "deep.json"
@@ -672,6 +712,28 @@ def test_full_device_on_stdout_exit2(fixture_files, tmp_path, argv):
     _assert_one_line_error(result.stderr)
     assert result.stderr.startswith("error: cannot write to stdout: ")
     assert "Exception ignored" not in result.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["solve", "tensor"])
+@pytest.mark.parametrize("document, code", [("missing", 2), ("invalid", 1)])
+def test_full_device_on_stderr_keeps_exit_code(fixture_files, tmp_path, command, document, code):
+    # The error line, or the violations list, cannot be written; the exit
+    # code must still be the command's own, not a traceback's 1.
+    scenario_path, _ = fixture_files
+    path = tmp_path / f"{document}.json"
+    if document == "invalid":
+        doc = json.loads(scenario_path.read_text())
+        doc["players"][0]["emission"] = -1.0
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "sitegame", command, str(path)],
+            stdout=subprocess.PIPE,
+            stderr=full,
+        )
+    assert result.returncode == code
+    assert result.stdout == b""
 
 
 def test_broken_pipe_exit2_silently(tmp_path):

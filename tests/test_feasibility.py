@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -251,6 +253,51 @@ def test_profile_spacing_coincident_sites():
     )
     # P3S2 is more than rho_max from every other site.
     assert all(profile in spacing for profile in iterate_profiles((2, 2, 2)) if profile[2] == 1)
+
+
+def _scattered_scenario(players, sites, band, seed=0):
+    """Sites scattered over a 20 x 20 square with one object in its middle."""
+    rng = np.random.default_rng(seed)
+    return Scenario(
+        region=RegionConfig(x_max=20.0, y_max=20.0, rho_min=band[0], rho_max=band[1]),
+        objects=(NaturalObject("A1", Point(10.0, 10.0)),),
+        players=tuple(
+            _player(f"P{i + 1}", *rng.uniform(0.0, 20.0, (sites, 2)).tolist())
+            for i in range(players)
+        ),
+    )
+
+
+@pytest.mark.parametrize("band", [(2.0, 16.0), (6.0, 14.0)])
+def test_profile_spacing_shares_one_tuple_per_violation_set(band):
+    scn = _scattered_scenario(players=5, sites=4, band=band)
+    spacing = profile_spacing(scn)
+    _assert_same_spacing(spacing, _spacing_by_profile(scn))
+    rows = list(spacing.values())
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+    violations = [v for row in rows for v in row]
+    assert len({id(v) for v in violations}) == len(set(violations))
+
+
+def test_profile_spacing_keys_fit_in_int64():
+    # Seven players, four sites each and a narrow band. A key naming each
+    # profile's violations in mixed radix over the 21 player pairs, one digit
+    # per pair (0, or 1 + the index of its violating site pair), would pass
+    # 2**63; ranked after each pair it stays below 4**7 * 17.
+    scn = _scattered_scenario(players=7, sites=4, band=(8.0, 12.0))
+
+    def outside(site_a, site_b):
+        rho = math.dist(
+            (site_a.position.x, site_a.position.y), (site_b.position.x, site_b.position.y)
+        )
+        return not 8.0 <= rho <= 12.0
+
+    radices = [
+        1 + sum(outside(s_a, s_b) for s_a in a.sites for s_b in b.sites)
+        for a, b in itertools.combinations(scn.players, 2)
+    ]
+    assert math.prod(radices) > 2**63
+    _assert_same_spacing(profile_spacing(scn), _spacing_by_profile(scn))
 
 
 @pytest.mark.parametrize("player", [0, 1, 2])

@@ -30,6 +30,7 @@ from sitegame import (
     profile_spacing,
     solve,
 )
+from sitegame import report as report_module
 from sitegame.report import LISTING_BLOCK_ROWS
 from conftest import json_tensors, scenarios, text_labels
 
@@ -260,6 +261,72 @@ def test_to_text_pairwise_listing_across_blocks():
         feasibility=tuple(check_scenario(scenario)),
         pairwise_spacing=spacing,
     )
+    assert report.to_text() == _reference_text(report)
+
+
+def _per_profile_spacing(scenario):
+    """A pairwise dict as a caller builds it: check_profile_spacing on every
+    profile, a fresh tuple of fresh violations for each violating one."""
+    found = {}
+    for profile in iterate_profiles(tuple(len(player.sites) for player in scenario.players)):
+        violations = check_profile_spacing(scenario, profile)
+        if violations:
+            found[profile] = tuple(violations)
+    return found
+
+
+def test_to_text_pairwise_listing_from_fresh_tuples():
+    scenario = _crowded_scenario(players=4, sites=10)
+    spacing = _per_profile_spacing(scenario)
+    assert len(spacing) > LISTING_BLOCK_ROWS
+    report = solve(
+        build_tensor(scenario),
+        feasibility=tuple(check_scenario(scenario)),
+        pairwise_spacing=spacing,
+    )
+    assert report.to_text() == _reference_text(report)
+
+
+def test_pairwise_details_spell_each_tuple_object_once(monkeypatch):
+    # Details are keyed by tuple object, so no violation is ever hashed:
+    # profile_spacing's shared tuples cost one spelling per distinct set, and
+    # a caller's fresh tuples one per row.
+    scenario = _crowded_scenario(players=4, sites=6)
+    t = build_tensor(scenario)
+    shared = profile_spacing(scenario)
+    fresh = _per_profile_spacing(scenario)
+    distinct = {id(row): row for row in shared.values()}.values()
+    assert len(distinct) < len(shared)
+    spelled = []
+    fmt = report_module._fmt
+    monkeypatch.setattr(report_module, "_fmt", lambda x: spelled.append(x) or fmt(x))
+    texts = []
+    for spacing, rows in [(shared, distinct), (fresh, fresh.values())]:
+        spelled.clear()
+        report = solve(t, nash=False, compromise=False, feasibility=(), pairwise_spacing=spacing)
+        texts.append(report.to_text())
+        # The one other number in the text is the tolerance.
+        assert len(spelled) == 1 + sum(len(row) for row in rows)
+    assert texts[0] == texts[1] == _reference_text(report)
+
+
+def _awkward_labels(shape):
+    # Every text a row is built from could be mistaken for its template.
+    return tuple(tuple(f"%s{p}, {k}) = (%" for k in range(s)) for p, s in enumerate(shape))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (5,),  # one player: the head takes all, the tail is empty
+        (1, LISTING_BLOCK_ROWS + 1),
+        (LISTING_BLOCK_ROWS + 1, 1),
+        (3, 1, 7, 2, 5),
+    ],
+)
+def test_to_text_listing_split_into_head_and_tail(shape):
+    t = dataclasses.replace(_seeded_tensor(shape), strategy_labels=_awkward_labels(shape))
+    report = solve(t)
     assert report.to_text() == _reference_text(report)
 
 
