@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 # Each command imports the modules it runs: `validate` needs only `scenario`,
 # which does not import numpy.
@@ -27,10 +28,6 @@ from .scenario import Scenario, ScenarioFormatError, read_json, scenario_from_di
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
-
-# Characters per write to stdout: the text layer encodes one slice at a time
-# instead of a second copy of the whole document.
-WRITE_SLICE = 1 << 20
 
 
 class _Exit(Exception):
@@ -43,15 +40,16 @@ class _Exit(Exception):
         self.message = message
 
 
-def _write(text: str, end: str = "") -> None:
-    """Write ``text`` and then ``end`` to stdout, ``WRITE_SLICE`` characters
-    at a time, and flush it. Output that cannot be written exits 2, without a
-    message for a broken pipe."""
+def _write(pieces: Iterable[str]) -> None:
+    """Write each of ``pieces`` to stdout as it is rendered, and flush it.
+    Output that cannot be written exits 2, without a message for a broken
+    pipe."""
     out = sys.stdout
     try:
-        for start in range(0, len(text), WRITE_SLICE):
-            out.write(text[start : start + WRITE_SLICE])
-        out.write(end)
+        for piece in pieces:
+            out.write(piece)
+            # A document renders its next piece only once this one is freed.
+            del piece
         out.flush()
     except OSError as exc:
         # Python flushes stdout again at exit; what is left goes to devnull.
@@ -109,20 +107,17 @@ def _build_tensor(scenario: Scenario):
 
 
 def _cmd_validate(args: argparse.Namespace) -> None:
-    scenario = _valid_scenario(_read_document(args.file), _write)
+    scenario = _valid_scenario(_read_document(args.file), lambda text: _write([text]))
     sites = sum(len(player.sites) for player in scenario.players)
-    _write(
-        f"valid: {scenario.n_players} players, {scenario.n_objects} objects, "
-        f"{sites} candidate sites",
-        end="\n",
-    )
+    counts = f"{scenario.n_players} players, {scenario.n_objects} objects, {sites} candidate sites"
+    _write([f"valid: {counts}\n"])
 
 
 def _cmd_tensor(args: argparse.Namespace) -> None:
-    from .tensor import dumps_tensor
+    from .tensor import tensor_document
 
     scenario = _valid_scenario(_read_document(args.file), _write_stderr)
-    _write(dumps_tensor(_build_tensor(scenario), scenario if args.explain else None))
+    _write(tensor_document(_build_tensor(scenario), scenario if args.explain else None))
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:
@@ -175,7 +170,8 @@ def _cmd_solve(args: argparse.Namespace) -> None:
                 f"compromise residual overflows to inf at profile {list(profile)} "
                 f"(labels {list(tensor.labels_for(profile))!r}): payoffs too far apart for a float",
             )
-    _write(report.to_json() if args.format == "json" else report.to_text(), end="\n")
+    pieces = report.json_pieces() if args.format == "json" else report.text_pieces()
+    _write(itertools.chain(pieces, "\n"))
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> None:
@@ -185,7 +181,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> None:
         paths = write_fixtures(args.directory)
     except OSError as exc:
         raise _Exit(EXIT_INPUT, f"cannot write {args.directory}: {exc}")
-    _write("".join(f"{path}\n" for path in paths))
+    _write(f"{path}\n" for path in paths)
 
 
 def _nonnegative_float(text: str) -> float:

@@ -9,9 +9,7 @@ significant digits.
 from __future__ import annotations
 
 import itertools
-import json
-import math
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +24,17 @@ from .solvers import (
     find_pure_nash,
 )
 from .tensor import (
-    JSON_SLOT,
+    PROFILE,
+    SLOT,
+    Detail,
     PayoffTensor,
     Profile,
     distinct_spellings,
     index_spellings,
     json_document,
-    json_floats,
-    profile_json_columns,
+    json_profile_axes,
+    json_spellings,
+    listing,
     tensor_head,
 )
 
@@ -65,16 +66,17 @@ class SolveReport:
         return doc
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, with the residual listing
-        rendered from the shortfall array."""
-        head = self._head_dict()
-        if self.compromise is None:
-            return json.dumps(head, indent=2)
-        shortfall = json_floats(self.compromise.shortfall).reshape(-1, 1)
-        n = self.tensor.n_players
-        entry = {"indices": [JSON_SLOT] * n, "labels": [JSON_SLOT] * n, "residual": JSON_SLOT}
-        slots = np.hstack([*profile_json_columns(self.tensor), shortfall])
-        return json_document(head, [("residuals", entry, slots)])
+        """``json.dumps(self.to_dict(), indent=2)``: json_pieces as one string."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self) -> Iterator[str]:
+        """to_json() in pieces, the residual listing a block at a time."""
+        listings = []
+        if self.compromise is not None:
+            entry = {"indices": [PROFILE], "labels": [PROFILE], "residual": SLOT}
+            residuals = distinct_spellings(self.compromise.shortfall.reshape(-1), json_spellings)
+            listings.append(("residuals", entry, json_profile_axes(self.tensor), [residuals]))
+        return json_document(self.tensor, self._head_dict(), listings)
 
     def _head_dict(self) -> dict:
         """The document without its per-profile residual listing."""
@@ -154,18 +156,19 @@ class SolveReport:
         return entry
 
     def to_text(self) -> str:
+        return "".join(self.text_pieces())
+
+    def text_pieces(self) -> Iterator[str]:
+        """to_text() in pieces: one per line outside the listings, and the
+        listings a block at a time."""
         tensor = self.tensor
-        lines = [f"{TOOL_NAME} {__version__}"]
+        yield f"{TOOL_NAME} {__version__}"
         shape = "x".join(str(s) for s in tensor.shape)
-        lines.append(
-            f"tensor {shape} ({tensor.provenance}); players: {', '.join(tensor.players)}"
-        )
-        lines.append(f"tolerance {_fmt(self.tolerance)}")
+        yield f"\ntensor {shape} ({tensor.provenance}); players: {', '.join(tensor.players)}"
+        yield f"\ntolerance {_fmt(self.tolerance)}"
         if self.feasibility is not None:
             feasible = sum(1 for report in self.feasibility if report.feasible)
-            lines.append(
-                f"feasibility: {len(self.feasibility)} sites checked, {feasible} feasible"
-            )
+            yield f"\nfeasibility: {len(self.feasibility)} sites checked, {feasible} feasible"
             for report in self.feasibility:
                 if report.feasible:
                     continue
@@ -176,90 +179,55 @@ class SolveReport:
                     f"{v.bound} band to {v.object_id} (distance {_fmt(v.distance)})"
                     for v in report.band_violations
                 )
-                lines.append(f"  {report.player_id}/{report.site_id}: {'; '.join(problems)}")
+                yield f"\n  {report.player_id}/{report.site_id}: {'; '.join(problems)}"
             if self.pairwise_spacing is not None:
-                lines.append(
-                    f"pairwise spacing violations: {len(self.pairwise_spacing)} profiles"
-                )
-            if self.pairwise_spacing:
-                details = _spacing_details(self.pairwise_spacing, tensor.shape)
-                lines.extend(_listing(tensor, *details))
+                yield f"\npairwise spacing violations: {len(self.pairwise_spacing)} profiles"
+                yield from self._rows(*_spacing_details(self.pairwise_spacing, tensor.shape))
         if self.nash is not None:
-            lines.append(f"nash equilibria ({len(self.nash.equilibria)}):")
-            lines.extend(_listing(tensor, *_payoff_details(tensor, self.nash.equilibria)))
+            yield f"\nnash equilibria ({len(self.nash.equilibria)}):"
+            yield from self._rows(*_payoff_details(tensor, self.nash.equilibria))
         if self.compromise is not None:
-            lines.append(f"ideal vector: {_vector_text(self.compromise.ideal)}")
-            lines.append(
-                f"compromise minimizers ({len(self.compromise.minimizers)}), "
+            yield f"\nideal vector: {_vector_text(self.compromise.ideal)}"
+            yield (
+                f"\ncompromise minimizers ({len(self.compromise.minimizers)}), "
                 f"min residual {_fmt(self.compromise.min_residual)}:"
             )
-            lines.extend(_listing(tensor, *_payoff_details(tensor, self.compromise.minimizers)))
-            lines.append("residuals:")
+            yield from self._rows(*_payoff_details(tensor, self.compromise.minimizers))
+            yield "\nresiduals:"
             shortfall = self.compromise.shortfall.reshape(-1)
             residuals = distinct_spellings(shortfall, lambda floats: list(map(_fmt, floats)))
-            lines.extend(_listing(tensor, np.arange(shortfall.size), residuals.reshape(-1, 1)))
-        return "\n".join(lines)
+            yield from self._rows(np.arange(shortfall.size), residuals)
+
+    def _rows(self, profiles: np.ndarray, details: Detail) -> Iterator[str]:
+        """The rows "\\n  (labels) = (indices): details" of a text listing,
+        for the flat (C-order) indices ``profiles``."""
+        axes = (self.tensor.strategy_labels, index_spellings(self.tensor.shape))
+        row = "\n  (%s%s) = (%s%s): %s"
+        return listing(row, ", ", "", profiles, self.tensor.shape, axes, [details])
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-# A listing is filled a block of rows at a time: one ``%`` over a whole
-# listing would hold all of its slots in one tuple beside its text.
-LISTING_BLOCK_ROWS = 4096
-
-
-def _listing(tensor: PayoffTensor, profiles: np.ndarray, details: np.ndarray) -> Iterator[str]:
-    """The rows "  (labels) = (indices): details" of a text listing, one
-    string per block of rows.
-
-    Row r lists the profile whose flat (C-order) index is ``profiles[r]``,
-    then the detail string ``details[r, 0]``. The players split into a head
-    and a tail whose profile counts are about equal; the labels and indices
-    of every head profile and of every tail profile are spelled once, and a
-    row fills five slots from them.
-    """
-    shape = tensor.shape
-    h = min(range(1, len(shape) + 1), key=lambda h: math.prod(shape[:h]) + math.prod(shape[h:]))
-    tail_size = math.prod(shape[h:])
-    axes = (tensor.strategy_labels, index_spellings(shape))
-    # A head spelling ends in ", " when a tail spelling follows it.
-    heads = [_spellings(axis[:h], ", " if h < len(shape) else "") for axis in axes]
-    tails = [_spellings(axis[h:], "") for axis in axes]
-    row = "  (%s%s) = (%s%s): %s"
-    for start in range(0, len(profiles), LISTING_BLOCK_ROWS):
-        block = slice(start, start + LISTING_BLOCK_ROWS)
-        head, tail = divmod(profiles[block], tail_size)
-        filled = np.column_stack(
-            [heads[0][head], tails[0][tail], heads[1][head], tails[1][tail], details[block]]
-        )
-        yield "\n".join(itertools.repeat(row, len(filled))) % tuple(filled.reshape(-1).tolist())
-
-
-def _spellings(axes: Sequence[Sequence[str]], end: str) -> np.ndarray:
-    """For every profile of ``axes`` in C order, its entries joined by ", "
-    and followed by ``end``, as an object array."""
-    spelled = [", ".join(entries) + end for entries in itertools.product(*axes)]
-    return np.array(spelled, dtype=object)
-
-
 def _spacing_details(
     spacing: dict[Profile, tuple[PairSpacingViolation, ...]], shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of a non-empty pairwise listing's profiles and its
-    detail column: row r holds profile r's violations, joined by ", "."""
+) -> tuple[np.ndarray, Detail]:
+    """The flat indices of a pairwise listing's profiles and its detail: row
+    r holds profile r's violations, joined by ", "."""
     # profile_spacing shares one tuple among the profiles with the same
     # violations: spell each tuple object once.
     ids = list(map(id, spacing.values()))
-    spelled = {
-        key: ", ".join(
+    distinct = dict(zip(ids, spacing.values()))
+    spelled = [
+        ", ".join(
             [f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})" for v in row]
         )
-        for key, row in dict(zip(ids, spacing.values())).items()
-    }
-    details = np.array(list(map(spelled.__getitem__, ids)), dtype=object)
-    return _flat_indices(spacing, shape), details.reshape(-1, 1)
+        for row in distinct.values()
+    ]
+    code = dict(zip(distinct, itertools.count()))
+    codes = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+    return _flat_indices(spacing, shape), (np.array(spelled, dtype=object), codes)
 
 
 def _flat_indices(profiles: Collection[Profile], shape: tuple[int, ...]) -> np.ndarray:
@@ -272,12 +240,13 @@ def _flat_indices(profiles: Collection[Profile], shape: tuple[int, ...]) -> np.n
 
 def _payoff_details(
     tensor: PayoffTensor, profiles: Collection[Profile]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of ``profiles`` and a detail column of their payoff
+) -> tuple[np.ndarray, Detail]:
+    """The flat indices of ``profiles`` and a detail of their payoff
     vectors, "payoffs (...)"."""
     flat = _flat_indices(profiles, tensor.shape)
     payoffs = tensor.values.reshape(-1, tensor.n_players)[flat].tolist()
-    return flat, np.array([f"payoffs {_vector_text(v)}" for v in payoffs], dtype=object)[:, None]
+    spelled = np.array([f"payoffs {_vector_text(v)}" for v in payoffs], dtype=object)
+    return flat, (spelled, np.arange(len(flat)))
 
 
 def _vector_text(values) -> str:

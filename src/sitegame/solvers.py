@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import DEFAULT_TOLERANCE
-from .tensor import PayoffTensor, Profile, iterate_profiles
+from .tensor import PayoffTensor, Profile, checked_profile, iterate_profiles
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,14 @@ def best_response(
     """Indices of `player`'s payoff-maximizing strategies, ties included.
 
     ``others_fixed`` holds one strategy index per player; the entry at
-    ``player``'s own position is ignored (may be None).
+    ``player``'s own position is ignored (may be None). Raises ValueError for
+    a player, an index or a profile length out of range.
     """
     _check_tolerance(tolerance)
-    index: list[object] = list(others_fixed)
+    if not 0 <= player < tensor.n_players:
+        raise ValueError(f"player {player!r} is out of range for {tensor.n_players} players")
+    fixed = [0 if p == player else index for p, index in enumerate(others_fixed)]
+    index: list[object] = list(checked_profile(fixed, tensor.shape, tensor.players))
     index[player] = slice(None)
     line = tensor.values[tuple(index) + (player,)]
     best = float(line.max())

@@ -192,93 +192,116 @@ def tensor_to_dict(tensor: PayoffTensor) -> dict:
     return doc
 
 
-# --- JSON rendering from arrays ----------------------------------------------
+# --- Listings ----------------------------------------------------------------
 #
-# The per-profile listings are written straight from the arrays, and must come
-# out exactly as ``json.dumps(doc, indent=2)`` writes them. With an indent,
-# ``json`` encodes in pure Python, one call per value; here a whole document
-# is a single ``%`` over a template of ``json.dumps``'s own layout. A value
-# nested at depth d equals its top-level encoding with every "\n" replaced by
-# "\n" plus 2d spaces: with ``ensure_ascii`` no newline can occur inside a
-# string.
+# A listing has one row per profile, filled from arrays into a row template a
+# block at a time. A JSON row is ``json.dumps``'s own layout of one entry, so
+# a document comes out as ``json.dumps(doc, indent=2)`` writes it, without
+# that encoder's Python call per value. A value nested at depth d is its
+# top-level encoding with each "\n" replaced by "\n" plus 2d spaces: with
+# ``ensure_ascii`` no newline occurs inside a string.
 
-JSON_SLOT = "%s"
+# Characters per block. The CLI writes each block before it renders the next,
+# so this, not the output, bounds the memory a listing takes.
+BLOCK_CHARS = 1 << 20
+
+SLOT = "%s"
+# A profile's entries along one axis: its head's spelling, then its tail's.
+PROFILE = SLOT * 2
+# A column of a listing, (spellings, codes): row r's slot takes spellings[codes[r]].
+Detail = tuple[np.ndarray, np.ndarray]
 
 
-def distinct_spellings(values: np.ndarray, spell: Callable[[list[float]], list[str]]) -> np.ndarray:
-    """The spelling of every float in ``values``, as an object array of the
-    same shape; ``spell`` maps a list of floats to their spellings.
+def distinct_spellings(values: np.ndarray, spell: Callable[[list[float]], list[str]]) -> Detail:
+    """The spellings of the distinct floats in ``values``, as an object
+    array, and for every float in ``values`` the index of its spelling, as an
+    array of the same shape: a listing detail. ``spell`` maps a list of
+    floats to their spellings.
 
-    ``spell`` sees each distinct bit pattern once (so -0.0 and 0.0 stay
-    apart): a tensor built from a scenario holds only Σk_i distinct values
-    among its Πk_i·n cells.
+    Each distinct bit pattern is spelled once (so -0.0 and 0.0 stay apart):
+    a tensor built from a scenario holds only Σk_i distinct values among its
+    Πk_i·n cells.
     """
     bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     spelled = spell(distinct.view(float).tolist())
-    return np.array(spelled, dtype=object)[inverse].reshape(values.shape)
+    return np.array(spelled, dtype=object), inverse.reshape(values.shape)
 
 
-def _json_spellings(floats: list[float]) -> list[str]:
+def json_spellings(floats: list[float]) -> list[str]:
+    """``json.dumps``'s spelling of each of ``floats``, for distinct_spellings."""
     # The indent-free encoder spells floats the way the indented one does
     # (float.__repr__, Infinity, -Infinity, NaN); no spelling contains ", ".
     return json.dumps(floats)[1:-1].split(", ")
 
 
-def json_floats(values: np.ndarray) -> np.ndarray:
-    """``json.dumps``'s spelling of every float in ``values``, as an object
-    array of the same shape."""
-    return distinct_spellings(values, _json_spellings)
-
-
-def profile_columns(axes: Sequence[Sequence[str]], grid: Sequence[np.ndarray]) -> np.ndarray:
-    """One row per profile, one column per player: entry [r, p] is
-    ``axes[p][grid[p][r]]``, an object array of shape (len(grid[0]), len(axes))."""
-    columns = np.empty((len(grid[0]), len(axes)), dtype=object)
-    for p, axis in enumerate(axes):
-        columns[:, p] = np.array(axis, dtype=object)[grid[p]]
-    return columns
-
-
 def index_spellings(shape: Sequence[int]) -> list[list[str]]:
-    """Each player's strategy indices as decimal strings, for profile_columns."""
+    """Each player's strategy indices as decimal strings: a listing axis."""
     return [[str(k) for k in range(s)] for s in shape]
 
 
-def profile_json_columns(tensor: PayoffTensor, *axes: Sequence[Sequence[str]]) -> list[np.ndarray]:
-    """For every profile in normative order, the encoded strategy indices, the
-    encoded labels, then each of ``axes`` (``axes[i][p][k]``: the text for
-    player p's strategy k), each an object array of shape (n_profiles, n_players)."""
-    grid = np.indices(tensor.shape).reshape(tensor.n_players, -1)
+def listing(
+    row: str, join: str, between: str, profiles: np.ndarray, shape: tuple[int, ...],
+    axes: Sequence[Sequence[Sequence[str]]] = (), details: Sequence[Detail] = (),
+) -> Iterator[str]:
+    """The rows filled from ``row``, row r for the profile whose flat
+    (C-order) index is ``profiles[r]``, joined by ``between``: in blocks of
+    at most BLOCK_CHARS characters or of one row, with the separator between
+    two blocks as a piece of its own.
+
+    ``row`` holds two slots (PROFILE) for each of ``axes``, then one for each
+    of the ``details`` (see Detail). ``axes[a][p][k]`` spells player p's
+    strategy k along axis a, and a row's two slots take its profile's entries
+    joined by ``join``. The players split into a head and a tail of about
+    equal profile counts, and every head and every tail profile is spelled
+    once.
+    """
+    h = min(range(1, len(shape) + 1), key=lambda h: math.prod(shape[:h]) + math.prod(shape[h:]))
+    tail_size = math.prod(shape[h:])
+
+    def spell(part: Sequence[Sequence[str]], end: str) -> np.ndarray:
+        return np.array([join.join(p) + end for p in itertools.product(*part)], dtype=object)
+
+    # A head spelling ends in ``join`` when a tail spelling follows it.
+    end = join if h < len(shape) else ""
+    heads_and_tails = [(spell(axis[:h], end), spell(axis[h:], "")) for axis in axes]
+    spellings = [*itertools.chain(*heads_and_tails), *(spelled for spelled, _ in details)]
+    widest = len(row) + len(between) + sum(max(map(len, s.tolist()), default=0) for s in spellings)
+    size = max(1, BLOCK_CHARS // widest)
+    for start in range(0, len(profiles), size):
+        if start:
+            yield between
+        head, tail = divmod(profiles[start : start + size], tail_size)
+        codes = [*(head, tail) * len(axes), *(c[start : start + size] for _, c in details)]
+        # No name holds the block or its slots while the caller writes it.
+        yield between.join(itertools.repeat(row, len(head))) % tuple(
+            np.column_stack([s[c] for s, c in zip(spellings, codes)]).reshape(-1).tolist()
+        )
+
+
+def json_profile_axes(tensor: PayoffTensor) -> list[list[list[str]]]:
+    """The listing axes of an entry's "indices" and "labels", in JSON."""
     labels = [[json.dumps(label) for label in axis] for axis in tensor.strategy_labels]
-    return [profile_columns(axis, grid) for axis in (index_spellings(tensor.shape), labels, *axes)]
+    return [index_spellings(tensor.shape), labels]
 
 
 def json_document(
-    head: dict, listings: Sequence[tuple[str, object, np.ndarray]], end: str = ""
-) -> str:
-    """``json.dumps(head | {key: listing, ...}, indent=2) + end`` for a
-    non-empty ``head`` followed by the non-empty ``(key, entry, slots)``
-    listings in order, where every entry of a listing has the structure of
-    its ``entry``.
-
-    Every ``"%s"`` string in ``entry`` is a slot; row r of ``slots`` holds the
-    encoded JSON text of entry r's slots, in the order ``json.dumps`` writes
-    them.
-    """
-    pieces = [json.dumps(head, indent=2)[: -len("\n}")].replace("%", "%%")]
-    for key, entry, slots in listings:
-        one = json.dumps(entry, indent=2).replace(json.dumps(JSON_SLOT), JSON_SLOT)
-        one = one.replace("\n", "\n    ")
-        pieces += [f",\n  {json.dumps(key)}: [\n    ", one]
-        pieces += itertools.repeat(",\n    " + one, len(slots) - 1)
-        pieces.append("\n  ]")
-    pieces.append(f"\n}}{end}")
-    # One join and no named slot list: a second copy of either, held during
-    # the ``%``, would raise the peak.
-    return "".join(pieces) % tuple(
-        itertools.chain.from_iterable(slots.reshape(-1).tolist() for _, _, slots in listings)
-    )
+    tensor: PayoffTensor, head: dict, listings: Iterable[tuple], end: str = ""
+) -> Iterator[str]:
+    """``json.dumps(head | {key: [entry, ...], ...}, indent=2) + end`` in
+    pieces, for a non-empty ``head`` and listings ``(key, entry, axes,
+    details)`` of one entry per profile of ``tensor``, shaped like ``entry``
+    with each string of slots standing for those slots (see listing)."""
+    profiles = np.arange(tensor.n_profiles)
+    yield json.dumps(head, indent=2)[: -len("\n}")]
+    for key, entry, axes, details in listings:
+        row = json.dumps(entry, indent=2).replace("\n", "\n    ")
+        row = row.replace(f'"{SLOT}', SLOT).replace(f'{SLOT}"', SLOT)
+        yield f",\n  {json.dumps(key)}: [\n    "
+        # Entries sit at depth 4, and the lists inside them at depth 8.
+        yield from listing(row, ",\n        ", ",\n    ", profiles, tensor.shape, axes, details)
+        yield "\n  ]"
+    yield f"\n}}{end}"
 
 
 def tensor_from_dict(doc: object) -> PayoffTensor:
@@ -404,13 +427,14 @@ def _walk_payoffs(payoffs_doc: list, n: int) -> list[list[float]]:
     return rows
 
 
-def dumps_tensor(tensor: PayoffTensor, explain: Scenario | None = None) -> str:
-    """``json.dumps(tensor_to_dict(tensor), indent=2) + "\\n"``, rendered from
-    the array. Given the scenario the tensor was built from as ``explain``,
-    the document ends with an ``explain`` listing: for every profile, its
-    indices, labels and each player's income and damage terms and total."""
+def tensor_document(tensor: PayoffTensor, explain: Scenario | None = None) -> Iterator[str]:
+    """``json.dumps(tensor_to_dict(tensor), indent=2) + "\\n"`` in pieces.
+    Given the scenario the tensor was built from as ``explain``, it ends with
+    an ``explain`` listing: for every profile, its indices, labels and each
+    player's income and damage terms and total."""
     n = tensor.n_players
-    listings = [("payoffs", [JSON_SLOT] * n, json_floats(tensor.values).reshape(-1, n))]
+    spelled, codes = distinct_spellings(tensor.values, json_spellings)
+    listings = [("payoffs", [SLOT] * n, (), [(spelled, c) for c in codes.reshape(-1, n).T])]
     if explain is not None:
         # One breakdown per (player, site), encoded once at its depth in the
         # document and shared by every profile that picks that site.
@@ -423,9 +447,14 @@ def dumps_tensor(tensor: PayoffTensor, explain: Scenario | None = None) -> str:
                             "damage": damage, "total": total}, indent=2).replace("\n", "\n        ")
                 for site, income, damage, total in zip(player.sites, *columns)
             ])
-        entry = {"indices": [JSON_SLOT] * n, "labels": [JSON_SLOT] * n, "players": [JSON_SLOT] * n}
-        listings.append(("explain", entry, np.hstack(profile_json_columns(tensor, breakdowns))))
-    return json_document(tensor_head(tensor), listings, "\n")
+        entry = {"indices": [PROFILE], "labels": [PROFILE], "players": [PROFILE]}
+        listings.append(("explain", entry, [*json_profile_axes(tensor), breakdowns], ()))
+    return json_document(tensor, tensor_head(tensor), listings, "\n")
+
+
+def dumps_tensor(tensor: PayoffTensor, explain: Scenario | None = None) -> str:
+    """The document of tensor_document as one string."""
+    return "".join(tensor_document(tensor, explain))
 
 
 def load_tensor(path: Path | str) -> PayoffTensor:

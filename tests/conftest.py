@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import importlib
 import math
 import resource
 
@@ -186,6 +188,35 @@ def seeded_scenario(players: int, sites: int, objects: int, seed: int = 0) -> Sc
             for i in range(players)
         ),
     )
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """``assert actual == expected`` for rendered documents. A failure reports
+    the first differing line and both digests; pytest's own diff of two large
+    strings takes minutes."""
+    if actual == expected:
+        return
+    ours, theirs = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    differ = (i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b)
+    line = next(differ, min(len(ours), len(theirs)))
+    digests = [hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:16] for text in (actual, expected)]
+    raise AssertionError(
+        f"texts differ at line {line + 1}: {ours[line:line + 1]!r} != {theirs[line:line + 1]!r} "
+        f"(sha256 {digests[0]}, {len(ours)} lines != sha256 {digests[1]}, {len(theirs)} lines)"
+    )
+
+
+def assert_renders_in_blocks(monkeypatch, render, expected: str, rows: int) -> None:
+    """``render()`` gives ``expected``, a document of about ``rows`` listing
+    rows, whatever the block budget of its listings: one character, so one
+    row per block; about one row's width; and about three and a half rows'
+    width, which leaves a listing a short last block unless its row count
+    happens to be a multiple of three."""
+    tensor_module = importlib.import_module("sitegame.tensor")
+    width = max(1, len(expected) // rows)
+    for budget in (1, width, 3 * width + width // 2):
+        monkeypatch.setattr(tensor_module, "BLOCK_CHARS", budget)
+        assert_same_text(render(), expected)
 
 
 class CountingSink:

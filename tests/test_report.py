@@ -31,14 +31,13 @@ from sitegame import (
     solve,
 )
 from sitegame import report as report_module
-from sitegame.report import LISTING_BLOCK_ROWS
-from conftest import json_tensors, scenarios, text_labels
+from conftest import assert_renders_in_blocks, assert_same_text, json_tensors, scenarios, text_labels
 
 SOLVER_CHOICES = [(True, True), (True, False), (False, True), (False, False)]
 
 
 def _assert_to_json_is_json_dumps(report):
-    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+    assert_same_text(report.to_json(), json.dumps(report.to_dict(), indent=2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,7 +175,7 @@ def test_to_text_matches_per_profile_rendering(t, solvers, tolerance):
     nash, compromise = solvers
     with np.errstate(over="ignore"):
         report = solve(t, nash=nash, compromise=compromise, tolerance=tolerance)
-    assert report.to_text() == _reference_text(report)
+    assert_same_text(report.to_text(), _reference_text(report))
 
 
 # Four players make profiles with several pairwise violations common.
@@ -198,7 +197,7 @@ def test_to_text_with_feasibility_sections(scenario, pairwise, band):
         feasibility=tuple(check_scenario(scenario)),
         pairwise_spacing=profile_spacing(scenario) if pairwise else None,
     )
-    assert report.to_text() == _reference_text(report)
+    assert_same_text(report.to_text(), _reference_text(report))
 
 
 # --- listings longer than one block --------------------------------------------
@@ -214,17 +213,42 @@ def _seeded_tensor(shape, seed=0):
     )
 
 
+def _assert_text_in_blocks(monkeypatch, report):
+    """to_text matches its reference whatever the block budget (see
+    assert_renders_in_blocks)."""
+    text = _reference_text(report)
+    assert_renders_in_blocks(monkeypatch, report.to_text, text, text.count("\n") + 1)
+
+
+def _assert_renders_in_blocks(monkeypatch, report):
+    """to_text and to_json match their references whatever the block budget."""
+    _assert_text_in_blocks(monkeypatch, report)
+    document = json.dumps(report.to_dict(), indent=2)
+    assert_renders_in_blocks(monkeypatch, report.to_json, document, report.tensor.n_profiles)
+
+
 @pytest.mark.parametrize(
     "shape",
     [
-        (LISTING_BLOCK_ROWS,),  # exactly one block
-        (LISTING_BLOCK_ROWS + 1,),  # one block and one row
-        (2, LISTING_BLOCK_ROWS // 2, 3),  # three blocks, the last one short
+        (7,),  # one player: each profile is a head with an empty tail
+        (2, 5, 3),
+        (4, 3, 2, 3),
     ],
 )
-def test_to_text_residual_listing_across_blocks(shape):
-    report = solve(_seeded_tensor(shape))
-    assert report.to_text() == _reference_text(report)
+def test_to_text_residual_listing_across_blocks(monkeypatch, shape):
+    _assert_renders_in_blocks(monkeypatch, solve(_seeded_tensor(shape)))
+
+
+def test_listings_across_blocks_without_pure_equilibria(monkeypatch):
+    # Matching pennies between players 1 and 2; player 3 is indifferent. The
+    # empty listing of Nash equilibria has no row to take a width from.
+    values = np.zeros((2, 2, 3, 3))
+    values[..., 0] = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+    values[..., 1] = -values[..., 0]
+    t = dataclasses.replace(_seeded_tensor((2, 2, 3)), values=values)
+    report = solve(t)
+    assert report.nash.equilibria == ()
+    _assert_renders_in_blocks(monkeypatch, report)
 
 
 def _crowded_scenario(players, sites, seed=0):
@@ -252,16 +276,16 @@ def _crowded_scenario(players, sites, seed=0):
     )
 
 
-def test_to_text_pairwise_listing_across_blocks():
+def test_to_text_pairwise_listing_across_blocks(monkeypatch):
     scenario = _crowded_scenario(players=4, sites=12)
     spacing = profile_spacing(scenario)
-    assert len(spacing) > 2 * LISTING_BLOCK_ROWS
+    assert len(spacing) > 8192
     report = solve(
         build_tensor(scenario),
         feasibility=tuple(check_scenario(scenario)),
         pairwise_spacing=spacing,
     )
-    assert report.to_text() == _reference_text(report)
+    _assert_text_in_blocks(monkeypatch, report)
 
 
 def _per_profile_spacing(scenario):
@@ -275,16 +299,16 @@ def _per_profile_spacing(scenario):
     return found
 
 
-def test_to_text_pairwise_listing_from_fresh_tuples():
+def test_to_text_pairwise_listing_from_fresh_tuples(monkeypatch):
     scenario = _crowded_scenario(players=4, sites=10)
     spacing = _per_profile_spacing(scenario)
-    assert len(spacing) > LISTING_BLOCK_ROWS
+    assert len(spacing) > 4096
     report = solve(
         build_tensor(scenario),
         feasibility=tuple(check_scenario(scenario)),
         pairwise_spacing=spacing,
     )
-    assert report.to_text() == _reference_text(report)
+    _assert_text_in_blocks(monkeypatch, report)
 
 
 def test_pairwise_details_spell_each_tuple_object_once(monkeypatch):
@@ -307,7 +331,8 @@ def test_pairwise_details_spell_each_tuple_object_once(monkeypatch):
         texts.append(report.to_text())
         # The one other number in the text is the tolerance.
         assert len(spelled) == 1 + sum(len(row) for row in rows)
-    assert texts[0] == texts[1] == _reference_text(report)
+    assert_same_text(texts[0], _reference_text(report))
+    assert_same_text(texts[1], texts[0])
 
 
 def _awkward_labels(shape):
@@ -319,15 +344,14 @@ def _awkward_labels(shape):
     "shape",
     [
         (5,),  # one player: the head takes all, the tail is empty
-        (1, LISTING_BLOCK_ROWS + 1),
-        (LISTING_BLOCK_ROWS + 1, 1),
+        (1, 33),
+        (33, 1),
         (3, 1, 7, 2, 5),
     ],
 )
-def test_to_text_listing_split_into_head_and_tail(shape):
+def test_to_text_listing_split_into_head_and_tail(monkeypatch, shape):
     t = dataclasses.replace(_seeded_tensor(shape), strategy_labels=_awkward_labels(shape))
-    report = solve(t)
-    assert report.to_text() == _reference_text(report)
+    _assert_renders_in_blocks(monkeypatch, solve(t))
 
 
 @pytest.mark.parametrize(
@@ -337,7 +361,7 @@ def test_to_text_pairwise_rows_without_violations(spacing):
     # profile_spacing lists only violating profiles, but a report may be
     # given any mapping: rows with no violations end after ": ".
     report = solve(fixture_tensor(), feasibility=(), pairwise_spacing=spacing)
-    assert report.to_text() == _reference_text(report)
+    assert_same_text(report.to_text(), _reference_text(report))
 
 
 def test_compromise_and_text_allocate_little_beyond_the_text():
@@ -370,6 +394,23 @@ def test_to_json_allocates_little_beyond_its_output():
         tracemalloc.stop()
     assert len(text) > 7_000_000
     assert peak < 3.5 * len(text)
+
+
+def test_json_pieces_allocate_less_than_their_output():
+    # The document of the test above, consumed a piece at a time as the CLI
+    # writes it. Rendered in one piece, it peaked at 3.2 times its length.
+    report = solve(_seeded_tensor((8,) * 5))
+    written = 0
+    tracemalloc.start()
+    try:
+        for piece in report.json_pieces():
+            written += len(piece)
+            del piece
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written > 7_000_000
+    assert peak < written
 
 
 def test_rendering_leaves_the_residuals_dict_unbuilt(tensor, scenario):

@@ -128,6 +128,30 @@ def test_nash_tolerance_counts_near_ties():
     assert find_pure_nash(t, tolerance=0.0).equilibria == ((0,),)
 
 
+@pytest.mark.parametrize(
+    "others_fixed, message",
+    [
+        # -1 used to read as player 2's last strategy, 3.
+        ((None, -1, 0), r"strategy index -1 is out of range for player 'P2', which has 4 strategies"),
+        ((None, 3, 2), r"strategy index 2 is out of range for player 'P3', which has 2 strategies"),
+        # A short profile used to end in numpy's "truth value ... is ambiguous".
+        ((None, 3), r"has 2 indices for 3 players"),
+        ((None, 3, 1, 0), r"has 4 indices for 3 players"),
+    ],
+    ids=["negative", "too-large", "short", "long"],
+)
+def test_best_response_rejects_a_bad_profile(tensor, others_fixed, message):
+    with pytest.raises(ValueError, match=message):
+        best_response(tensor, 0, others_fixed)
+
+
+@pytest.mark.parametrize("player", [-1, 3])
+def test_best_response_rejects_a_player_out_of_range(tensor, player):
+    # -1 used to mean the last player.
+    with pytest.raises(ValueError, match=rf"player {player} is out of range for 3 players"):
+        best_response(tensor, player, (0, 3, 1))
+
+
 def test_negative_tolerance_rejected(tensor):
     with pytest.raises(ValueError):
         find_pure_nash(tensor, tolerance=-1e-3)

@@ -33,6 +33,8 @@ from sitegame.payoff import PayoffTerms
 from conftest import (
     SPECIAL_FLOATS,
     address_space_grows_at_most,
+    assert_renders_in_blocks,
+    assert_same_text,
     json_tensors,
     scenarios,
     seeded_scenario,
@@ -157,7 +159,7 @@ def test_round_trip_preserves_everything(tensor):
     assert np.array_equal(again.values, tensor.values)
     assert again.provenance == PROVENANCE_LOADED
     # serialized form is stable across a round trip
-    assert dumps_tensor(again) == dumps_tensor(tensor)
+    assert_same_text(dumps_tensor(again), dumps_tensor(tensor))
 
 
 def test_round_trip_through_file(tmp_path, tensor):
@@ -302,7 +304,7 @@ _SPECIAL_TENSOR = PayoffTensor(
 @given(t=json_tensors())
 @example(t=_SPECIAL_TENSOR)
 def test_dumps_tensor_is_json_dumps_of_document(t):
-    assert dumps_tensor(t) == json.dumps(tensor_to_dict(t), indent=2) + "\n"
+    assert_same_text(dumps_tensor(t), json.dumps(tensor_to_dict(t), indent=2) + "\n")
 
 
 def _explain_reference(tensor, scenario):
@@ -383,7 +385,64 @@ def test_dumps_tensor_explain_is_json_dumps_of_document(scenario):
     except ZeroDistanceError:
         assume(False)
     expected = json.dumps(_explain_reference(t, scenario), indent=2) + "\n"
-    assert dumps_tensor(t, scenario) == expected
+    assert_same_text(dumps_tensor(t, scenario), expected)
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 4, 2), (2, 1, 3, 2)])
+def test_dumps_tensor_across_blocks(monkeypatch, shape):
+    scenario = seeded_scenario(players=len(shape), sites=max(shape), objects=2)
+    players = tuple(
+        dataclasses.replace(
+            player, sites=player.sites[:k], loss=player.loss[:k], damage_weight=player.damage_weight[:k]
+        )
+        for player, k in zip(scenario.players, shape)
+    )
+    scenario = dataclasses.replace(scenario, players=players)
+    t = build_tensor(scenario)
+    expected = json.dumps(tensor_to_dict(t), indent=2) + "\n"
+    assert_renders_in_blocks(monkeypatch, lambda: dumps_tensor(t), expected, t.n_profiles)
+    expected = json.dumps(_explain_reference(t, scenario), indent=2) + "\n"
+    rows = 2 * t.n_profiles
+    assert_renders_in_blocks(monkeypatch, lambda: dumps_tensor(t, scenario), expected, rows)
+
+
+@pytest.mark.parametrize(
+    "join, between", [(", ", "\n"), (",\n        ", ",\n    ")], ids=["text", "json"]
+)
+def test_listing_fills_whole_rows_into_blocks_within_the_budget(monkeypatch, join, between):
+    shape = (3, 1, 4, 2)
+    # Labels and details of unequal widths, none holding the "<" a row starts with.
+    axis = [[f"{p}{'x' * k}" for k in range(s)] for p, s in enumerate(shape)]
+    profiles = np.array([23, 0, 5, 5, 17, 2, 9, 11, 20, 3, 14])
+    detail = (np.array(["", "d", "dd", "ddd"], dtype=object), np.arange(len(profiles)) % 4)
+    grid = np.unravel_index(profiles, shape)
+    spelled = [join.join(axis[p][grid[p][r]] for p in range(len(shape))) for r in range(len(profiles))]
+    # With and without axes: one slot in a row leaves less room for the
+    # separator between rows than three do.
+    cases = [
+        ("<%s%s|%s>", [axis], [f"<{spelled[r]}|{'d' * (r % 4)}>" for r in range(len(profiles))]),
+        ("<%s>", [], [f"<{'d' * (r % 4)}>" for r in range(len(profiles))]),
+    ]
+    for row, axes, rows in cases:
+
+        def render(profiles):
+            return list(tensor_module.listing(row, join, between, profiles, shape, axes, [detail]))
+
+        short_last = set()
+        # Up to a budget that fits every row, with its template's slots, into one block.
+        for budget in range(1, len(rows) * (max(map(len, rows)) + 20)):
+            monkeypatch.setattr(tensor_module, "BLOCK_CHARS", budget)
+            pieces = render(profiles)
+            blocks = pieces[::2]
+            assert pieces[1::2] == [between] * (len(blocks) - 1)
+            assert between.join(blocks) == between.join(rows)
+            counts = [block.count("<") for block in blocks]
+            assert len(set(counts[:-1])) <= 1 and counts[-1] <= counts[0]
+            assert all(len(block) <= budget for block, count in zip(blocks, counts) if count > 1)
+            short_last.add(counts[-1] < counts[0])
+        assert counts == [len(rows)]
+        assert short_last == {False, True}
+        assert render(profiles[:0]) == []
 
 
 def test_dumps_tensor_allocates_little_beyond_its_output():
