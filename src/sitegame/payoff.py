@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenario import Point, PlayerSpec, Scenario
+from .scenario import Point, PlayerSpec, Scenario, checked_index
 
 
 class ZeroDistanceError(ArithmeticError):
@@ -58,15 +58,11 @@ class Gradient:
 
 
 def _coefficient_row(player: PlayerSpec, position: Point, site_index: int | None) -> int:
-    """``site_index`` if given and in range, else the index of the candidate
-    site at exactly ``position``."""
+    """``site_index`` if given (see checked_index), else the index of the
+    candidate site at exactly ``position``."""
     if site_index is not None:
-        if not 0 <= site_index < len(player.sites):
-            raise ValueError(
-                f"site_index {site_index!r} is out of range for player {player.id!r}, "
-                f"which has {len(player.sites)} candidate sites"
-            )
-        return site_index
+        sites = len(player.sites)
+        return checked_index(site_index, sites, "site_index", "candidate sites", player.id)
     for k, site in enumerate(player.sites):
         if site.position.x == position.x and site.position.y == position.y:
             return k

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,11 +109,31 @@ def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
-def _check_point(point: Point, path: str, out: list[Violation]) -> None:
-    if not _finite(point.x):
-        out.append(Violation(f"{path}.x", f"must be a finite number, got {point.x!r}"))
-    if not _finite(point.y):
-        out.append(Violation(f"{path}.y", f"must be a finite number, got {point.y!r}"))
+def _check_nonnegative(value: float, path: str, out: list[Violation]) -> None:
+    if not _finite(value) or value < 0:
+        out.append(Violation(path, f"must be a finite number >= 0, got {value!r}"))
+
+
+def _check_labeled(
+    item: NaturalObject | CandidateSite, path: str, kind: str, seen: set[str],
+    out: list[Violation], box: tuple[float, float] | None = None,
+) -> None:
+    """Append the violations of an object or a site: an id already in
+    ``seen`` (which then holds it), each coordinate that is not a finite
+    number and, once both are, each outside ``box`` (x_max, y_max) if given."""
+    if item.id in seen:
+        out.append(Violation(path + ".id", f"duplicate {kind} id {item.id!r}"))
+    seen.add(item.id)
+    path += ".position"
+    values = (item.position.x, item.position.y)
+    for axis, value in zip("xy", values):
+        if not _finite(value):
+            out.append(Violation(f"{path}.{axis}", f"must be a finite number, got {value!r}"))
+    if box is not None and all(map(_finite, values)):
+        for axis, value, bound in zip("xy", values, box):
+            if not 0 <= value <= bound:
+                message = f"outside region box [0, {bound!r}], got {value!r}"
+                out.append(Violation(f"{path}.{axis}", message))
 
 
 def _finite_nonnegative_floats(row: tuple) -> bool:
@@ -148,10 +169,7 @@ def _check_matrix(
         elif _finite_nonnegative_floats(row):
             continue
         for j, entry in enumerate(row):
-            if not _finite(entry) or entry < 0:
-                out.append(
-                    Violation(f"{path}[{i}][{j}]", f"must be a finite number >= 0, got {entry!r}")
-                )
+            _check_nonnegative(entry, f"{path}[{i}][{j}]", out)
 
 
 def validate(scenario: Scenario) -> list[Violation]:
@@ -163,78 +181,52 @@ def validate(scenario: Scenario) -> list[Violation]:
     out: list[Violation] = []
     region = scenario.region
 
-    if not _finite(region.x_max) or region.x_max <= 0:
-        out.append(Violation("region.x_max", f"must be > 0, got {region.x_max!r}"))
-    if not _finite(region.y_max) or region.y_max <= 0:
-        out.append(Violation("region.y_max", f"must be > 0, got {region.y_max!r}"))
-    if not _finite(region.rho_min) or region.rho_min <= 0:
-        out.append(Violation("region.rho_min", f"must be > 0, got {region.rho_min!r}"))
-    elif not _finite(region.rho_max) or region.rho_max < region.rho_min:
-        out.append(
-            Violation(
-                "region.rho_max",
-                f"must be >= rho_min ({region.rho_min!r}), got {region.rho_max!r}",
-            )
-        )
-    if not _finite(region.pi_value) or region.pi_value <= 0:
-        out.append(Violation("region.pi_value", f"must be > 0, got {region.pi_value!r}"))
-
-    box_ok = (
-        _finite(region.x_max) and region.x_max > 0 and _finite(region.y_max) and region.y_max > 0
-    )
+    for name in ("x_max", "y_max", "rho_min", "pi_value"):
+        value = getattr(region, name)
+        if not _finite(value) or value <= 0:
+            out.append(Violation(f"region.{name}", f"must be > 0, got {value!r}"))
+        elif name == "rho_min" and (not _finite(region.rho_max) or region.rho_max < value):
+            message = f"must be >= rho_min ({value!r}), got {region.rho_max!r}"
+            out.append(Violation("region.rho_max", message))
+    # Objects are placed in the box only once both of its sides are > 0.
+    box_ok = not any(v.path in ("region.x_max", "region.y_max") for v in out)
+    box = (region.x_max, region.y_max) if box_ok else None
 
     if scenario.n_objects < 1:
         out.append(Violation("objects", "at least one natural object is required"))
     seen_ids: set[str] = set()
     for j, obj in enumerate(scenario.objects):
-        path = f"objects[{j}]"
-        if obj.id in seen_ids:
-            out.append(Violation(path + ".id", f"duplicate object id {obj.id!r}"))
-        seen_ids.add(obj.id)
-        _check_point(obj.position, path + ".position", out)
-        if box_ok and _finite(obj.position.x) and _finite(obj.position.y):
-            if not (0 <= obj.position.x <= region.x_max):
-                out.append(
-                    Violation(
-                        path + ".position.x",
-                        f"outside region box [0, {region.x_max!r}], got {obj.position.x!r}",
-                    )
-                )
-            if not (0 <= obj.position.y <= region.y_max):
-                out.append(
-                    Violation(
-                        path + ".position.y",
-                        f"outside region box [0, {region.y_max!r}], got {obj.position.y!r}",
-                    )
-                )
+        _check_labeled(obj, f"objects[{j}]", "object", seen_ids, out, box)
 
     if scenario.n_players < 1:
         out.append(Violation("players", "at least one player is required"))
     for i, player in enumerate(scenario.players):
         path = f"players[{i}]"
-        if not _finite(player.emission) or player.emission < 0:
-            out.append(
-                Violation(
-                    path + ".emission", f"must be a finite number >= 0, got {player.emission!r}"
-                )
-            )
+        _check_nonnegative(player.emission, path + ".emission", out)
         site_ids: set[str] = set()
         for k, site in enumerate(player.sites):
-            if site.id in site_ids:
-                out.append(
-                    Violation(f"{path}.sites[{k}].id", f"duplicate site id {site.id!r}")
-                )
-            site_ids.add(site.id)
-            _check_point(site.position, f"{path}.sites[{k}].position", out)
-        _check_matrix(player.loss, path + ".loss", len(player.sites), scenario.n_objects, out)
-        _check_matrix(
-            player.damage_weight,
-            path + ".damage_weight",
-            len(player.sites),
-            scenario.n_objects,
-            out,
-        )
+            _check_labeled(site, f"{path}.sites[{k}]", "site", site_ids, out)
+        for name in ("loss", "damage_weight"):
+            _check_matrix(
+                getattr(player, name), f"{path}.{name}", len(player.sites), scenario.n_objects, out
+            )
     return out
+
+
+def checked_index(index: object, size: int, name: str, unit: str, player: str | None = None) -> int:
+    """``index`` as an int, once it is an integer (``operator.index``) in
+    ``range(size)``: a negative one would count from the end. Else raises
+    ValueError naming ``name``, the index and the ``size`` ``unit`` of ``player``, if any."""
+    try:
+        checked = operator.index(index)
+    except TypeError:
+        fault = "is not an integer"
+    else:
+        if 0 <= checked < size:
+            return checked
+        fault = "is out of range"
+    holder = f"{size} {unit}" if player is None else f"player {player!r}, which has {size} {unit}"
+    raise ValueError(f"{name} {index!r} {fault} for {holder}")
 
 
 # --- JSON document mapping -------------------------------------------------
@@ -303,12 +295,16 @@ def _matrix_row(row: object, path: str) -> tuple[float, ...]:
     return tuple(_number(entry, f"{path}[{j}]") for j, entry in enumerate(_expect_list(row, path)))
 
 
-def _labeled_point(value: object, path: str) -> tuple[str, Point]:
-    entry = _expect_dict(value, path)
-    return (
-        _string(_get(entry, "id", path), f"{path}.id"),
-        Point(_number(_get(entry, "x", path), f"{path}.x"), _number(_get(entry, "y", path), f"{path}.y")),
-    )
+def _labeled_points(value: object, path: str, kind: type) -> tuple:
+    """The list ``value`` of ``{"id", "x", "y"}`` entries, each as ``kind(id, Point(x, y))``."""
+    points = []
+    for k, entry in enumerate(_expect_list(value, path)):
+        at = f"{path}[{k}]"
+        entry = _expect_dict(entry, at)
+        label = _string(_get(entry, "id", at), f"{at}.id")
+        x, y = _number(_get(entry, "x", at), f"{at}.x"), _number(_get(entry, "y", at), f"{at}.y")
+        points.append(kind(label, Point(x, y)))
+    return tuple(points)
 
 
 def scenario_from_dict(doc: object) -> Scenario:
@@ -316,34 +312,25 @@ def scenario_from_dict(doc: object) -> Scenario:
     root = _expect_dict(doc, "document")
 
     region_doc = _expect_dict(_get(root, "region", "document"), "region")
+    required = ("x_max", "y_max", "rho_min", "rho_max")
     region = RegionConfig(
-        x_max=_number(_get(region_doc, "x_max", "region"), "region.x_max"),
-        y_max=_number(_get(region_doc, "y_max", "region"), "region.y_max"),
-        rho_min=_number(_get(region_doc, "rho_min", "region"), "region.rho_min"),
-        rho_max=_number(_get(region_doc, "rho_max", "region"), "region.rho_max"),
+        *(_number(_get(region_doc, key, "region"), f"region.{key}") for key in required),
         pi_value=_number(region_doc.get("pi", math.pi), "region.pi"),
     )
 
-    objects = []
-    for j, entry in enumerate(_expect_list(_get(root, "objects", "document"), "objects")):
-        object_id, position = _labeled_point(entry, f"objects[{j}]")
-        objects.append(NaturalObject(object_id, position))
+    objects = _labeled_points(_get(root, "objects", "document"), "objects", NaturalObject)
 
     players = []
     for i, entry in enumerate(_expect_list(_get(root, "players", "document"), "players")):
         path = f"players[{i}]"
         player_doc = _expect_dict(entry, path)
-        sites = []
-        for k, site_entry in enumerate(
-            _expect_list(_get(player_doc, "sites", path), f"{path}.sites")
-        ):
-            site_id, position = _labeled_point(site_entry, f"{path}.sites[{k}]")
-            sites.append(CandidateSite(site_id, position))
+        # Sites before the id: a document broken in both reports its sites.
+        sites = _labeled_points(_get(player_doc, "sites", path), f"{path}.sites", CandidateSite)
         players.append(
             PlayerSpec(
                 id=_string(_get(player_doc, "id", path), f"{path}.id"),
                 emission=_number(_get(player_doc, "emission", path), f"{path}.emission"),
-                sites=tuple(sites),
+                sites=sites,
                 loss=_matrix(_get(player_doc, "loss", path), f"{path}.loss"),
                 damage_weight=_matrix(
                     _get(player_doc, "damage_weight", path), f"{path}.damage_weight"
@@ -351,7 +338,7 @@ def scenario_from_dict(doc: object) -> Scenario:
             )
         )
 
-    return Scenario(region=region, objects=tuple(objects), players=tuple(players))
+    return Scenario(region=region, objects=objects, players=tuple(players))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -384,8 +371,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def dumps_scenario(scenario: Scenario, *, indent: int = 2) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=indent) + "\n"
+def dumps_scenario(scenario: Scenario) -> str:
+    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
 
 
 def read_json(path: Path | str, error: type[ValueError] = ScenarioFormatError) -> object:

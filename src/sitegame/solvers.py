@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import DEFAULT_TOLERANCE
+from .scenario import checked_index
 from .tensor import PayoffTensor, Profile, checked_profile, iterate_profiles
 
 
@@ -71,11 +72,11 @@ def best_response(
 
     ``others_fixed`` holds one strategy index per player; the entry at
     ``player``'s own position is ignored (may be None). Raises ValueError for
-    a player, an index or a profile length out of range.
+    a player or an index that is not an integer in range (see checked_index),
+    or a profile of the wrong length.
     """
     _check_tolerance(tolerance)
-    if not 0 <= player < tensor.n_players:
-        raise ValueError(f"player {player!r} is out of range for {tensor.n_players} players")
+    player = checked_index(player, tensor.n_players, "player", "players")
     fixed = [0 if p == player else index for p, index in enumerate(others_fixed)]
     index: list[object] = list(checked_profile(fixed, tensor.shape, tensor.players))
     index[player] = slice(None)

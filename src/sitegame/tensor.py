@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .payoff import PayoffTerms
-from .scenario import NOT_UTF8, Scenario, encodes_as_utf8, read_json
+from .scenario import NOT_UTF8, Scenario, checked_index, encodes_as_utf8, read_json
 
 Profile = tuple[int, ...]
 
@@ -99,22 +99,19 @@ class PayoffTensor:
 def checked_profile(
     profile: Sequence[int], shape: Sequence[int], players: Sequence[str]
 ) -> Profile:
-    """``profile`` as a tuple, once it is known to hold one index in
-    ``range(shape[p])`` for every player p. Otherwise raises ValueError naming
-    the player and the index: a negative index would silently count from the
-    end."""
+    """``profile`` as a tuple of ints, once it holds one index in
+    ``range(shape[p])`` for every player p (see checked_index). Otherwise
+    raises ValueError naming the player and the index."""
     profile = tuple(profile)
     if len(profile) != len(shape):
         raise ValueError(f"profile {profile!r} has {len(profile)} indices for {len(shape)} players")
-    if min(profile, default=0) >= 0 and all(map(operator.lt, profile, shape)):
+    ints = set(map(type, profile)) <= {int}
+    if ints and min(profile, default=0) >= 0 and all(map(operator.lt, profile, shape)):
         return profile
-    for player, index, size in zip(players, profile, shape):
-        if not 0 <= index < size:
-            raise ValueError(
-                f"strategy index {index!r} is out of range for player {player!r}, "
-                f"which has {size} strategies"
-            )
-    return profile
+    return tuple(
+        checked_index(index, size, "strategy index", "strategies", player)
+        for index, size, player in zip(profile, shape, players)
+    )
 
 
 def _physical_memory() -> int | None:
@@ -140,6 +137,7 @@ def build_tensor(scenario: Scenario) -> PayoffTensor:
     runs once per player over all of that player's sites, and its totals are
     broadcast along the other players' axes. Raises ZeroDistanceError (naming
     player, site and object) if any candidate site sits on a natural object,
+    ValueError naming player and site if a payoff overflows to inf or nan,
     and ValueError, before allocating anything, if the tensor would not fit
     in physical memory.
     """
@@ -157,10 +155,15 @@ def build_tensor(scenario: Scenario) -> PayoffTensor:
         )
 
     values = np.empty(shape + (n,), dtype=float)
-    for p in range(n):
+    for p, player in enumerate(scenario.players):
+        total = PayoffTerms(scenario, p).total
+        for site, value in zip(player.sites, total.tolist()):
+            if not math.isfinite(value):
+                message = f"payoff at site {site.id!r} overflows to {value!r}"
+                raise ValueError(f"player {player.id!r}: {message}")
         broadcast_shape = [1] * n
         broadcast_shape[p] = shape[p]
-        values[..., p] = PayoffTerms(scenario, p).total.reshape(broadcast_shape)
+        values[..., p] = total.reshape(broadcast_shape)
     values.setflags(write=False)
 
     return PayoffTensor(
@@ -342,11 +345,7 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
         players = doc["players"]
     else:
         players = [f"P{i + 1}" for i in range(n)]
-    if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
-        raise TensorFormatError("players: expected a list of strings")
-    if len(players) != n:
-        raise TensorFormatError(f"players: expected {n} labels, got {len(players)}")
-    _check_utf8(players, "players")
+    players = _labels(players, n, "players")
 
     if "strategy_labels" in doc:
         labels = doc["strategy_labels"]
@@ -354,14 +353,9 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
         labels = [[f"S{k + 1}" for k in range(s)] for s in shape]
     if not isinstance(labels, list) or len(labels) != n:
         raise TensorFormatError(f"strategy_labels: expected {n} label lists")
-    for p, axis in enumerate(labels):
-        if not isinstance(axis, list) or not all(isinstance(x, str) for x in axis):
-            raise TensorFormatError(f"strategy_labels[{p}]: expected a list of strings")
-        if len(axis) != shape[p]:
-            raise TensorFormatError(
-                f"strategy_labels[{p}]: expected {shape[p]} labels, got {len(axis)}"
-            )
-        _check_utf8(axis, f"strategy_labels[{p}]")
+    labels = tuple(
+        _labels(axis, s, f"strategy_labels[{p}]") for p, (axis, s) in enumerate(zip(labels, shape))
+    )
 
     values = _plain_payoffs(payoffs_doc, n)
     if values is None:
@@ -370,19 +364,24 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
     values.setflags(write=False)
     return PayoffTensor(
         shape=tuple(shape),
-        players=tuple(players),
-        strategy_labels=tuple(tuple(axis) for axis in labels),
+        players=players,
+        strategy_labels=labels,
         values=values,
         provenance=PROVENANCE_LOADED,
     )
 
 
-def _check_utf8(labels: list[str], path: str) -> None:
-    """Raise TensorFormatError naming the first of ``labels`` that does not
-    encode as UTF-8."""
-    for k, label in enumerate(labels):
+def _labels(value: object, count: int, path: str) -> tuple[str, ...]:
+    """``value`` as a tuple, once it is a list of ``count`` strings that
+    encode as UTF-8; else raises TensorFormatError naming the first fault."""
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise TensorFormatError(f"{path}: expected a list of strings")
+    if len(value) != count:
+        raise TensorFormatError(f"{path}: expected {count} labels, got {len(value)}")
+    for k, label in enumerate(value):
         if not encodes_as_utf8(label):
             raise TensorFormatError(f"{path}[{k}]: {NOT_UTF8}, got {label!r}")
+    return tuple(value)
 
 
 def _plain_payoffs(payoffs_doc: list, n: int) -> np.ndarray | None:

@@ -3,6 +3,7 @@ import copy
 import importlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -32,6 +33,8 @@ from conftest import (
     twelve_player_scenario,
 )
 from oracles import oracle_compromise, oracle_nash, profile_payoffs
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -68,6 +71,47 @@ def test_validate_lists_violations_one_per_line(tmp_path, scenario, capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 1
     assert lines[0].startswith("players[0].emission:")
+
+
+def _break_fields(doc):
+    # The region's rho_max and box rules need a valid rho_min and box, so
+    # they fire on the other document.
+    doc["region"].update(x_max=0.0, y_max=-1.0, rho_min=math.nan, pi=-3.0)
+    doc["objects"][2]["id"] = "A1"
+    doc["objects"][3]["x"] = math.inf
+    p1, p2, p3 = doc["players"]
+    p1["sites"][1]["y"] = math.nan
+    p1["loss"].pop()
+    p1["damage_weight"][1].pop()
+    p2["sites"][3]["id"] = "C2"
+    p2["loss"][0][1] = -1.0
+    p2["loss"][2][3] = math.nan
+    p2["damage_weight"][1][0] = -0.5
+    p2["damage_weight"][3][4] = math.nan
+    p3["emission"] = -35.0
+
+
+def _break_box(doc):
+    doc["region"]["rho_max"] = 0.25
+    doc["objects"][0]["x"] = 16.0
+    doc["objects"][4]["y"] = -1.0
+    # Not finite, so neither coordinate is placed in the box.
+    doc["objects"][1].update(x=20.0, y=math.nan)
+
+
+@pytest.mark.parametrize(
+    "broken, golden",
+    [(_break_fields, "validate_broken_fields.txt"), (_break_box, "validate_broken_box.txt")],
+)
+def test_validate_violations_match_golden(tmp_path, scenario, capsys, broken, golden):
+    # Between them the two documents break every rule of validate.
+    doc = scenario_to_dict(scenario)
+    broken(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err) == (1, "")
+    assert_same_text(out, (GOLDEN / golden).read_text(encoding="utf-8"))
 
 
 def test_validate_malformed_document_exit2(tmp_path, capsys):
@@ -412,9 +456,6 @@ def test_solve_pairwise_band_flag(fixture_files, tmp_path, scenario, capsys):
     # C1=(6,4) sits exactly 3 away from D2: the closed bound keeps it feasible
 
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
 @pytest.mark.parametrize(
     "rho_min, flags, golden",
     [
@@ -688,6 +729,20 @@ def test_site_a_hair_from_an_object_exit1(tmp_path, scenario, capsys, command):
     assert out == ""
     player, site, obj = doc["players"][0]["id"], doc["players"][0]["sites"][0]["id"], doc["objects"][0]["id"]
     assert err == f"error: player {player!r}: site {site!r} coincides with natural object {obj!r}\n"
+
+
+@pytest.mark.parametrize("command", ["tensor", "solve"])
+def test_payoff_overflow_names_player_and_site_exit1(tmp_path, scenario, capsys, command):
+    # P1's damage at B1 overflows to inf; this used to end in an error that
+    # named no player: "all payoff values must be finite".
+    doc = scenario_to_dict(scenario)
+    doc["players"][0]["emission"] = 1e308
+    doc["players"][0]["damage_weight"][0][0] = 1e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: player 'P1': payoff at site 'B1' overflows to -inf\n"
 
 
 # --- output that cannot be written --------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -298,6 +299,14 @@ def test_profile_spacing_keys_fit_in_int64():
     ]
     assert math.prod(radices) > 2**63
     _assert_same_spacing(profile_spacing(scn), _spacing_by_profile(scn))
+
+
+def test_check_profile_spacing_rejects_a_non_integer_index(scenario):
+    # 0.5 used to end in a TypeError from indexing a tuple.
+    message = "strategy index 0.5 is not an integer for player 'P2', which has 4 strategies"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_profile_spacing(scenario, [0, 0.5, 0])
+    assert check_profile_spacing(scenario, (np.int64(0), True, 1)) == check_profile_spacing(scenario, (0, 1, 1))
 
 
 @pytest.mark.parametrize("player", [0, 1, 2])

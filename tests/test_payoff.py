@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
@@ -115,6 +117,23 @@ def test_out_of_range_site_index_raises(scenario, function, site_index):
     # player P1 has three candidate sites, rows 0..2
     with pytest.raises(ValueError, match=rf"site_index {site_index} .* player 'P1'"):
         function(0, Point(7, 8), scenario, site_index=site_index)
+
+
+@pytest.mark.parametrize("function", [payoff, payoff_gradient])
+@pytest.mark.parametrize(
+    "site_index, fault",
+    [(-1, "-1 is out of range"), (3, "3 is out of range"), (1.0, "1.0 is not an integer")],
+)
+def test_bad_site_index_message(scenario, function, site_index, fault):
+    # 1.0 used to end in a TypeError from indexing a tuple.
+    message = f"site_index {fault} for player 'P1', which has 3 candidate sites"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        function(0, Point(7, 8), scenario, site_index=site_index)
+
+
+def test_numpy_integer_site_index_is_accepted(scenario):
+    at = Point(7, 8)
+    assert payoff(0, at, scenario, site_index=np.int64(1)) == payoff(0, at, scenario, site_index=1)
 
 
 def test_unmatched_position_raises(scenario):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,30 @@ def test_best_response_rejects_a_player_out_of_range(tensor, player):
     # -1 used to mean the last player.
     with pytest.raises(ValueError, match=rf"player {player} is out of range for 3 players"):
         best_response(tensor, player, (0, 3, 1))
+
+
+def test_best_response_takes_bools_and_numpy_integers_as_indices(tensor):
+    # True indexes as 1, as in a Python sequence; it used to end in numpy's
+    # "truth value ... is ambiguous".
+    assert best_response(tensor, 0, [None, True, 0]) == best_response(tensor, 0, [None, 1, 0])
+    assert best_response(tensor, True, (0, None, 1)) == best_response(tensor, 1, (0, None, 1))
+    numpy_indices = (None, np.int64(3), np.int32(1))
+    assert best_response(tensor, np.int64(0), numpy_indices) == best_response(tensor, 0, (None, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "player, others_fixed, message",
+    [
+        (0, (None, 1.5, 0), "strategy index 1.5 is not an integer for player 'P2', which has 4 strategies"),
+        (0, (None, 3, None), "strategy index None is not an integer for player 'P3', which has 2 strategies"),
+        (1.0, (0, None, 1), "player 1.0 is not an integer for 3 players"),
+    ],
+    ids=["float", "none", "float-player"],
+)
+def test_best_response_rejects_a_non_integer_index(tensor, player, others_fixed, message):
+    # These used to reach numpy, or index a list with a float.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        best_response(tensor, player, others_fixed)
 
 
 def test_negative_tolerance_rejected(tensor):

@@ -2,6 +2,7 @@
 import dataclasses
 import importlib
 import json
+import re
 import sys
 import tracemalloc
 
@@ -538,6 +539,21 @@ def test_out_of_range_strategy_index_raises(tensor, method, player, end):
     message = rf"strategy index {index} is out of range for player 'P{player + 1}'"
     with pytest.raises(ValueError, match=message):
         getattr(tensor, method)(profile)
+
+
+@pytest.mark.parametrize("method", ["labels_for", "payoff_vector"])
+@pytest.mark.parametrize("index", [None, 1.0, "1"])
+def test_non_integer_strategy_index_raises(tensor, method, index):
+    # None used to end in a TypeError from min(), and 1.0 in numpy's IndexError.
+    message = f"strategy index {index!r} is not an integer for player 'P1', which has 3 strategies"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(tensor, method)((index, 0, 0))
+
+
+def test_numpy_integer_and_bool_profiles_are_accepted(tensor):
+    profile = (np.int64(0), np.uint8(3), True)
+    assert tensor.labels_for(profile) == ("B1", "C4", "D2")
+    assert tensor.payoff_vector(profile) == tensor.payoff_vector((0, 3, 1))
 
 
 @pytest.mark.parametrize("method", ["labels_for", "payoff_vector"])
