@@ -117,7 +117,8 @@ def _cmd_tensor(args: argparse.Namespace) -> None:
     from .tensor import tensor_document
 
     scenario = _valid_scenario(_read_document(args.file), _write_stderr)
-    _write(tensor_document(_build_tensor(scenario), scenario if args.explain else None))
+    document = tensor_document(_build_tensor(scenario), scenario if args.explain else None)
+    _write(itertools.chain(document, "\n"))
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:
@@ -129,7 +130,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
 
     doc = _read_document(args.file)
     scenario = None
-    if isinstance(doc, dict) and "payoffs" in doc:
+    if isinstance(doc, dict) and ("payoffs" in doc or "shape" in doc):
         try:
             tensor = tensor_from_dict(doc)
         except TensorFormatError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .payoff import distance, offsets
 from .scenario import Point, RegionConfig, Scenario
-from .tensor import Profile, checked_profile
+from .tensor import Profile, checked_profile, indices_where
 
 BELOW = "below"
 ABOVE = "above"
@@ -114,13 +114,8 @@ def _band_violations(
     distance and BELOW or ABOVE."""
     below, above = _band(rho, region)
     outside = below | above
-    return list(
-        zip(
-            map(tuple, np.argwhere(outside).tolist()),
-            rho[outside].tolist(),
-            np.where(below[outside], BELOW, ABOVE).tolist(),
-        )
-    )
+    bounds = np.where(below[outside], BELOW, ABOVE).tolist()
+    return list(zip(indices_where(outside), rho[outside].tolist(), bounds))
 
 
 def check_profile_spacing(
@@ -197,9 +192,9 @@ def profile_spacing(scenario: Scenario) -> dict[Profile, tuple[PairSpacingViolat
     if not any(sets):
         return {}
     # Ranks keep the order of keys, so the empty set, if some profile has it,
-    # is key 0.
-    violating = np.flatnonzero(key) if not sets[0] else np.arange(key.size)
-    profiles = zip(*(axis.tolist() for axis in np.unravel_index(violating, shape)))
+    # is key 0: if sets[0] is not empty, every profile violates the band.
+    violating = (key != 0) | bool(sets[0])
+    profiles = indices_where(violating.reshape(shape))
     return dict(zip(profiles, map(sets.__getitem__, key[violating].tolist())))
 
 

@@ -114,11 +114,8 @@ _MATRIX_D2 = [
 
 def fixture_tensor() -> PayoffTensor:
     """The example's transcribed 3x4x2 payoff tensor."""
-    values = np.empty((3, 4, 2, 3), dtype=float)
-    for d, matrix in enumerate([_MATRIX_D1, _MATRIX_D2]):
-        for b, row in enumerate(matrix):
-            for c, vector in enumerate(row):
-                values[b, c, d] = vector
+    # Stacked, the matrices put player 3's axis first; it goes third.
+    values = np.array([_MATRIX_D1, _MATRIX_D2]).transpose(1, 2, 0, 3)
     return PayoffTensor(
         shape=(3, 4, 2),
         players=("P1", "P2", "P3"),

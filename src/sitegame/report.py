@@ -56,11 +56,7 @@ class SolveReport:
         doc = self._head_dict()
         if self.compromise is not None:
             doc["residuals"] = [
-                {
-                    "indices": list(profile),
-                    "labels": list(self.tensor.labels_for(profile)),
-                    "residual": residual,
-                }
+                self._entry(profile, residual=residual)
                 for profile, residual in self.compromise.residuals.items()
             ]
         return doc
@@ -108,10 +104,9 @@ class SolveReport:
             }
             if self.pairwise_spacing is not None:
                 feasibility["pairwise_spacing"] = [
-                    {
-                        "indices": list(profile),
-                        "labels": list(tensor.labels_for(profile)),
-                        "violations": [
+                    self._entry(
+                        profile,
+                        violations=[
                             {
                                 "player_a": v.player_a,
                                 "site_a": v.site_a,
@@ -122,7 +117,7 @@ class SolveReport:
                             }
                             for v in violations
                         ],
-                    }
+                    )
                     for profile, violations in self.pairwise_spacing.items()
                 ]
             doc["feasibility"] = feasibility
@@ -130,7 +125,8 @@ class SolveReport:
             doc["nash"] = {
                 "count": len(self.nash.equilibria),
                 "equilibria": [
-                    self._profile_entry(profile) for profile in self.nash.equilibria
+                    self._entry(profile, payoffs=list(tensor.payoff_vector(profile)))
+                    for profile in self.nash.equilibria
                 ],
             }
         if self.compromise is not None:
@@ -139,21 +135,19 @@ class SolveReport:
                 "min_residual": self.compromise.min_residual,
                 "count": len(self.compromise.minimizers),
                 "minimizers": [
-                    self._profile_entry(profile, residual=float(self.compromise.shortfall[profile]))
+                    self._entry(
+                        profile,
+                        payoffs=list(tensor.payoff_vector(profile)),
+                        residual=float(self.compromise.shortfall[profile]),
+                    )
                     for profile in self.compromise.minimizers
                 ],
             }
         return doc
 
-    def _profile_entry(self, profile: Profile, residual: float | None = None) -> dict:
-        entry = {
-            "indices": list(profile),
-            "labels": list(self.tensor.labels_for(profile)),
-            "payoffs": list(self.tensor.payoff_vector(profile)),
-        }
-        if residual is not None:
-            entry["residual"] = residual
-        return entry
+    def _entry(self, profile: Profile, **fields) -> dict:
+        """A profile's JSON entry: its indices and labels, then ``fields``."""
+        return {"indices": list(profile), "labels": list(self.tensor.labels_for(profile)), **fields}
 
     def to_text(self) -> str:
         return "".join(self.text_pieces())

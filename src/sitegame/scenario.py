@@ -203,6 +203,8 @@ def validate(scenario: Scenario) -> list[Violation]:
     for i, player in enumerate(scenario.players):
         path = f"players[{i}]"
         _check_nonnegative(player.emission, path + ".emission", out)
+        if not player.sites:
+            out.append(Violation(path + ".sites", "at least one candidate site is required"))
         site_ids: set[str] = set()
         for k, site in enumerate(player.sites):
             _check_labeled(site, f"{path}.sites[{k}]", "site", site_ids, out)

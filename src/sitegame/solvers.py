@@ -22,7 +22,7 @@ import numpy as np
 
 from . import DEFAULT_TOLERANCE
 from .scenario import checked_index
-from .tensor import PayoffTensor, Profile, checked_profile, iterate_profiles
+from .tensor import PayoffTensor, Profile, checked_profile, indices_where, iterate_profiles
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,8 @@ def find_pure_nash(
     for p in range(tensor.n_players):
         payoffs_p = tensor.values[..., p]
         stable &= payoffs_p >= payoffs_p.max(axis=p, keepdims=True) - tolerance
-    # argwhere and boolean indexing both list profiles in C order, which is
-    # the normative profile order.
-    equilibria = tuple(map(tuple, np.argwhere(stable).tolist()))
-    return NashResult(equilibria, tuple(map(tuple, tensor.values[stable].tolist())))
+    # Boolean indexing, like indices_where, lists profiles in C order.
+    return NashResult(indices_where(stable), tuple(map(tuple, tensor.values[stable].tolist())))
 
 
 def ideal_vector(tensor: PayoffTensor) -> tuple[float, ...]:
@@ -119,8 +117,5 @@ def find_compromise(
     shortfall = (np.asarray(ideal) - tensor.values).max(axis=-1)
     shortfall.setflags(write=False)
     min_residual = float(shortfall.min())
-    # argwhere lists indices in C order, which is the normative profile order.
-    minimizers = tuple(
-        map(tuple, np.argwhere(shortfall <= min_residual + tolerance).tolist())
-    )
+    minimizers = indices_where(shortfall <= min_residual + tolerance)
     return CompromiseResult(ideal, minimizers, min_residual, shortfall)

@@ -122,6 +122,13 @@ def _physical_memory() -> int | None:
         return None
 
 
+def indices_where(mask: np.ndarray) -> tuple[Profile, ...]:
+    """The index tuples, of Python ints, where ``mask`` holds, in C order
+    (the normative profile order)."""
+    grid = np.unravel_index(np.flatnonzero(mask), mask.shape)
+    return tuple(zip(*(axis.tolist() for axis in grid)))
+
+
 def iterate_profiles(shape: Iterable[int]) -> Iterator[Profile]:
     """All profiles of a shape in normative order (last index fastest)."""
     dims = tuple(int(s) for s in shape)
@@ -288,13 +295,11 @@ def json_profile_axes(tensor: PayoffTensor) -> list[list[list[str]]]:
     return [index_spellings(tensor.shape), labels]
 
 
-def json_document(
-    tensor: PayoffTensor, head: dict, listings: Iterable[tuple], end: str = ""
-) -> Iterator[str]:
-    """``json.dumps(head | {key: [entry, ...], ...}, indent=2) + end`` in
-    pieces, for a non-empty ``head`` and listings ``(key, entry, axes,
-    details)`` of one entry per profile of ``tensor``, shaped like ``entry``
-    with each string of slots standing for those slots (see listing)."""
+def json_document(tensor: PayoffTensor, head: dict, listings: Iterable[tuple]) -> Iterator[str]:
+    """``json.dumps(head | {key: [entry, ...], ...}, indent=2)`` in pieces,
+    for a non-empty ``head`` and listings ``(key, entry, axes, details)`` of
+    one entry per profile of ``tensor``, shaped like ``entry`` with each
+    string of slots standing for those slots (see listing)."""
     profiles = np.arange(tensor.n_profiles)
     yield json.dumps(head, indent=2)[: -len("\n}")]
     for key, entry, axes, details in listings:
@@ -304,7 +309,7 @@ def json_document(
         # Entries sit at depth 4, and the lists inside them at depth 8.
         yield from listing(row, ",\n        ", ",\n    ", profiles, tensor.shape, axes, details)
         yield "\n  ]"
-    yield f"\n}}{end}"
+    yield "\n}"
 
 
 def tensor_from_dict(doc: object) -> PayoffTensor:
@@ -360,7 +365,10 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
     values = _plain_payoffs(payoffs_doc, n)
     if values is None:
         values = np.array(_walk_payoffs(payoffs_doc, n), dtype=float)
-    values = values.reshape(tuple(shape) + (n,))
+    try:
+        values = values.reshape(tuple(shape) + (n,))
+    except ValueError as exc:  # one axis more than numpy's limit on dimensions
+        raise TensorFormatError(f"shape: {n} players are more than numpy supports: {exc}") from None
     values.setflags(write=False)
     return PayoffTensor(
         shape=tuple(shape),
@@ -427,7 +435,7 @@ def _walk_payoffs(payoffs_doc: list, n: int) -> list[list[float]]:
 
 
 def tensor_document(tensor: PayoffTensor, explain: Scenario | None = None) -> Iterator[str]:
-    """``json.dumps(tensor_to_dict(tensor), indent=2) + "\\n"`` in pieces.
+    """``json.dumps(tensor_to_dict(tensor), indent=2)`` in pieces.
     Given the scenario the tensor was built from as ``explain``, it ends with
     an ``explain`` listing: for every profile, its indices, labels and each
     player's income and damage terms and total."""
@@ -448,12 +456,12 @@ def tensor_document(tensor: PayoffTensor, explain: Scenario | None = None) -> It
             ])
         entry = {"indices": [PROFILE], "labels": [PROFILE], "players": [PROFILE]}
         listings.append(("explain", entry, [*json_profile_axes(tensor), breakdowns], ()))
-    return json_document(tensor, tensor_head(tensor), listings, "\n")
+    return json_document(tensor, tensor_head(tensor), listings)
 
 
 def dumps_tensor(tensor: PayoffTensor, explain: Scenario | None = None) -> str:
-    """The document of tensor_document as one string."""
-    return "".join(tensor_document(tensor, explain))
+    """The document of tensor_document as one string, ending in a newline."""
+    return "".join(itertools.chain(tensor_document(tensor, explain), "\n"))
 
 
 def load_tensor(path: Path | str) -> PayoffTensor:

@@ -73,6 +73,17 @@ def test_validate_lists_violations_one_per_line(tmp_path, scenario, capsys):
     assert lines[0].startswith("players[0].emission:")
 
 
+def test_validate_player_without_sites_exit1(tmp_path, scenario, capsys):
+    # validate used to pass it, and tensor and solve then exited 1.
+    doc = scenario_to_dict(scenario)
+    doc["players"][1].update(sites=[], loss=[], damage_weight=[])
+    path = tmp_path / "siteless.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    line = "players[1].sites: at least one candidate site is required\n"
+    assert run_cli(capsys, "validate", str(path)) == (1, line, "")
+    assert run_cli(capsys, "solve", str(path)) == (1, "", line)
+
+
 def _break_fields(doc):
     # The region's rho_max and box rules need a valid rho_min and box, so
     # they fire on the other document.
@@ -378,6 +389,54 @@ def test_solve_unrecognized_document_exit2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", str(path))
     assert code == 2
     assert "not a scenario or tensor document" in err
+
+
+def test_solve_shape_only_document_is_a_tensor_exit2(tmp_path, capsys):
+    # It used to be read as a scenario: "missing required key 'region'".
+    path = tmp_path / "shape.json"
+    path.write_text('{"shape": [2], "players": ["a"]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: document: missing required key 'payoffs'\n"
+
+
+def _players_past_numpy_limit() -> int:
+    """The fewest players whose payoff array, with its axis of players, has
+    more dimensions than numpy allows: 64 from numpy 2.0, 32 before."""
+    return 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+
+
+def test_solve_tensor_with_too_many_players_exit2(tmp_path, capsys):
+    # 64 players used to end in numpy's ValueError and a traceback.
+    limit = _players_past_numpy_limit()
+    for n in sorted({64, limit}):
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps({"shape": [1] * n, "payoffs": [[0.0] * n]}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        _assert_one_line_error(err)
+        assert err.startswith(f"error: shape: {n} players ")
+    doc = {"shape": [1] * (limit - 1), "payoffs": [[0.0] * (limit - 1)]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["nash"]["equilibria"][0]["indices"] == [0] * (limit - 1)
+
+
+@pytest.mark.parametrize("command", ["tensor", "solve"])
+def test_scenario_with_too_many_players_exit1(tmp_path, scenario, capsys, command):
+    # build_tensor's array has one axis too many for numpy: a domain error.
+    doc = scenario_to_dict(scenario)
+    player = doc["players"][0]
+    one_site = {key: player[key][:1] for key in ("sites", "loss", "damage_weight")}
+    doc["players"] = [
+        {**player, **one_site, "id": f"P{i}"} for i in range(_players_past_numpy_limit())
+    ]
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    _assert_one_line_error(err)
 
 
 def test_solve_scenario_with_violations_exit1(tmp_path, scenario, capsys):

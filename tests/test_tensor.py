@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 from hypothesis import assume, example, given, settings
 
@@ -149,6 +150,16 @@ def test_iterate_profiles_small_shapes():
 def test_iterate_profiles_rejects_empty_axis():
     with pytest.raises(ValueError):
         iterate_profiles([2, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=6, max_side=4)))
+@example(mask=np.zeros((2, 3, 1), dtype=bool))
+@example(mask=np.ones((3, 1, 2), dtype=bool))
+def test_indices_where_lists_the_profiles_where_a_mask_holds(mask):
+    found = tensor_module.indices_where(mask)
+    assert found == tuple(u for u in iterate_profiles(mask.shape) if mask[u])
+    assert all(type(i) is int for profile in found for i in profile)
 
 
 def test_round_trip_preserves_everything(tensor):
