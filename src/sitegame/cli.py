@@ -96,12 +96,12 @@ def _valid_scenario(doc: object, report: Callable[[str], object]) -> Scenario:
     return scenario
 
 
-def _build_tensor(scenario: Scenario):
+def _build_tensor(scenario: Scenario, on_kernel: Callable[[object], object] | None = None):
     from .payoff import ZeroDistanceError
     from .tensor import build_tensor
 
     try:
-        return build_tensor(scenario)
+        return build_tensor(scenario, on_kernel)
     except (ZeroDistanceError, ValueError) as exc:
         raise _Exit(EXIT_DOMAIN, str(exc))
 
@@ -144,8 +144,9 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     feasibility = None
     pairwise = None
     if scenario is not None:
-        tensor = _build_tensor(scenario)
-        feasibility = tuple(check_scenario(scenario))
+        kernels = []  # the payoff kernel's distances serve the site checks too
+        tensor = _build_tensor(scenario, kernels.append)
+        feasibility = tuple(check_scenario(scenario, [terms.rho for terms in kernels]))
         if args.pairwise_band:
             pairwise = profile_spacing(scenario)
 

@@ -70,22 +70,33 @@ def check_site(
     return _check_sites(scenario, [(player_id, site_id, position)])[0]
 
 
-def check_scenario(scenario: Scenario) -> list[FeasibilityReport]:
-    """Feasibility report for every candidate site, player-major site-minor."""
+def check_scenario(
+    scenario: Scenario, distances: Sequence[np.ndarray] | None = None
+) -> list[FeasibilityReport]:
+    """Feasibility report for every candidate site, player-major site-minor.
+
+    ``distances``, if given, holds each player's (sites × objects) array of
+    distances, as the payoff kernel's ``rho``; else they are computed.
+    """
     return _check_sites(
         scenario,
         [(player.id, s.id, s.position) for player in scenario.players for s in player.sites],
+        None if distances is None else np.concatenate(distances),
     )
 
 
 def _check_sites(
-    scenario: Scenario, sites: list[tuple[str | None, str | None, Point]]
+    scenario: Scenario,
+    sites: list[tuple[str | None, str | None, Point]],
+    rho: np.ndarray | None = None,
 ) -> list[FeasibilityReport]:
-    """Reports for (player id, site id, position) triples, from one array of
-    their distances to every natural object."""
+    """Reports for (player id, site id, position) triples, from one array
+    ``rho`` of their distances to every natural object (computed if None)."""
     region = scenario.region
     objects = scenario.objects
-    _, _, rho = offsets([position for _, _, position in sites], [obj.position for obj in objects])
+    if rho is None:
+        positions = [position for _, _, position in sites]
+        _, _, rho = offsets(positions, [obj.position for obj in objects])
     found: list[list[BandViolation]] = [[] for _ in sites]
     for (r, j), rho_rj, bound in _band_violations(rho, region):
         found[r].append(BandViolation(objects[j].id, rho_rj, bound))

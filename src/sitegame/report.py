@@ -9,7 +9,8 @@ significant digits.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Collection, Iterator
+import math
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,8 @@ class SolveReport:
             doc["nash"] = {
                 "count": len(self.nash.equilibria),
                 "equilibria": [
-                    self._entry(profile, payoffs=list(tensor.payoff_vector(profile)))
-                    for profile in self.nash.equilibria
+                    self._entry(profile, payoffs=list(payoffs))
+                    for profile, payoffs in zip(self.nash.equilibria, self.nash.payoffs)
                 ],
             }
         if self.compromise is not None:
@@ -137,10 +138,12 @@ class SolveReport:
                 "minimizers": [
                     self._entry(
                         profile,
-                        payoffs=list(tensor.payoff_vector(profile)),
+                        payoffs=list(payoffs),
                         residual=float(self.compromise.shortfall[profile]),
                     )
-                    for profile in self.compromise.minimizers
+                    for profile, payoffs in zip(
+                        self.compromise.minimizers, self.compromise.payoffs
+                    )
                 ],
             }
         return doc
@@ -179,14 +182,16 @@ class SolveReport:
                 yield from self._rows(*_spacing_details(self.pairwise_spacing, tensor.shape))
         if self.nash is not None:
             yield f"\nnash equilibria ({len(self.nash.equilibria)}):"
-            yield from self._rows(*_payoff_details(tensor, self.nash.equilibria))
+            flat = _flat_indices(self.nash.equilibria, tensor.shape)
+            yield from self._rows(*_payoff_details(flat, self.nash.payoffs))
         if self.compromise is not None:
             yield f"\nideal vector: {_vector_text(self.compromise.ideal)}"
             yield (
                 f"\ncompromise minimizers ({len(self.compromise.minimizers)}), "
                 f"min residual {_fmt(self.compromise.min_residual)}:"
             )
-            yield from self._rows(*_payoff_details(tensor, self.compromise.minimizers))
+            flat = _flat_indices(self.compromise.minimizers, tensor.shape)
+            yield from self._rows(*_payoff_details(flat, self.compromise.payoffs))
             yield "\nresiduals:"
             shortfall = self.compromise.shortfall.reshape(-1)
             residuals = distinct_spellings(shortfall, lambda floats: list(map(_fmt, floats)))
@@ -229,16 +234,16 @@ def _flat_indices(profiles: Collection[Profile], shape: tuple[int, ...]) -> np.n
     grid = np.fromiter(
         itertools.chain.from_iterable(profiles), dtype=np.intp, count=len(profiles) * len(shape)
     )
-    return np.ravel_multi_index(grid.reshape(-1, len(shape)).T, shape)
+    # Not np.ravel_multi_index, which takes at most 63 axes.
+    strides = [math.prod(shape[p + 1 :]) for p in range(len(shape))]
+    return grid.reshape(-1, len(shape)) @ np.array(strides, dtype=np.intp)
 
 
 def _payoff_details(
-    tensor: PayoffTensor, profiles: Collection[Profile]
+    flat: np.ndarray, payoffs: Collection[Sequence[float]]
 ) -> tuple[np.ndarray, Detail]:
-    """The flat indices of ``profiles`` and a detail of their payoff
+    """The flat indices of some profiles and a detail of their payoff
     vectors, "payoffs (...)"."""
-    flat = _flat_indices(profiles, tensor.shape)
-    payoffs = tensor.values.reshape(-1, tensor.n_players)[flat].tolist()
     spelled = np.array([f"payoffs {_vector_text(v)}" for v in payoffs], dtype=object)
     return flat, (spelled, np.arange(len(flat)))
 

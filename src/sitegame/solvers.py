@@ -39,11 +39,13 @@ class CompromiseResult:
 
     ``shortfall`` holds ``max_i(ideal[i] - payoff_i)`` for every profile, as
     a read-only array of the tensor's shape; ``minimizers`` are all profiles
-    whose residual is within tolerance of ``min_residual``.
+    whose residual is within tolerance of ``min_residual``, in normative
+    order, and ``payoffs`` their payoff vectors.
     """
 
     ideal: tuple[float, ...]
     minimizers: tuple[Profile, ...]
+    payoffs: tuple[tuple[float, ...], ...]
     min_residual: float
     shortfall: np.ndarray = field(compare=False)
 
@@ -80,7 +82,7 @@ def best_response(
     fixed = [0 if p == player else index for p, index in enumerate(others_fixed)]
     index: list[object] = list(checked_profile(fixed, tensor.shape, tensor.players))
     index[player] = slice(None)
-    line = tensor.values[tuple(index) + (player,)]
+    line = np.broadcast_to(tensor.player_payoffs(player), tensor.shape)[tuple(index)]
     best = float(line.max())
     return {i for i, v in enumerate(line) if v >= best - tolerance}
 
@@ -96,16 +98,15 @@ def find_pure_nash(
     _check_tolerance(tolerance)
     stable = np.ones(tensor.shape, dtype=bool)
     for p in range(tensor.n_players):
-        payoffs_p = tensor.values[..., p]
+        payoffs_p = tensor.player_payoffs(p)
         stable &= payoffs_p >= payoffs_p.max(axis=p, keepdims=True) - tolerance
     # Boolean indexing, like indices_where, lists profiles in C order.
-    return NashResult(indices_where(stable), tuple(map(tuple, tensor.values[stable].tolist())))
+    return NashResult(indices_where(stable), tuple(map(tuple, tensor.payoffs_at(stable).tolist())))
 
 
 def ideal_vector(tensor: PayoffTensor) -> tuple[float, ...]:
     """Componentwise maximum payoff each player attains over all profiles."""
-    flat = tensor.values.reshape(-1, tensor.n_players)
-    return tuple(float(v) for v in flat.max(axis=0))
+    return tuple(float(tensor.player_payoffs(p).max()) for p in range(tensor.n_players))
 
 
 def find_compromise(
@@ -114,8 +115,13 @@ def find_compromise(
     """Minimize the worst per-player shortfall from the ideal vector."""
     _check_tolerance(tolerance)
     ideal = ideal_vector(tensor)
-    shortfall = (np.asarray(ideal) - tensor.values).max(axis=-1)
+    # (ideal - values).max(axis=-1), one player at a time: no array holds a
+    # value per profile and player.
+    shortfall = np.full(tensor.shape, -np.inf)
+    for p, best in enumerate(ideal):
+        np.maximum(shortfall, best - tensor.player_payoffs(p), out=shortfall)
     shortfall.setflags(write=False)
     min_residual = float(shortfall.min())
-    minimizers = indices_where(shortfall <= min_residual + tolerance)
-    return CompromiseResult(ideal, minimizers, min_residual, shortfall)
+    minimal = shortfall <= min_residual + tolerance
+    payoffs = tuple(map(tuple, tensor.payoffs_at(minimal).tolist()))
+    return CompromiseResult(ideal, indices_where(minimal), payoffs, min_residual, shortfall)

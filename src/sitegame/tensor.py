@@ -1,4 +1,4 @@
-"""Dense n-player payoff tensor over the Cartesian product of candidate sites.
+"""n-player payoff tensor over the Cartesian product of candidate sites.
 
 The normative profile order used everywhere (file format, reports, solver
 output) is lexicographic with the last player's index varying fastest, i.e.
@@ -12,7 +12,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -40,15 +40,21 @@ class PayoffTensor:
     so tensors can be shared across threads. A read-only, C-contiguous float
     array is kept as it is rather than copied, so a large tensor is never
     held twice; whoever passes one must not write to it through another view.
+
+    A separable tensor, as build_tensor makes, is given ``values=None`` and
+    ``totals`` instead: ``totals[p][k]`` is player p's payoff at every profile
+    where p plays strategy k. It holds these Σk_i numbers alone, and builds
+    ``values`` only when that is read. player_payoffs reads either form.
     """
 
     shape: tuple[int, ...]
     players: tuple[str, ...]
     strategy_labels: tuple[tuple[str, ...], ...]
-    values: np.ndarray
+    values: np.ndarray | None
     provenance: str
+    totals: InitVar[Sequence[Sequence[float]] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, totals: Sequence[Sequence[float]] | None) -> None:
         shape = tuple(int(s) for s in self.shape)
         players = tuple(self.players)
         labels = tuple(tuple(axis) for axis in self.strategy_labels)
@@ -59,25 +65,65 @@ class PayoffTensor:
         if len(labels) != len(shape) or any(len(axis) != s for axis, s in zip(labels, shape)):
             raise ValueError("strategy_labels must match shape")
         values = self.values
-        if not (
-            isinstance(values, np.ndarray)
-            and values.dtype == float
-            and values.flags.c_contiguous
-            and not values.flags.writeable
-        ):
-            values = np.array(values, dtype=float)
-        if values.shape != shape + (len(players),):
-            raise ValueError(
-                f"values shape {values.shape} does not match {shape + (len(players),)}"
-            )
+        if values is None:
+            arrays = _separable(totals, shape)
+        elif totals is not None:
+            raise ValueError("a tensor takes values or totals, not both")
+        else:
+            if not (
+                isinstance(values, np.ndarray)
+                and values.dtype == float
+                and values.flags.c_contiguous
+                and not values.flags.writeable
+            ):
+                values = np.array(values, dtype=float)
+            if values.shape != shape + (len(players),):
+                raise ValueError(
+                    f"values shape {values.shape} does not match {shape + (len(players),)}"
+                )
+            arrays = [values]
         # min and max are nan if any value is, and need no array of flags.
-        if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
-            raise ValueError("all payoff values must be finite")
-        values.setflags(write=False)
+        for array in arrays:
+            if array.size and not (math.isfinite(array.min()) and math.isfinite(array.max())):
+                raise ValueError("all payoff values must be finite")
+            array.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "players", players)
         object.__setattr__(self, "strategy_labels", labels)
+        object.__setattr__(self, "_totals", None if values is not None else arrays)
+        if values is None:
+            object.__delattr__(self, "values")  # __getattr__ builds it when read
+        else:
+            object.__setattr__(self, "values", values)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Only a separable tensor lacks ``values``.
+        if name != "values":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = np.empty(self.shape + (self.n_players,))
+        for p in range(self.n_players):
+            values[..., p] = self.player_payoffs(p)
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        return values
+
+    @property
+    def separable(self) -> bool:
+        """Whether the tensor holds each player's totals rather than ``values``."""
+        return self._totals is not None
+
+    def player_payoffs(self, p: int) -> np.ndarray:
+        """Player p's payoff at every profile, as a read-only array that
+        broadcasts to ``shape``: ``values[..., p]``, or for a separable
+        tensor p's totals along p's axis, with every other axis of length 1."""
+        return self.values[..., p] if self._totals is None else self._totals[p]
+
+    def payoffs_at(self, where) -> np.ndarray:
+        """The payoff vectors of the profiles where the boolean mask
+        ``where``, of ``shape``, holds, in C order; or of the one profile
+        ``where``, a tuple of indices."""
+        payoffs = (self.player_payoffs(p) for p in range(self.n_players))
+        return np.stack([np.broadcast_to(u, self.shape)[where] for u in payoffs], axis=-1)
 
     @property
     def n_players(self) -> int:
@@ -89,7 +135,7 @@ class PayoffTensor:
 
     def payoff_vector(self, profile: Sequence[int]) -> tuple[float, ...]:
         profile = checked_profile(profile, self.shape, self.players)
-        return tuple(float(v) for v in self.values[profile])
+        return tuple(self.payoffs_at(profile).tolist())
 
     def labels_for(self, profile: Sequence[int]) -> tuple[str, ...]:
         profile = checked_profile(profile, self.shape, self.players)
@@ -112,6 +158,23 @@ def checked_profile(
         checked_index(index, size, "strategy index", "strategies", player)
         for index, size, player in zip(profile, shape, players)
     )
+
+
+def _separable(
+    totals: Sequence[Sequence[float]] | None, shape: tuple[int, ...]
+) -> list[np.ndarray]:
+    """Each player's totals as a float array along that player's axis, with
+    every other axis of length 1."""
+    arrays = [np.array(total, dtype=float) for total in totals or ()]
+    if [array.shape for array in arrays] != [(s,) for s in shape]:
+        raise ValueError(f"a tensor needs values, or totals of one payoff per strategy of {shape}")
+    try:
+        return [
+            array.reshape([s if q == p else 1 for q in range(len(shape))])
+            for p, (array, s) in enumerate(zip(arrays, shape))
+        ]
+    except ValueError as exc:  # more axes than numpy's limit on dimensions
+        raise ValueError(f"{len(shape)} players are more than numpy supports: {exc}") from None
 
 
 def _physical_memory() -> int | None:
@@ -137,41 +200,50 @@ def iterate_profiles(shape: Iterable[int]) -> Iterator[Profile]:
     return itertools.product(*(range(s) for s in dims))
 
 
-def build_tensor(scenario: Scenario) -> PayoffTensor:
-    """Evaluate the payoff formula at every candidate site and assemble the tensor.
+# Bytes per profile of the arrays with one entry per profile that `tensor`
+# and `solve` allocate: the compromise shortfall, the Nash mask and a
+# listing's profile indices.
+PROFILE_BYTES = sum(np.dtype(t).itemsize for t in (float, bool, np.intp))
+
+
+def build_tensor(
+    scenario: Scenario, on_kernel: Callable[[PayoffTerms], object] | None = None
+) -> PayoffTensor:
+    """Evaluate the payoff formula at every candidate site: a separable tensor.
 
     Each player's payoff depends only on their own site, so the payoff kernel
-    runs once per player over all of that player's sites, and its totals are
-    broadcast along the other players' axes. Raises ZeroDistanceError (naming
+    runs once per player over all of that player's sites, and the tensor
+    keeps its totals (see PayoffTensor). ``on_kernel``, if given, is called
+    with each player's PayoffTerms in turn. Raises ZeroDistanceError (naming
     player, site and object) if any candidate site sits on a natural object,
     ValueError naming player and site if a payoff overflows to inf or nan,
-    and ValueError, before allocating anything, if the tensor would not fit
-    in physical memory.
+    ValueError if there are more players than numpy has dimensions, and
+    ValueError, before the kernel runs, if PROFILE_BYTES per profile would not
+    fit in physical memory.
     """
     for player in scenario.players:
         if not player.sites:
             raise ValueError(f"player {player.id!r} has no candidate sites")
     shape = tuple(len(player.sites) for player in scenario.players)
     n = len(scenario.players)
-    nbytes = math.prod(shape) * n * np.dtype(float).itemsize
+    nbytes = math.prod(shape) * PROFILE_BYTES
     memory = _physical_memory()
     if memory is not None and nbytes > memory:
         raise ValueError(
-            f"payoff tensor of shape {shape} for {n} players needs {nbytes} bytes, "
+            f"game of shape {shape} for {n} players needs {nbytes} bytes, "
             f"more than the {memory} bytes of physical memory"
         )
 
-    values = np.empty(shape + (n,), dtype=float)
+    totals = []
     for p, player in enumerate(scenario.players):
-        total = PayoffTerms(scenario, p).total
-        for site, value in zip(player.sites, total.tolist()):
+        terms = PayoffTerms(scenario, p)
+        if on_kernel is not None:
+            on_kernel(terms)
+        for site, value in zip(player.sites, terms.total.tolist()):
             if not math.isfinite(value):
                 message = f"payoff at site {site.id!r} overflows to {value!r}"
                 raise ValueError(f"player {player.id!r}: {message}")
-        broadcast_shape = [1] * n
-        broadcast_shape[p] = shape[p]
-        values[..., p] = total.reshape(broadcast_shape)
-    values.setflags(write=False)
+        totals.append(terms.total)
 
     return PayoffTensor(
         shape=shape,
@@ -179,8 +251,9 @@ def build_tensor(scenario: Scenario) -> PayoffTensor:
         strategy_labels=tuple(
             tuple(site.id for site in player.sites) for player in scenario.players
         ),
-        values=values,
+        values=None,
         provenance=PROVENANCE_COMPUTED,
+        totals=totals,
     )
 
 
@@ -229,8 +302,7 @@ def distinct_spellings(values: np.ndarray, spell: Callable[[list[float]], list[s
     floats to their spellings.
 
     Each distinct bit pattern is spelled once (so -0.0 and 0.0 stay apart):
-    a tensor built from a scenario holds only Σk_i distinct values among its
-    Πk_i·n cells.
+    residuals, and payoffs read from a file, often repeat.
     """
     bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
@@ -305,9 +377,12 @@ def json_document(tensor: PayoffTensor, head: dict, listings: Iterable[tuple]) -
     for key, entry, axes, details in listings:
         row = json.dumps(entry, indent=2).replace("\n", "\n    ")
         row = row.replace(f'"{SLOT}', SLOT).replace(f'{SLOT}"', SLOT)
+        # Entries sit at depth 4. A profile's entries along an axis are items
+        # of the list that holds the first slot, indented as that slot is.
+        first = row.index(SLOT)
+        join = "," + row[row.rindex("\n", 0, first) : first]
         yield f",\n  {json.dumps(key)}: [\n    "
-        # Entries sit at depth 4, and the lists inside them at depth 8.
-        yield from listing(row, ",\n        ", ",\n    ", profiles, tensor.shape, axes, details)
+        yield from listing(row, join, ",\n    ", profiles, tensor.shape, axes, details)
         yield "\n  ]"
     yield "\n}"
 
@@ -440,8 +515,14 @@ def tensor_document(tensor: PayoffTensor, explain: Scenario | None = None) -> It
     an ``explain`` listing: for every profile, its indices, labels and each
     player's income and damage terms and total."""
     n = tensor.n_players
-    spelled, codes = distinct_spellings(tensor.values, json_spellings)
-    listings = [("payoffs", [SLOT] * n, (), [(spelled, c) for c in codes.reshape(-1, n).T])]
+    if tensor.separable:
+        # A row lists each player's total at their own strategy: the totals
+        # are a listing axis, and a row takes a head and a tail spelling.
+        totals = [json_spellings(tensor.player_payoffs(p).ravel().tolist()) for p in range(n)]
+        listings = [("payoffs", [PROFILE], [totals], ())]
+    else:
+        spelled, codes = distinct_spellings(tensor.values, json_spellings)
+        listings = [("payoffs", [SLOT] * n, (), [(spelled, c) for c in codes.reshape(-1, n).T])]
     if explain is not None:
         # One breakdown per (player, site), encoded once at its depth in the
         # document and shared by every profile that picks that site.

@@ -208,6 +208,23 @@ def test_tensor_explain_allocates_little_beyond_its_output(tmp_path):
     assert peak < sink.written / 2
 
 
+def test_tensor_of_a_scenario_never_holds_a_dense_tensor(tmp_path):
+    # 8**6 = 262,144 profiles of 6 players: their dense tensor takes 12 MiB.
+    path = tmp_path / "scenario.json"
+    path.write_text(dumps_scenario(seeded_scenario(players=6, sites=8, objects=2)), encoding="utf-8")
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["tensor", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.written > 30_000_000
+    assert peak < 8**6 * 6 * 8 / 2
+
+
 class RecordingRaw(io.RawIOBase):
     """A raw binary stream that keeps each write it receives."""
 
@@ -425,18 +442,29 @@ def test_solve_tensor_with_too_many_players_exit2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["tensor", "solve"])
 def test_scenario_with_too_many_players_exit1(tmp_path, scenario, capsys, command):
-    # build_tensor's array has one axis too many for numpy: a domain error.
+    # A scenario's tensor keeps one axis per player, and no axis of players:
+    # the most players numpy has dimensions for still run, and one more is a
+    # domain error naming the player count and numpy's limit.
+    limit = _players_past_numpy_limit()
     doc = scenario_to_dict(scenario)
     player = doc["players"][0]
     one_site = {key: player[key][:1] for key in ("sites", "loss", "damage_weight")}
-    doc["players"] = [
-        {**player, **one_site, "id": f"P{i}"} for i in range(_players_past_numpy_limit())
-    ]
     path = tmp_path / "many.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run_cli(capsys, command, str(path))
-    assert (code, out) == (1, "")
-    _assert_one_line_error(err)
+    for n in (limit, limit + 1):
+        doc["players"] = [{**player, **one_site, "id": f"P{i}"} for i in range(n)]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(path))
+        if n == limit:
+            assert (code, err) == (0, "")
+            if command == "tensor":
+                assert json.loads(out)["shape"] == [1] * n
+            else:
+                assert "\nnash equilibria (1):\n" in out
+            continue
+        assert (code, out) == (1, "")
+        _assert_one_line_error(err)
+        assert err.startswith(f"error: {n} players are more than numpy supports: ")
+        assert str(limit) in err
 
 
 def test_solve_scenario_with_violations_exit1(tmp_path, scenario, capsys):
@@ -739,7 +767,22 @@ def test_tensor_larger_than_memory_exit1(tmp_path, capsys, command):
     assert out == ""
     _assert_one_line_error(err)
     assert "(10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10)" in err
-    assert "96000000000000 bytes" in err
+    assert "17000000000000 bytes" in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("argv", [["tensor"], ["solve"], ["solve", "--nash"]], ids=" ".join)
+def test_game_too_large_for_memory_exits_before_output(tmp_path, capsys, argv):
+    # 20 players with 10 sites each: 200 payoffs, but 10**20 profiles, each
+    # with a shortfall (8 bytes), a Nash flag (1) and a listing index (8).
+    path = tmp_path / "twenty.json"
+    scenario = seeded_scenario(players=20, sites=10, objects=2)
+    path.write_text(dumps_scenario(scenario), encoding="utf-8")
+    with address_space_grows_at_most(2**28):
+        code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    _assert_one_line_error(err)
+    assert f" for 20 players needs {17 * 10**20} bytes, " in err
 
 
 _BROKEN_DOCUMENTS = {

@@ -26,8 +26,12 @@ from sitegame import (
     ZeroDistanceError,
     build_tensor,
     dumps_tensor,
+    find_compromise,
+    find_pure_nash,
+    fixture_scenario,
     iterate_profiles,
     load_tensor,
+    solve,
     tensor_from_dict,
     tensor_to_dict,
 )
@@ -400,6 +404,65 @@ def test_dumps_tensor_explain_is_json_dumps_of_document(scenario):
     assert_same_text(dumps_tensor(t, scenario), expected)
 
 
+def _dense_copy(t: PayoffTensor) -> PayoffTensor:
+    return PayoffTensor(t.shape, t.players, t.strategy_labels, t.values, t.provenance)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=scenarios(max_players=4))
+@example(scenario=fixture_scenario())
+@example(scenario=seeded_scenario(players=1, sites=3, objects=2))
+def test_separable_tensor_solves_and_renders_as_its_dense_copy(scenario):
+    try:
+        separable = build_tensor(scenario)
+    except ZeroDistanceError:
+        assume(False)
+    dense = _dense_copy(separable)
+    assert separable.separable and not dense.separable
+    assert find_pure_nash(separable) == find_pure_nash(dense)
+    compromise = find_compromise(separable)
+    assert compromise == find_compromise(dense)
+    expected = (np.asarray(compromise.ideal) - dense.values).max(axis=-1)
+    assert compromise.shortfall.tobytes() == expected.tobytes()
+    assert compromise.shortfall.tobytes() == find_compromise(dense).shortfall.tobytes()
+    assert_same_text(solve(separable).to_text(), solve(dense).to_text())
+    assert_same_text(solve(separable).to_json(), solve(dense).to_json())
+    assert_same_text(dumps_tensor(separable), dumps_tensor(dense))
+    assert_same_text(dumps_tensor(separable, scenario), dumps_tensor(dense, scenario))
+
+
+def test_separable_tensor_reads_each_payoff_from_its_totals(scenario):
+    t = build_tensor(scenario)
+    totals = [PayoffTerms(scenario, p).total.tolist() for p in range(3)]
+    for p, shape in enumerate([(3, 1, 1), (1, 4, 1), (1, 1, 2)]):
+        assert t.player_payoffs(p).shape == shape
+        assert t.player_payoffs(p).ravel().tolist() == totals[p]
+        assert not t.player_payoffs(p).flags.writeable
+    assert t.payoff_vector((2, 0, 1)) == (totals[0][2], totals[1][0], totals[2][1])
+    assert "values" not in vars(t)
+    assert t.values is t.values
+    assert t.values[2, 0, 1].tolist() == list(t.payoff_vector((2, 0, 1)))
+    # A copy with other labels is a dense tensor with the same payoffs.
+    relabeled = dataclasses.replace(t, players=("a", "b", "c"))
+    assert not relabeled.separable and np.array_equal(relabeled.values, t.values)
+
+
+@pytest.mark.parametrize(
+    "totals, values",
+    [(None, None), ([[1.0]], None), ([[1.0], [2.0, 3.0, 4.0]], None), ([[1.0], [2.0, 3.0]], np.zeros((1, 2, 2)))],
+    ids=["neither", "too few players", "wrong length", "both"],
+)
+def test_constructor_takes_values_or_totals_for_each_player(totals, values):
+    with pytest.raises(ValueError, match="values"):
+        PayoffTensor((1, 2), ("P1", "P2"), (("a",), ("b", "c")), values, PROVENANCE_LOADED, totals)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_constructor_rejects_nonfinite_totals(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PayoffTensor((1, 2), ("P1", "P2"), (("a",), ("b", "c")), None, PROVENANCE_LOADED, [[1.0], [bad, 0.0]])
+
+
 @pytest.mark.parametrize("shape", [(7,), (3, 4, 2), (2, 1, 3, 2)])
 def test_dumps_tensor_across_blocks(monkeypatch, shape):
     scenario = seeded_scenario(players=len(shape), sites=max(shape), objects=2)
@@ -477,7 +540,7 @@ def test_build_tensor_refuses_a_tensor_larger_than_physical_memory():
     tracemalloc.start()
     try:
         with address_space_grows_at_most(2**28):
-            with pytest.raises(ValueError, match=r"shape \(10, 10, .*, 10\) .* 96000000000000 bytes"):
+            with pytest.raises(ValueError, match=r"shape \(10, 10, .*, 10\) .* 17000000000000 bytes"):
                 build_tensor(scenario)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -487,13 +550,15 @@ def test_build_tensor_refuses_a_tensor_larger_than_physical_memory():
 
 @pytest.mark.parametrize("spare", [0, -1])
 def test_build_tensor_refuses_one_byte_over_physical_memory(scenario, monkeypatch, spare):
-    nbytes = 3 * 4 * 2 * 3 * 8
+    # Per profile: the shortfall (a float), the Nash mask (a bool) and a
+    # listing's profile index (an intp).
+    nbytes = 3 * 4 * 2 * (8 + 1 + 8)
     monkeypatch.setattr(tensor_module, "_physical_memory", lambda: nbytes + spare)
     if spare < 0:
         with pytest.raises(ValueError, match=f"needs {nbytes} bytes, more than the {nbytes - 1} bytes"):
             build_tensor(scenario)
     else:
-        assert build_tensor(scenario).values.nbytes == nbytes
+        assert build_tensor(scenario).n_profiles * (8 + 1 + 8) == nbytes
 
 
 def _many_site_scenario(sites):
