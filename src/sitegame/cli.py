@@ -150,15 +150,14 @@ def _cmd_solve(args: argparse.Namespace) -> None:
         if args.pairwise_band:
             pairwise = profile_spacing(scenario)
 
-    run_nash = args.nash or not (args.nash or args.compromise)
-    run_compromise = args.compromise or not (args.nash or args.compromise)
+    both = not (args.nash or args.compromise)
     # Payoffs further apart than the largest float overflow a residual to
     # inf; that is reported below, so numpy's warning would only repeat it.
     with np.errstate(over="ignore"):
         report = solve(
             tensor,
-            nash=run_nash,
-            compromise=run_compromise,
+            nash=args.nash or both,
+            compromise=args.compromise or both,
             tolerance=args.tolerance,
             feasibility=feasibility,
             pairwise_spacing=pairwise,

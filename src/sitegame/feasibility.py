@@ -178,20 +178,17 @@ def profile_spacing(scenario: Scenario) -> dict[Profile, tuple[PairSpacingViolat
     for a, b in itertools.combinations(range(len(players)), 2):
         sites_a, sites_b = players[a].sites, players[b].sites
         _, _, rho = offsets([s.position for s in sites_a], [s.position for s in sites_b])
-        found = [
-            PairSpacingViolation(
+        # Code c adds suffixes[c] to a profile's set.
+        suffixes: list[tuple[PairSpacingViolation, ...]] = [()]
+        codes = np.zeros(rho.shape, dtype=np.int64)
+        for (k_a, k_b), rho_ab, bound in _band_violations(rho, scenario.region):
+            violation = PairSpacingViolation(
                 players[a].id, sites_a[k_a].id, players[b].id, sites_b[k_b].id, rho_ab, bound
             )
-            for (k_a, k_b), rho_ab, bound in _band_violations(rho, scenario.region)
-        ]
-        if not found:
+            codes[k_a, k_b] = len(suffixes)
+            suffixes.append((violation,))
+        if len(suffixes) == 1:
             continue
-        # Code c adds suffixes[c] to a profile's set; found and the mask both
-        # list the site pairs in C order.
-        suffixes = [(), *((violation,) for violation in found)]
-        below, above = _band(rho, scenario.region)
-        codes = np.zeros(rho.shape, dtype=np.int64)
-        codes[below | above] = np.arange(1, len(suffixes))
         axes = [1] * len(shape)
         axes[a], axes[b] = shape[a], shape[b]
         key = (key.reshape(shape) * len(suffixes) + codes.reshape(axes)).reshape(-1)

@@ -182,16 +182,14 @@ class SolveReport:
                 yield from self._rows(*_spacing_details(self.pairwise_spacing, tensor.shape))
         if self.nash is not None:
             yield f"\nnash equilibria ({len(self.nash.equilibria)}):"
-            flat = _flat_indices(self.nash.equilibria, tensor.shape)
-            yield from self._rows(*_payoff_details(flat, self.nash.payoffs))
+            yield from self._payoff_rows(self.nash.equilibria, self.nash.payoffs)
         if self.compromise is not None:
             yield f"\nideal vector: {_vector_text(self.compromise.ideal)}"
             yield (
                 f"\ncompromise minimizers ({len(self.compromise.minimizers)}), "
                 f"min residual {_fmt(self.compromise.min_residual)}:"
             )
-            flat = _flat_indices(self.compromise.minimizers, tensor.shape)
-            yield from self._rows(*_payoff_details(flat, self.compromise.payoffs))
+            yield from self._payoff_rows(self.compromise.minimizers, self.compromise.payoffs)
             yield "\nresiduals:"
             shortfall = self.compromise.shortfall.reshape(-1)
             residuals = distinct_spellings(shortfall, lambda floats: list(map(_fmt, floats)))
@@ -203,6 +201,14 @@ class SolveReport:
         axes = (self.tensor.strategy_labels, index_spellings(self.tensor.shape))
         row = "\n  (%s%s) = (%s%s): %s"
         return listing(row, ", ", "", profiles, self.tensor.shape, axes, [details])
+
+    def _payoff_rows(
+        self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]]
+    ) -> Iterator[str]:
+        """The text rows of ``profiles``, each with its payoff vector, "payoffs (...)"."""
+        spelled = np.array([f"payoffs {_vector_text(v)}" for v in payoffs], dtype=object)
+        flat = _flat_indices(profiles, self.tensor.shape)
+        return self._rows(flat, (spelled, np.arange(len(flat))))
 
 
 def _fmt(x: float) -> str:
@@ -237,15 +243,6 @@ def _flat_indices(profiles: Collection[Profile], shape: tuple[int, ...]) -> np.n
     # Not np.ravel_multi_index, which takes at most 63 axes.
     strides = [math.prod(shape[p + 1 :]) for p in range(len(shape))]
     return grid.reshape(-1, len(shape)) @ np.array(strides, dtype=np.intp)
-
-
-def _payoff_details(
-    flat: np.ndarray, payoffs: Collection[Sequence[float]]
-) -> tuple[np.ndarray, Detail]:
-    """The flat indices of some profiles and a detail of their payoff
-    vectors, "payoffs (...)"."""
-    spelled = np.array([f"payoffs {_vector_text(v)}" for v in payoffs], dtype=object)
-    return flat, (spelled, np.arange(len(flat)))
 
 
 def _vector_text(values) -> str:

@@ -233,9 +233,9 @@ def checked_index(index: object, size: int, name: str, unit: str, player: str | 
 
 # --- JSON document mapping -------------------------------------------------
 
-def _expect_dict(value: object, path: str) -> dict:
+def _expect_dict(value: object, path: str, error: type[ValueError] = ScenarioFormatError) -> dict:
     if not isinstance(value, dict):
-        raise ScenarioFormatError(f"{path}: expected an object, got {type(value).__name__}")
+        raise error(f"{path}: expected an object, got {type(value).__name__}")
     return value
 
 
@@ -245,10 +245,10 @@ def _expect_list(value: object, path: str) -> list:
     return value
 
 
-def _get(mapping: dict, key: str, path: str) -> object:
-    if key not in mapping:
-        raise ScenarioFormatError(f"{path}: missing required key {key!r}")
-    return mapping[key]
+def _get(doc: dict, key: str, path: str, error: type[ValueError] = ScenarioFormatError) -> object:
+    if key not in doc:
+        raise error(f"{path}: missing required key {key!r}")
+    return doc[key]
 
 
 def _number(value: object, path: str) -> float:

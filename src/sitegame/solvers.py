@@ -105,8 +105,9 @@ def find_pure_nash(
 
 
 def ideal_vector(tensor: PayoffTensor) -> tuple[float, ...]:
-    """Componentwise maximum payoff each player attains over all profiles."""
-    return tuple(float(tensor.player_payoffs(p).max()) for p in range(tensor.n_players))
+    """Componentwise maximum payoff each player attains over all profiles; a
+    zero is +0.0, so that no shortfall ``best - u`` is -0.0 either."""
+    return tuple(float(tensor.player_payoffs(p).max()) + 0.0 for p in range(tensor.n_players))
 
 
 def find_compromise(

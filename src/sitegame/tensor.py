@@ -20,6 +20,7 @@ import numpy as np
 
 from .payoff import PayoffTerms
 from .scenario import NOT_UTF8, Scenario, checked_index, encodes_as_utf8, read_json
+from .scenario import _expect_dict, _get
 
 Profile = tuple[int, ...]
 
@@ -200,10 +201,11 @@ def iterate_profiles(shape: Iterable[int]) -> Iterator[Profile]:
     return itertools.product(*(range(s) for s in dims))
 
 
-# Bytes per profile of the arrays with one entry per profile that `tensor`
-# and `solve` allocate: the compromise shortfall, the Nash mask and a
-# listing's profile indices.
-PROFILE_BYTES = sum(np.dtype(t).itemsize for t in (float, bool, np.intp))
+# Bytes per profile that `solve` holds at its peak, in the residual listing's
+# np.unique(shortfall, return_inverse=True) (see distinct_spellings): floats
+# for the shortfall, its flattened copy and the sorted copy; a bool flag per
+# sorted entry; intps for the argsort, the flags' cumsum and the inverse.
+PROFILE_BYTES = 3 * np.dtype(float).itemsize + 1 + 3 * np.dtype(np.intp).itemsize
 
 
 def build_tensor(
@@ -393,14 +395,9 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
     ``players`` and ``strategy_labels`` are optional and default to positional
     labels. Unknown keys are ignored.
     """
-    if not isinstance(doc, dict):
-        raise TensorFormatError(f"document: expected an object, got {type(doc).__name__}")
-    if "shape" not in doc:
-        raise TensorFormatError("document: missing required key 'shape'")
-    if "payoffs" not in doc:
-        raise TensorFormatError("document: missing required key 'payoffs'")
-
-    shape_doc = doc["shape"]
+    doc = _expect_dict(doc, "document", TensorFormatError)
+    shape_doc = _get(doc, "shape", "document", TensorFormatError)
+    payoffs_doc = _get(doc, "payoffs", "document", TensorFormatError)
     if not isinstance(shape_doc, list) or not shape_doc:
         raise TensorFormatError("shape: expected a non-empty list of integers")
     shape = []
@@ -411,7 +408,6 @@ def tensor_from_dict(doc: object) -> PayoffTensor:
     n = len(shape)
     n_profiles = math.prod(shape)
 
-    payoffs_doc = doc["payoffs"]
     if not isinstance(payoffs_doc, list):
         raise TensorFormatError("payoffs: expected a list of payoff vectors")
     if len(payoffs_doc) != n_profiles:

@@ -24,6 +24,7 @@ from sitegame import (
     tensor_to_dict,
 )
 from sitegame.cli import main
+from sitegame.tensor import PROFILE_BYTES
 from conftest import (
     CountingSink,
     address_space_grows_at_most,
@@ -223,6 +224,27 @@ def test_tensor_of_a_scenario_never_holds_a_dense_tensor(tmp_path):
     assert code == 0
     assert sink.written > 30_000_000
     assert peak < 8**6 * 6 * 8 / 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["tensor"], ["solve"], ["solve", "--format", "json"], ["solve", "--nash"]], ids=" ".join
+)
+def test_memory_guard_counts_what_commands_hold(tmp_path, argv):
+    # build_tensor refuses a game whose PROFILE_BYTES per profile exceed
+    # physical memory; no command may then hold more than that per profile.
+    path = tmp_path / "scenario.json"
+    path.write_text(dumps_scenario(seeded_scenario(players=6, sites=8, objects=20)), encoding="utf-8")
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main([*argv, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.written > 0
+    assert peak <= 8**6 * PROFILE_BYTES + 2**20
 
 
 class RecordingRaw(io.RawIOBase):
@@ -767,14 +789,14 @@ def test_tensor_larger_than_memory_exit1(tmp_path, capsys, command):
     assert out == ""
     _assert_one_line_error(err)
     assert "(10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10)" in err
-    assert "17000000000000 bytes" in err
+    assert f"{10**12 * PROFILE_BYTES} bytes" in err
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 @pytest.mark.parametrize("argv", [["tensor"], ["solve"], ["solve", "--nash"]], ids=" ".join)
 def test_game_too_large_for_memory_exits_before_output(tmp_path, capsys, argv):
     # 20 players with 10 sites each: 200 payoffs, but 10**20 profiles, each
-    # with a shortfall (8 bytes), a Nash flag (1) and a listing index (8).
+    # of PROFILE_BYTES.
     path = tmp_path / "twenty.json"
     scenario = seeded_scenario(players=20, sites=10, objects=2)
     path.write_text(dumps_scenario(scenario), encoding="utf-8")
@@ -782,7 +804,7 @@ def test_game_too_large_for_memory_exits_before_output(tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *argv, str(path))
     assert (code, out) == (1, "")
     _assert_one_line_error(err)
-    assert f" for 20 players needs {17 * 10**20} bytes, " in err
+    assert f" for 20 players needs {PROFILE_BYTES * 10**20} bytes, " in err
 
 
 _BROKEN_DOCUMENTS = {

@@ -212,6 +212,18 @@ def test_ideal_vector_all_zero():
     assert ideal_vector(t) == (0.0, 0.0)
 
 
+def test_computed_zeros_are_positive():
+    # Which zero a max over 0.0 and -0.0 returns depends on numpy's reduction
+    # loop; every zero that ideal, shortfall and min_residual compute is +0.0.
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 9, 12):
+        for rows in range(1, 70):
+            values = rng.choice([0.0, -0.0, -1.0], size=(rows,) + (1,) * (n - 1) + (n,))
+            result = find_compromise(_tensor_from_values(values))
+            for computed in map(np.asarray, (result.ideal, result.shortfall, result.min_residual)):
+                assert not (np.signbit(computed) & (computed == 0)).any()
+
+
 def test_compromise_fixture(tensor):
     result = find_compromise(tensor)
     assert result.minimizers == ((0, 3, 1),)

@@ -235,6 +235,8 @@ def test_from_dict_defaults_labels():
     [
         (lambda d: d.pop("shape"), "shape"),
         (lambda d: d.pop("payoffs"), "payoffs"),
+        (lambda d: d.clear(), r"^document: missing required key 'shape'$"),
+        (lambda d: (d.clear(), d.update(shape=[2])), r"^document: missing required key 'payoffs'$"),
         (lambda d: d.update(shape=[3, 0, 2]), r"shape\[1\]"),
         (lambda d: d["payoffs"].pop(), "24 rows"),
         (lambda d: d["payoffs"][0].pop(), r"payoffs\[0\]"),
@@ -249,6 +251,11 @@ def test_from_dict_rejects_malformed_documents(tensor, mutate, fragment):
     mutate(doc)
     with pytest.raises(TensorFormatError, match=fragment):
         tensor_from_dict(doc)
+
+
+def test_from_dict_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(TensorFormatError, match=r"^document: expected an object, got list$"):
+        tensor_from_dict([])
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
@@ -540,7 +547,8 @@ def test_build_tensor_refuses_a_tensor_larger_than_physical_memory():
     tracemalloc.start()
     try:
         with address_space_grows_at_most(2**28):
-            with pytest.raises(ValueError, match=r"shape \(10, 10, .*, 10\) .* 17000000000000 bytes"):
+            nbytes = 10**12 * tensor_module.PROFILE_BYTES
+            with pytest.raises(ValueError, match=rf"shape \(10, 10, .*, 10\) .* {nbytes} bytes"):
                 build_tensor(scenario)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -550,15 +558,14 @@ def test_build_tensor_refuses_a_tensor_larger_than_physical_memory():
 
 @pytest.mark.parametrize("spare", [0, -1])
 def test_build_tensor_refuses_one_byte_over_physical_memory(scenario, monkeypatch, spare):
-    # Per profile: the shortfall (a float), the Nash mask (a bool) and a
-    # listing's profile index (an intp).
-    nbytes = 3 * 4 * 2 * (8 + 1 + 8)
+    # Per profile: the arrays `solve` holds at its peak (see PROFILE_BYTES).
+    nbytes = 3 * 4 * 2 * tensor_module.PROFILE_BYTES
     monkeypatch.setattr(tensor_module, "_physical_memory", lambda: nbytes + spare)
     if spare < 0:
         with pytest.raises(ValueError, match=f"needs {nbytes} bytes, more than the {nbytes - 1} bytes"):
             build_tensor(scenario)
     else:
-        assert build_tensor(scenario).n_profiles * (8 + 1 + 8) == nbytes
+        assert build_tensor(scenario).n_profiles * tensor_module.PROFILE_BYTES == nbytes
 
 
 def _many_site_scenario(sites):
