@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import gc
 import itertools
 import math
 import os
@@ -46,6 +48,8 @@ def _write(pieces: Iterable[str]) -> None:
     pipe."""
     out = sys.stdout
     try:
+        if out is None:  # the process started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         for piece in pieces:
             out.write(piece)
             # A document renders its next piece only once this one is freed.
@@ -67,9 +71,12 @@ def _write(pieces: Iterable[str]) -> None:
 def _write_stderr(text: str) -> None:
     """Write ``text`` to stderr and flush it; a stderr that cannot be written
     must not change the exit code."""
+    err = sys.stderr
+    if err is None:  # the process started with stderr closed
+        return
     with contextlib.suppress(OSError):
-        sys.stderr.write(text)
-        sys.stderr.flush()
+        err.write(text)
+        err.flush()
 
 
 def _read_document(path: str) -> object:
@@ -186,10 +193,11 @@ def _cmd_fixtures(args: argparse.Namespace) -> None:
 
 
 def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError("tolerance must be a finite number >= 0")
-    return value
+    with contextlib.suppress(ValueError):
+        value = float(text)
+        if math.isfinite(value) and value >= 0:
+            return value
+    raise argparse.ArgumentTypeError("tolerance must be a finite number >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,5 +259,23 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run() -> int:
+    """The process entry point of `sitegame` and `python -m sitegame`:
+    ``main`` with the cyclic garbage collector off.
+
+    The objects that start-up and the imports create (some 21,000 with
+    numpy) live until the process exits, so each collection would walk them
+    again to free little. The interpreter's final collection ignores
+    ``gc.disable()`` but skips frozen objects. ``main`` leaves the collector
+    alone for in-process callers.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        # Also when argparse leaves by SystemExit (--version, --help, usage).
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -666,13 +666,14 @@ def test_negative_tolerance_rejected_by_parser(fixture_files, capsys):
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "x"])
 def test_nonfinite_tolerance_rejected_by_parser(fixture_files, capsys, value):
     _, tensor_path = fixture_files
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", str(tensor_path), "--tolerance", value])
     assert excinfo.value.code == 2
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --tolerance: tolerance must be a finite number >= 0\n")
 
 
 def _assert_one_line_error(err: str) -> None:
@@ -919,6 +920,39 @@ def test_full_device_on_stderr_keeps_exit_code(fixture_files, tmp_path, command,
         )
     assert result.returncode == code
     assert result.stdout == b""
+
+
+def _run_with_closed_fd(fd, argv):
+    """Run `python -m sitegame argv` with file descriptor ``fd`` closed, so
+    that its ``sys`` stream is None; the other two are piped."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {fd}>&-', "sh", sys.executable, "-m", "sitegame", *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.skipif(not Path("/bin/sh").exists(), reason="needs a POSIX shell")
+@pytest.mark.parametrize("command, kind", [("solve", "tensor"), ("tensor", "scenario"), ("validate", "scenario")])
+def test_closed_stdout_exit2(fixture_files, command, kind):
+    scenario_path, tensor_path = fixture_files
+    result = _run_with_closed_fd(1, [command, str(tensor_path if kind == "tensor" else scenario_path)])
+    assert result.returncode == 2
+    _assert_one_line_error(result.stderr)
+    assert result.stderr.startswith("error: cannot write to stdout: ")
+
+
+@pytest.mark.skipif(not Path("/bin/sh").exists(), reason="needs a POSIX shell")
+@pytest.mark.parametrize("document, code", [("missing", 2), ("invalid", 1)])
+def test_closed_stderr_keeps_exit_code(fixture_files, tmp_path, document, code):
+    scenario_path, _ = fixture_files
+    path = tmp_path / f"{document}.json"
+    if document == "invalid":
+        doc = json.loads(scenario_path.read_text())
+        doc["players"][0]["emission"] = -1.0
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    result = _run_with_closed_fd(2, ["solve", str(path)])
+    assert (result.returncode, result.stdout) == (code, "")
 
 
 def test_broken_pipe_exit2_silently(tmp_path):

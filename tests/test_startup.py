@@ -1,6 +1,9 @@
 """What a fresh interpreter loads: the package namespace resolves its names on
-first access, and the CLI runs numpy's BLAS on one thread."""
+first access, and the CLI runs numpy's BLAS on one thread. The process entry
+point `cli.run` changes the garbage collector's state for the whole process,
+so each of its tests runs in a fresh interpreter."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import sitegame
+from conftest import seeded_scenario
+from sitegame.cli import main
 
 SRC = str(Path(sitegame.__file__).resolve().parent.parent)
 
@@ -24,8 +29,10 @@ def run_python(*args, env=None):
     )
 
 
-def run_code(code, env=None):
-    result = run_python("-c", textwrap.dedent(code), env=env)
+def run_code(code, *argv, env=None):
+    """The stdout of ``code`` run by a fresh interpreter with ``sys.argv[1:]``
+    set to ``argv``; it must exit 0."""
+    result = run_python("-c", textwrap.dedent(code), *argv, env=env)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -137,3 +144,97 @@ def test_command_loads_only_what_it_runs(tmp_path, command, not_loaded):
     loaded = _imported_modules(result.stderr)
     assert "sitegame.cli" in loaded and "sitegame.scenario" in loaded
     assert not loaded & ({"sitegame.report", "sitegame.feasibility", "sitegame.fixtures"} | not_loaded)
+
+
+@pytest.mark.parametrize("argv", [["solve", "{tensor}"], ["--version"]])
+def test_run_leaves_the_collector_off_and_the_heap_frozen(tmp_path, argv):
+    paths = dict(zip(["{scenario}", "{tensor}"], map(str, sitegame.write_fixtures(tmp_path))))
+    out = run_code(
+        """
+        import contextlib, gc, io
+        from sitegame.cli import run
+        print(gc.isenabled(), gc.get_freeze_count())
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+            run()
+        print(gc.isenabled(), gc.get_freeze_count() > 0)
+        """,
+        *(paths.get(arg, arg) for arg in argv),
+    )
+    assert out == "True 0\nFalse True\n"
+
+
+@pytest.mark.parametrize("document, code", [("fixture", 0), ("invalid", 1), ("missing", 2)])
+def test_run_returns_the_exit_code_of_main(tmp_path, document, code):
+    scenario_path, _ = sitegame.write_fixtures(tmp_path)
+    path = {"fixture": scenario_path}.get(document, tmp_path / f"{document}.json")
+    if document == "invalid":
+        doc = json.loads(scenario_path.read_text())
+        doc["players"][0]["emission"] = -1.0
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    out = run_code(
+        """
+        import contextlib, io, sys
+        from sitegame.cli import main, run
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = main(sys.argv[1:]), run()
+        print(*codes)
+        """,
+        "solve",
+        str(path),
+    )
+    assert out == f"{code} {code}\n"
+
+
+@pytest.mark.parametrize("kind", ["scenario", "tensor"])
+def test_module_writes_what_main_writes(tmp_path, kind, capsys):
+    paths = dict(zip(["scenario", "tensor"], sitegame.write_fixtures(tmp_path)))
+    argv = ["solve", str(paths[kind]), "--format", "json"]
+    assert main(argv) == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "sitegame", *argv], capture_output=True, env={**os.environ, "PYTHONPATH": SRC}
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, capsys.readouterr().out.encode(), b"")
+
+
+# Shapes (players, sites, objects) of a small and a larger scenario: 4 and
+# 625 profiles, 4 and 20 candidate sites.
+_SMALL, _LARGE = (2, 2, 3), (4, 5, 40)
+# `json.dumps(..., indent=2)` leaves a cycle of closures per call (about 40
+# objects on CPython 3.11), and `tensor --explain` makes one call per site.
+_GARBAGE_PER_EXPLAINED_SITE = 50
+
+
+def test_cyclic_garbage_of_main_does_not_grow_with_the_game(tmp_path):
+    # With the collector off for the whole run, what main leaves in cycles
+    # stays in memory until exit, so it must not scale with the input.
+    paths = []
+    for shape in (_SMALL, _LARGE):
+        path = tmp_path / f"{shape}.json"
+        path.write_text(sitegame.dumps_scenario(seeded_scenario(*shape)), encoding="utf-8")
+        paths.append(str(path))
+    commands = [["solve"], ["solve", "--format", "json"], ["solve", "--pairwise-band"], ["tensor"], ["tensor", "--explain"]]
+    out = run_code(
+        """
+        import contextlib, gc, io, json, sys
+        from sitegame.cli import main
+        commands, paths = json.loads(sys.argv[1]), sys.argv[2:]
+        gc.disable()
+        garbage = {}
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main([*command, paths[0]])  # imports what the command runs
+                gc.collect()
+                for path in paths:
+                    main([*command, path])
+                    garbage.setdefault(" ".join(command), []).append(gc.collect())
+        print(json.dumps(garbage))
+        """,
+        json.dumps(commands),
+        *paths,
+    )
+    garbage = json.loads(out)
+    for command, (small, large) in garbage.items():
+        if command != "tensor --explain":
+            assert large <= small, (command, garbage)
+    for (players, sites, _), tensor, explain in zip((_SMALL, _LARGE), garbage["tensor"], garbage["tensor --explain"]):
+        assert explain - tensor <= _GARBAGE_PER_EXPLAINED_SITE * players * sites, garbage
