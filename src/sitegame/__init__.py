@@ -45,6 +45,8 @@ _EXPORTS = {
         "check_site",
         "check_scenario",
         "check_profile_spacing",
+        "SpacingCodes",
+        "spacing_codes",
         "profile_spacing",
     ),
     "payoff": (

@@ -131,7 +131,6 @@ def _cmd_tensor(args: argparse.Namespace) -> None:
 def _cmd_solve(args: argparse.Namespace) -> None:
     import numpy as np
 
-    from .feasibility import check_scenario, profile_spacing
     from .report import solve
     from .tensor import TensorFormatError, tensor_from_dict
 
@@ -151,11 +150,13 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     feasibility = None
     pairwise = None
     if scenario is not None:
+        from .feasibility import check_scenario, spacing_codes
+
         kernels = []  # the payoff kernel's distances serve the site checks too
         tensor = _build_tensor(scenario, kernels.append)
         feasibility = tuple(check_scenario(scenario, [terms.rho for terms in kernels]))
         if args.pairwise_band:
-            pairwise = profile_spacing(scenario)
+            pairwise = spacing_codes(scenario)
 
     both = not (args.nash or args.compromise)
     # Payoffs further apart than the largest float overflow a residual to

@@ -4,7 +4,8 @@ A location is feasible when it lies inside the region box and its distance to
 every natural object falls within the closed band [rho_min, rho_max]. The
 band can optionally also be enforced pairwise between distinct players' chosen
 sites: per profile via :func:`check_profile_spacing`, or over every profile at
-once via :func:`profile_spacing`.
+once via :func:`spacing_codes` (per player pair) and :func:`profile_spacing`
+(per profile).
 
 Feasibility here is advisory: the solvers operate on whatever payoff tensor
 they are given and never consult these checks.
@@ -158,52 +159,119 @@ def check_profile_spacing(
     return violations
 
 
+# Profiles that SpacingCodes.violating checks at a time at most, unless the
+# last player alone has more strategies.
+PROFILE_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class SpacingCodes:
+    """The pairwise band over every profile of a scenario, kept per player
+    pair: no array holds a value per profile.
+
+    ``pairs`` holds ``(a, b, codes, violations)`` for each player pair
+    a < b, in lexicographic order, that has a pair of sites outside the
+    band: ``codes[k_a, k_b]`` is 0 where sites k_a and k_b keep the band,
+    else c for ``violations[c - 1]``.
+    """
+
+    shape: tuple[int, ...]
+    pairs: tuple[tuple[int, int, np.ndarray, tuple[PairSpacingViolation, ...]], ...]
+
+    def codes_at(self, profiles: np.ndarray) -> list[np.ndarray]:
+        """Each pair's code at each of ``profiles``, flat (C-order) indices."""
+        shape = self.shape
+        sites = {}
+        for p in sorted({p for a, b, _, _ in self.pairs for p in (a, b)}):
+            sites[p] = profiles // math.prod(shape[p + 1 :]) % shape[p]
+        return [codes.ravel().take(sites[a] * shape[b] + sites[b]) for a, b, codes, _ in self.pairs]
+
+    def violating(self) -> np.ndarray:
+        """The flat indices, in C order, of the profiles where some pair of
+        sites breaks the band, found a block of profiles at a time (see
+        PROFILE_BLOCK): each block fixes the strategies of the first players
+        and takes every profile of the others."""
+        shape = self.shape
+        # The first `lead` players are fixed in a block, and the others vary.
+        others = (j for j in range(len(shape)) if math.prod(shape[j:]) <= PROFILE_BLOCK)
+        lead = next(others, len(shape) - 1)
+        found = [np.empty(0, dtype=np.intp)]
+        breaks = [(codes != 0).reshape(_pair_axes(shape, a, b)) for a, b, codes, _ in self.pairs]
+        for block, fixed in enumerate(itertools.product(*map(range, shape[:lead]))):
+            hit = np.zeros(shape[lead:], dtype=bool)
+            for bad in breaks:
+                hit |= bad[tuple(k if n > 1 else 0 for k, n in zip(fixed, bad.shape))]
+            found.append(np.flatnonzero(hit) + block * hit.size)
+        return np.concatenate(found)
+
+    def by_profile(self) -> dict[Profile, tuple[PairSpacingViolation, ...]]:
+        """What :func:`profile_spacing` returns."""
+        shape = self.shape
+        key = np.zeros(math.prod(shape), dtype=np.int64)
+        sets: list[tuple[PairSpacingViolation, ...]] = [()]  # the set each key names
+        for a, b, codes, found in self.pairs:
+            # Code c adds suffixes[c] to a profile's set.
+            suffixes = [(), *((violation,) for violation in found)]
+            axes = _pair_axes(shape, a, b)
+            key = (key.reshape(shape) * len(suffixes) + codes.reshape(axes)).reshape(-1)
+            distinct, key = _rank(key, len(sets) * len(suffixes))
+            sets = [
+                sets[prior] + suffixes[code]
+                for prior, code in zip(*map(np.ndarray.tolist, np.divmod(distinct, len(suffixes))))
+            ]
+        if not any(sets):
+            return {}
+        # Ranks keep the order of keys, so the empty set, if some profile has it,
+        # is key 0: if sets[0] is not empty, every profile violates the band.
+        violating = (key != 0) | bool(sets[0])
+        profiles = indices_where(violating.reshape(shape))
+        return dict(zip(profiles, map(sets.__getitem__, key[violating].tolist())))
+
+
+def _pair_axes(shape: tuple[int, ...], a: int, b: int) -> list[int]:
+    """The shape that broadcasts a (k_a x k_b) array of players a and b,
+    a < b, over the profiles of ``shape``."""
+    axes = [1] * len(shape)
+    axes[a], axes[b] = shape[a], shape[b]
+    return axes
+
+
+def spacing_codes(scenario: Scenario) -> SpacingCodes:
+    """The pairwise band of :func:`check_profile_spacing` over every profile,
+    as codes per player pair: the band between two sites depends on those
+    two sites alone, so each player pair classifies its site pairs once."""
+    players = scenario.players
+    pairs = []
+    for a, b in itertools.combinations(range(len(players)), 2):
+        sites_a, sites_b = players[a].sites, players[b].sites
+        _, _, rho = offsets([s.position for s in sites_a], [s.position for s in sites_b])
+        codes = np.zeros(rho.shape, dtype=np.intp)
+        found = []
+        for (k_a, k_b), rho_ab, bound in _band_violations(rho, scenario.region):
+            found.append(
+                PairSpacingViolation(
+                    players[a].id, sites_a[k_a].id, players[b].id, sites_b[k_b].id, rho_ab, bound
+                )
+            )
+            codes[k_a, k_b] = len(found)
+        if found:
+            pairs.append((a, b, codes, tuple(found)))
+    return SpacingCodes(tuple(len(player.sites) for player in players), tuple(pairs))
+
+
 def profile_spacing(scenario: Scenario) -> dict[Profile, tuple[PairSpacingViolation, ...]]:
     """:func:`check_profile_spacing` over every profile at once.
 
     Maps each violating profile, in normative order, to its violations in the
-    order :func:`check_profile_spacing` lists them. The band between two sites
-    depends on those two sites alone, so each player pair classifies its site
-    pairs once, into a code per site pair (0 where the band holds). Every
-    profile then carries a key naming its set of violations so far: mixed
-    radix over the pairs, re-ranked to ``0 .. distinct - 1`` after each pair
-    so it stays below ``n_profiles * (k_a * k_b + 1)``. The dict holds one
-    tuple per distinct set, shared by every profile with that set, and one
+    order :func:`check_profile_spacing` lists them. Built from
+    :func:`spacing_codes`: every profile carries a key naming its set of
+    violations so far, mixed radix over the pairs, re-ranked to
+    ``0 .. distinct - 1`` after each pair so it stays below
+    ``n_profiles * (k_a * k_b + 1)``. The dict holds one tuple per distinct
+    set, shared by every profile with that set, and one
     ``PairSpacingViolation`` per violating site pair.
     """
-    players = scenario.players
-    shape = tuple(len(player.sites) for player in players)
-    key = np.zeros(math.prod(shape), dtype=np.int64)
-    sets: list[tuple[PairSpacingViolation, ...]] = [()]  # the set each key names
-    for a, b in itertools.combinations(range(len(players)), 2):
-        sites_a, sites_b = players[a].sites, players[b].sites
-        _, _, rho = offsets([s.position for s in sites_a], [s.position for s in sites_b])
-        # Code c adds suffixes[c] to a profile's set.
-        suffixes: list[tuple[PairSpacingViolation, ...]] = [()]
-        codes = np.zeros(rho.shape, dtype=np.int64)
-        for (k_a, k_b), rho_ab, bound in _band_violations(rho, scenario.region):
-            violation = PairSpacingViolation(
-                players[a].id, sites_a[k_a].id, players[b].id, sites_b[k_b].id, rho_ab, bound
-            )
-            codes[k_a, k_b] = len(suffixes)
-            suffixes.append((violation,))
-        if len(suffixes) == 1:
-            continue
-        axes = [1] * len(shape)
-        axes[a], axes[b] = shape[a], shape[b]
-        key = (key.reshape(shape) * len(suffixes) + codes.reshape(axes)).reshape(-1)
-        distinct, key = _rank(key, len(sets) * len(suffixes))
-        sets = [
-            sets[prior] + suffixes[code]
-            for prior, code in zip(*map(np.ndarray.tolist, np.divmod(distinct, len(suffixes))))
-        ]
-    if not any(sets):
-        return {}
-    # Ranks keep the order of keys, so the empty set, if some profile has it,
-    # is key 0: if sets[0] is not empty, every profile violates the band.
-    violating = (key != 0) | bool(sets[0])
-    profiles = indices_where(violating.reshape(shape))
-    return dict(zip(profiles, map(sets.__getitem__, key[violating].tolist())))
+    return spacing_codes(scenario).by_profile()
 
 
 def _rank(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

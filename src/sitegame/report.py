@@ -8,15 +8,17 @@ significant digits.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import math
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .feasibility import FeasibilityReport, PairSpacingViolation
 from .solvers import (
     DEFAULT_TOLERANCE,
     CompromiseResult,
@@ -25,6 +27,7 @@ from .solvers import (
     find_pure_nash,
 )
 from .tensor import (
+    LISTING,
     PROFILE,
     SLOT,
     Detail,
@@ -39,26 +42,61 @@ from .tensor import (
     tensor_head,
 )
 
+if TYPE_CHECKING:
+    from .feasibility import FeasibilityReport, PairSpacingViolation, SpacingCodes
+
 TOOL_NAME = "sitegame"
+
+# The codes of a listing's details for a block's slice of its rows (see listing).
+_Codes = Callable[[slice], Sequence[np.ndarray]]
+# A pairwise listing (see SolveReport._spacing).
+_Spacing = tuple[np.ndarray, list[list[tuple["PairSpacingViolation", ...]]], _Codes]
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything the CLI reports about one solve run."""
+    """Everything the CLI reports about one solve run.
+
+    ``pairwise_spacing`` is what :func:`sitegame.feasibility.profile_spacing`
+    returns, or the same checks as :func:`sitegame.feasibility.spacing_codes`
+    returns them.
+    """
 
     tensor: PayoffTensor
     tolerance: float
     nash: NashResult | None
     compromise: CompromiseResult | None
     feasibility: tuple[FeasibilityReport, ...] | None = None
-    pairwise_spacing: dict[Profile, tuple[PairSpacingViolation, ...]] | None = None
+    pairwise_spacing: (
+        Mapping[Profile, tuple[PairSpacingViolation, ...]] | SpacingCodes | None
+    ) = None
 
     def to_dict(self) -> dict:
         doc = self._head_dict()
+        if self.pairwise_spacing is not None:
+            spacing = self.pairwise_spacing
+            if not isinstance(spacing, Mapping):
+                spacing = spacing.by_profile()
+            doc["feasibility"]["pairwise_spacing"] = [
+                self._entry(profile, violations=list(map(_violation_dict, violations)))
+                for profile, violations in spacing.items()
+            ]
+        if self.nash is not None:
+            doc["nash"]["equilibria"] = [
+                self._entry(profile, payoffs=list(payoffs))
+                for profile, payoffs in zip(self.nash.equilibria, self.nash.payoffs)
+            ]
         if self.compromise is not None:
+            compromise = self.compromise
+            doc["compromise"]["minimizers"] = [
+                self._entry(
+                    profile, payoffs=list(payoffs), residual=float(compromise.shortfall[profile])
+                )
+                for profile, payoffs in zip(compromise.minimizers, compromise.payoffs)
+            ]
             doc["residuals"] = [
                 self._entry(profile, residual=residual)
-                for profile, residual in self.compromise.residuals.items()
+                for profile, residual in compromise.residuals.items()
             ]
         return doc
 
@@ -67,16 +105,28 @@ class SolveReport:
         return "".join(self.json_pieces())
 
     def json_pieces(self) -> Iterator[str]:
-        """to_json() in pieces, the residual listing a block at a time."""
+        """to_json() in pieces, each per-profile listing a block at a time."""
         listings = []
+        profile = {"indices": [PROFILE], "labels": [PROFILE]}
+        payoffs = [SLOT] * self.tensor.n_players
+        if self.pairwise_spacing is not None:
+            entry = {**profile, "violations": SLOT}
+            listings.append(("pairwise_spacing", entry, self._spacing_json))
+        if self.nash is not None:
+            nash = self.nash
+            rows = functools.partial(self._json_payoffs, nash.equilibria, nash.payoffs, None)
+            listings.append(("equilibria", {**profile, "payoffs": payoffs}, rows))
         if self.compromise is not None:
-            entry = {"indices": [PROFILE], "labels": [PROFILE], "residual": SLOT}
-            residuals = distinct_spellings(self.compromise.shortfall.reshape(-1), json_spellings)
-            listings.append(("residuals", entry, json_profile_axes(self.tensor), [residuals]))
-        return json_document(self.tensor, self._head_dict(), listings)
+            compromise = self.compromise
+            rows = functools.partial(
+                self._json_payoffs, compromise.minimizers, compromise.payoffs, compromise.shortfall
+            )
+            listings.append(("minimizers", {**profile, "payoffs": payoffs, "residual": SLOT}, rows))
+            listings.append(("residuals", {**profile, "residual": SLOT}, self._json_residuals))
+        return json_document(self._head_dict(), listings)
 
     def _head_dict(self) -> dict:
-        """The document without its per-profile residual listing."""
+        """The document with LISTING for each per-profile listing."""
         tensor = self.tensor
         doc: dict = {
             "tool": {"name": TOOL_NAME, "version": __version__},
@@ -104,53 +154,85 @@ class SolveReport:
                 ]
             }
             if self.pairwise_spacing is not None:
-                feasibility["pairwise_spacing"] = [
-                    self._entry(
-                        profile,
-                        violations=[
-                            {
-                                "player_a": v.player_a,
-                                "site_a": v.site_a,
-                                "player_b": v.player_b,
-                                "site_b": v.site_b,
-                                "distance": v.distance,
-                                "bound": v.bound,
-                            }
-                            for v in violations
-                        ],
-                    )
-                    for profile, violations in self.pairwise_spacing.items()
-                ]
+                feasibility["pairwise_spacing"] = LISTING
             doc["feasibility"] = feasibility
         if self.nash is not None:
-            doc["nash"] = {
-                "count": len(self.nash.equilibria),
-                "equilibria": [
-                    self._entry(profile, payoffs=list(payoffs))
-                    for profile, payoffs in zip(self.nash.equilibria, self.nash.payoffs)
-                ],
-            }
+            doc["nash"] = {"count": len(self.nash.equilibria), "equilibria": LISTING}
         if self.compromise is not None:
             doc["compromise"] = {
                 "ideal": list(self.compromise.ideal),
                 "min_residual": self.compromise.min_residual,
                 "count": len(self.compromise.minimizers),
-                "minimizers": [
-                    self._entry(
-                        profile,
-                        payoffs=list(payoffs),
-                        residual=float(self.compromise.shortfall[profile]),
-                    )
-                    for profile, payoffs in zip(
-                        self.compromise.minimizers, self.compromise.payoffs
-                    )
-                ],
+                "minimizers": LISTING,
             }
+            doc["residuals"] = LISTING
         return doc
 
     def _entry(self, profile: Profile, **fields) -> dict:
         """A profile's JSON entry: its indices and labels, then ``fields``."""
         return {"indices": list(profile), "labels": list(self.tensor.labels_for(profile)), **fields}
+
+    def _json_rows(
+        self, layout: tuple[str, str, str], profiles: np.ndarray, details: Sequence[Detail],
+        codes: _Codes | None = None,
+    ) -> Iterator[str]:
+        """A JSON listing's rows laid out by ``layout``, (row, join, between)
+        (see json_document), for the flat (C-order) indices ``profiles``,
+        each starting with its indices and labels."""
+        axes = json_profile_axes(self.tensor)
+        return listing(*layout, profiles, self.tensor.shape, axes, details, codes)
+
+    def _json_payoffs(
+        self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]],
+        shortfall: np.ndarray | None, *layout: str,
+    ) -> Iterator[str]:
+        """The rows of ``profiles``, each with its payoff vector and, given
+        ``shortfall``, its residual."""
+        flat, details = self._payoff_details(profiles, payoffs, json_spellings, shortfall)
+        return self._json_rows(layout, flat, details)
+
+    def _json_residuals(self, *layout: str) -> Iterator[str]:
+        shortfall = self.compromise.shortfall.reshape(-1)
+        details = [distinct_spellings(shortfall, json_spellings)]
+        return self._json_rows(layout, np.arange(shortfall.size), details)
+
+    def _spacing_json(self, row: str, join: str, between: str) -> Iterator[str]:
+        profiles, columns, codes = self._spacing()
+        item = f"{between[1:]}    "  # a row's violations sit one level below its keys
+
+        def spell(violation: PairSpacingViolation) -> str:
+            return json.dumps(_violation_dict(violation), indent=2).replace("\n", item)
+
+        close = ("[]", f"{between[1:]}  ]")
+        details, codes = _violation_columns(columns, codes, spell, f"[{item}", f",{item}", close)
+        before, _, after = row.rpartition(SLOT)  # the violations' slot is the last
+        layout = (before + SLOT * len(details) + after, join, between)
+        return self._json_rows(layout, profiles, details, codes)
+
+    def _spacing(self) -> _Spacing:
+        """The pairwise listing: its profiles' flat (C-order) indices, its
+        columns and the codes of a block's rows in each. Code c >= 1 of a
+        column names the tuple of violations at c - 1 in it, and 0 none."""
+        spacing = self.pairwise_spacing
+        if isinstance(spacing, Mapping):
+            return self._mapping_spacing
+        profiles = spacing.violating()
+        columns = [[(violation,) for violation in found] for *_, found in spacing.pairs]
+        return profiles, columns, lambda rows: spacing.codes_at(profiles[rows])
+
+    @functools.cached_property
+    def _mapping_spacing(self) -> _Spacing:
+        """A mapping's pairwise listing: one column, its code the row's tuple.
+        Tuples are told apart by identity, so no violation is ever hashed:
+        profile_spacing shares one tuple among the profiles with the same
+        violations, and each is spelled once."""
+        spacing = self.pairwise_spacing
+        ids = list(map(id, spacing.values()))
+        distinct = {key: row for key, row in zip(ids, spacing.values()) if row}
+        code = dict(zip(distinct, itertools.count(1)))
+        codes = np.fromiter((code.get(key, 0) for key in ids), np.intp, len(ids))
+        profiles = _flat_indices(spacing, self.tensor.shape)
+        return profiles, [list(distinct.values())], lambda rows: [codes[rows]]
 
     def to_text(self) -> str:
         return "".join(self.text_pieces())
@@ -178,8 +260,7 @@ class SolveReport:
                 )
                 yield f"\n  {report.player_id}/{report.site_id}: {'; '.join(problems)}"
             if self.pairwise_spacing is not None:
-                yield f"\npairwise spacing violations: {len(self.pairwise_spacing)} profiles"
-                yield from self._rows(*_spacing_details(self.pairwise_spacing, tensor.shape))
+                yield from self._spacing_text()
         if self.nash is not None:
             yield f"\nnash equilibria ({len(self.nash.equilibria)}):"
             yield from self._payoff_rows(self.nash.equilibria, self.nash.payoffs)
@@ -192,47 +273,104 @@ class SolveReport:
             yield from self._payoff_rows(self.compromise.minimizers, self.compromise.payoffs)
             yield "\nresiduals:"
             shortfall = self.compromise.shortfall.reshape(-1)
-            residuals = distinct_spellings(shortfall, lambda floats: list(map(_fmt, floats)))
-            yield from self._rows(np.arange(shortfall.size), residuals)
+            residuals = distinct_spellings(shortfall, _text_spellings)
+            yield from self._rows(np.arange(shortfall.size), [residuals])
 
-    def _rows(self, profiles: np.ndarray, details: Detail) -> Iterator[str]:
+    def _spacing_text(self) -> Iterator[str]:
+        """The pairwise section: its count, then a row per profile."""
+        # Its own generator, so that the listing's profiles are freed with it.
+        profiles, columns, codes = self._spacing()
+        yield f"\npairwise spacing violations: {len(profiles)} profiles"
+        details, codes = _violation_columns(columns, codes, _violation_text, "", ", ")
+        yield from self._rows(profiles, details, codes)
+
+    def _rows(
+        self, profiles: np.ndarray, details: Sequence[Detail], codes: _Codes | None = None,
+        text: str | None = None,
+    ) -> Iterator[str]:
         """The rows "\\n  (labels) = (indices): details" of a text listing,
-        for the flat (C-order) indices ``profiles``."""
+        for the flat (C-order) indices ``profiles`` (see listing); ``text``
+        lays out the details, one slot each by default."""
         axes = (self.tensor.strategy_labels, index_spellings(self.tensor.shape))
-        row = "\n  (%s%s) = (%s%s): %s"
-        return listing(row, ", ", "", profiles, self.tensor.shape, axes, [details])
+        row = "\n  (%s%s) = (%s%s): " + (SLOT * len(details) if text is None else text)
+        return listing(row, ", ", "", profiles, self.tensor.shape, axes, details, codes)
 
     def _payoff_rows(
         self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]]
     ) -> Iterator[str]:
         """The text rows of ``profiles``, each with its payoff vector, "payoffs (...)"."""
-        spelled = np.array([f"payoffs {_vector_text(v)}" for v in payoffs], dtype=object)
+        flat, details = self._payoff_details(profiles, payoffs, _text_spellings)
+        return self._rows(flat, details, text=f"payoffs ({', '.join([SLOT] * len(details))})")
+
+    def _payoff_details(
+        self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]],
+        spell: Callable[[list[float]], list[str]], shortfall: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, list[Detail]]:
+        """The flat (C-order) indices of ``profiles``, and a detail per
+        player's payoff, then, given ``shortfall``, one for the residual:
+        each distinct float of a detail spelled once by ``spell``."""
         flat = _flat_indices(profiles, self.tensor.shape)
-        return self._rows(flat, (spelled, np.arange(len(flat))))
+        values = np.array(payoffs, dtype=float).reshape(len(flat), self.tensor.n_players)
+        if shortfall is not None:
+            values = np.column_stack([values, shortfall.reshape(-1)[flat]])
+        return flat, [distinct_spellings(column, spell) for column in values.T]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _spacing_details(
-    spacing: dict[Profile, tuple[PairSpacingViolation, ...]], shape: tuple[int, ...]
-) -> tuple[np.ndarray, Detail]:
-    """The flat indices of a pairwise listing's profiles and its detail: row
-    r holds profile r's violations, joined by ", "."""
-    # profile_spacing shares one tuple among the profiles with the same
-    # violations: spell each tuple object once.
-    ids = list(map(id, spacing.values()))
-    distinct = dict(zip(ids, spacing.values()))
-    spelled = [
-        ", ".join(
-            [f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})" for v in row]
-        )
-        for row in distinct.values()
-    ]
-    code = dict(zip(distinct, itertools.count()))
-    codes = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
-    return _flat_indices(spacing, shape), (np.array(spelled, dtype=object), codes)
+def _text_spellings(floats: list[float]) -> list[str]:
+    """The text spelling of each of ``floats``, for distinct_spellings."""
+    return list(map(_fmt, floats))
+
+
+def _violation_dict(v: PairSpacingViolation) -> dict:
+    return {"player_a": v.player_a, "site_a": v.site_a, "player_b": v.player_b,
+            "site_b": v.site_b, "distance": v.distance, "bound": v.bound}
+
+
+def _violation_text(v: PairSpacingViolation) -> str:
+    return f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})"
+
+
+def _violation_columns(
+    columns: list[list[tuple[PairSpacingViolation, ...]]],
+    codes: _Codes,
+    spell: Callable[[PairSpacingViolation], str],
+    first: str,
+    later: str,
+    close: tuple[str, str] | None = None,
+) -> tuple[list[Detail], _Codes]:
+    """A pairwise listing's details, and what gives their codes for a block
+    (see listing): a row's violations, each spelled by ``spell`` and joined
+    by ``later``, after ``first`` for its first column with violations and
+    after ``later`` for each later one. ``close``, if given, ends a row
+    without violations and a row with some."""
+    details = []
+    for j, column in enumerate(columns):
+        spelled = [later.join(map(spell, violations)) for violations in column]
+        every = ["", *(first + text for text in spelled)]
+        if j:  # no column comes before the first
+            every += [later + text for text in spelled]
+        details.append((np.array(every, dtype=object), None))
+    if close is not None:
+        details.append((np.array(close, dtype=object), None))
+
+    def block_codes(rows: slice) -> list[np.ndarray]:
+        # Code c of a column stands for c + len(column) once an earlier
+        # column of its row has violations. A listing with rows has a
+        # column, so ``seen`` ends as an array.
+        found, seen = [], False
+        for c, column in zip(codes(rows), columns):
+            hit = c != 0
+            found.append(c + len(column) * (seen & hit))
+            seen = seen | hit
+        if close is not None:
+            found.append(seen.view(np.uint8))
+        return found
+
+    return details, block_codes
 
 
 def _flat_indices(profiles: Collection[Profile], shape: tuple[int, ...]) -> np.ndarray:
@@ -256,7 +394,9 @@ def solve(
     compromise: bool = True,
     tolerance: float = DEFAULT_TOLERANCE,
     feasibility: tuple[FeasibilityReport, ...] | None = None,
-    pairwise_spacing: dict[Profile, tuple[PairSpacingViolation, ...]] | None = None,
+    pairwise_spacing: (
+        Mapping[Profile, tuple[PairSpacingViolation, ...]] | SpacingCodes | None
+    ) = None,
 ) -> SolveReport:
     """Run the requested solvers (both by default) and assemble a report."""
     return SolveReport(

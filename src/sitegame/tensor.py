@@ -7,6 +7,7 @@ numpy C order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -14,13 +15,15 @@ import operator
 import os
 from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .payoff import PayoffTerms
 from .scenario import NOT_UTF8, Scenario, checked_index, encodes_as_utf8, read_json
 from .scenario import _expect_dict, _get
+
+if TYPE_CHECKING:
+    from .payoff import PayoffTerms
 
 Profile = tuple[int, ...]
 
@@ -236,6 +239,8 @@ def build_tensor(
             f"more than the {memory} bytes of physical memory"
         )
 
+    from .payoff import PayoffTerms
+
     totals = []
     for p, player in enumerate(scenario.players):
         terms = PayoffTerms(scenario, p)
@@ -279,9 +284,9 @@ def tensor_to_dict(tensor: PayoffTensor) -> dict:
 
 # --- Listings ----------------------------------------------------------------
 #
-# A listing has one row per profile, filled from arrays into a row template a
-# block at a time. A JSON row is ``json.dumps``'s own layout of one entry, so
-# a document comes out as ``json.dumps(doc, indent=2)`` writes it, without
+# A listing has one row per profile, joined a block at a time from columns of
+# pre-spelled pieces. A JSON row is ``json.dumps``'s own layout of one entry,
+# so a document comes out as ``json.dumps(doc, indent=2)`` writes it, without
 # that encoder's Python call per value. A value nested at depth d is its
 # top-level encoding with each "\n" replaced by "\n" plus 2d spaces: with
 # ``ensure_ascii`` no newline occurs inside a string.
@@ -295,6 +300,10 @@ SLOT = "%s"
 PROFILE = SLOT * 2
 # A column of a listing, (spellings, codes): row r's slot takes spellings[codes[r]].
 Detail = tuple[np.ndarray, np.ndarray]
+# The value a document head gives each key that json_document writes as a
+# listing, and what writes that listing's rows from (row, join, between).
+LISTING = "<listing>"
+Rows = Callable[[str, str, str], Iterator[str]]
 
 
 def distinct_spellings(values: np.ndarray, spell: Callable[[list[float]], list[str]]) -> Detail:
@@ -327,8 +336,9 @@ def index_spellings(shape: Sequence[int]) -> list[list[str]]:
 def listing(
     row: str, join: str, between: str, profiles: np.ndarray, shape: tuple[int, ...],
     axes: Sequence[Sequence[Sequence[str]]] = (), details: Sequence[Detail] = (),
+    codes: Callable[[slice], Sequence[np.ndarray]] | None = None,
 ) -> Iterator[str]:
-    """The rows filled from ``row``, row r for the profile whose flat
+    """The rows laid out by ``row``, row r for the profile whose flat
     (C-order) index is ``profiles[r]``, joined by ``between``: in blocks of
     at most BLOCK_CHARS characters or of one row, with the separator between
     two blocks as a piece of its own.
@@ -338,7 +348,8 @@ def listing(
     strategy k along axis a, and a row's two slots take its profile's entries
     joined by ``join``. The players split into a head and a tail of about
     equal profile counts, and every head and every tail profile is spelled
-    once.
+    once. ``codes``, if given, maps a block's slice of ``profiles`` to the
+    details' codes for its rows, which ``details`` then need not hold.
     """
     h = min(range(1, len(shape) + 1), key=lambda h: math.prod(shape[:h]) + math.prod(shape[h:]))
     tail_size = math.prod(shape[h:])
@@ -352,15 +363,59 @@ def listing(
     spellings = [*itertools.chain(*heads_and_tails), *(spelled for spelled, _ in details)]
     widest = len(row) + len(between) + sum(max(map(len, s.tolist()), default=0) for s in spellings)
     size = max(1, BLOCK_CHARS // widest)
+    if codes is None:
+        codes = lambda rows: [c[rows] for _, c in details]  # noqa: E731
+
+    # A row is its slots' spellings with the text around them folded in once:
+    # the text after an axis slot into that slot's spellings, and the text
+    # between two details as a column of its own. A row starts with the text
+    # after the last slot, ``between`` and the text before the first slot,
+    # which a block's first row cuts down to the last of the three; a block
+    # ends with the text after the last slot.
+    texts = row.split(SLOT)
+    last = texts.pop() if len(texts) > 1 else ""
+    texts[0] = last + between + texts[0]
+    cut = len(last) + len(between)
+    # A column is (spellings, index of its codes) or (text, None), the text
+    # as a 0-d array that broadcasts to every row.
+    columns: list[tuple[np.ndarray, int | None]] = []
+    for i, text in enumerate(texts):
+        spelled = spellings[i] if i < len(spellings) else None
+        if i == 0 and axes:
+            spelled = text + spelled
+        elif 0 < i <= 2 * len(axes):
+            columns[-1] = (columns[-1][0] + text, i - 1)
+        elif text or i == 0:
+            columns.append((np.array(text, dtype=object), None))
+        if spelled is not None:
+            columns.append((spelled, i))
     for start in range(0, len(profiles), size):
         if start:
             yield between
-        head, tail = divmod(profiles[start : start + size], tail_size)
-        codes = [*(head, tail) * len(axes), *(c[start : start + size] for _, c in details)]
-        # No name holds the block or its slots while the caller writes it.
-        yield between.join(itertools.repeat(row, len(head))) % tuple(
-            np.column_stack([s[c] for s, c in zip(spellings, codes)]).reshape(-1).tolist()
-        )
+        rows = slice(start, start + size)
+        head, tail = divmod(profiles[rows], tail_size)
+        block_codes = [*(head, tail) * len(axes), *codes(rows)]
+        # No name holds the block or its pieces while the caller writes it.
+        yield "".join(_pieces(columns, block_codes, len(head), cut, last))
+
+
+def _pieces(
+    columns: list[tuple[np.ndarray, int | None]],
+    codes: list[np.ndarray],
+    rows: int,
+    cut: int,
+    last: str,
+) -> list[str]:
+    """A block's pieces in row order: each column's spellings gathered by the
+    rows' codes, or its text in every row (see listing); the block's first
+    piece cut by ``cut`` characters; and ``last`` at the end."""
+    block = np.column_stack([
+        np.broadcast_to(spelled, rows) if k is None else spelled[codes[k]] for spelled, k in columns
+    ])
+    block[0, 0] = block[0, 0][cut:]
+    pieces = block.ravel().tolist()
+    pieces.append(last)
+    return pieces
 
 
 def json_profile_axes(tensor: PayoffTensor) -> list[list[list[str]]]:
@@ -369,24 +424,38 @@ def json_profile_axes(tensor: PayoffTensor) -> list[list[list[str]]]:
     return [index_spellings(tensor.shape), labels]
 
 
-def json_document(tensor: PayoffTensor, head: dict, listings: Iterable[tuple]) -> Iterator[str]:
-    """``json.dumps(head | {key: [entry, ...], ...}, indent=2)`` in pieces,
-    for a non-empty ``head`` and listings ``(key, entry, axes, details)`` of
-    one entry per profile of ``tensor``, shaped like ``entry`` with each
-    string of slots standing for those slots (see listing)."""
-    profiles = np.arange(tensor.n_profiles)
-    yield json.dumps(head, indent=2)[: -len("\n}")]
-    for key, entry, axes, details in listings:
-        row = json.dumps(entry, indent=2).replace("\n", "\n    ")
+def json_document(head: dict, listings: Iterable[tuple[str, object, Rows]]) -> Iterator[str]:
+    """``json.dumps(head, indent=2)`` in pieces, with the list of each listing
+    ``(key, entry, rows)`` where the head gives ``key`` the value LISTING.
+    The listings come in the order of the document, and their keys are
+    unique in it. ``rows(row, join, between)`` gives the entries in blocks,
+    each shaped like ``entry`` with each string of slots standing for those
+    slots (see listing); with no entries the list is ``[]``."""
+    rest = json.dumps(head, indent=2)
+    for key, entry, rows in listings:
+        # A string value escapes its quotes, so only the key itself, with
+        # the placeholder after it, matches.
+        before, rest = rest.split(f"{json.dumps(key)}: {json.dumps(LISTING)}", 1)
+        newline = before[before.rindex("\n") :]
+        yield f"{before}{json.dumps(key)}: "
+        # Entries sit one level deeper than their key. A profile's entries
+        # along an axis are items of the list that holds the first slot,
+        # indented as that slot is.
+        row = json.dumps(entry, indent=2).replace("\n", f"{newline}  ")
         row = row.replace(f'"{SLOT}', SLOT).replace(f'{SLOT}"', SLOT)
-        # Entries sit at depth 4. A profile's entries along an axis are items
-        # of the list that holds the first slot, indented as that slot is.
         first = row.index(SLOT)
         join = "," + row[row.rindex("\n", 0, first) : first]
-        yield f",\n  {json.dumps(key)}: [\n    "
-        yield from listing(row, join, ",\n    ", profiles, tensor.shape, axes, details)
-        yield "\n  ]"
-    yield "\n}"
+        pieces = rows(row, join, f",{newline}  ")
+        piece = next(pieces, None)
+        if piece is None:
+            yield "[]"
+            continue
+        yield f"[{newline}  "
+        yield piece
+        del piece
+        yield from pieces
+        yield f"{newline}]"
+    yield rest
 
 
 def tensor_from_dict(doc: object) -> PayoffTensor:
@@ -511,15 +580,20 @@ def tensor_document(tensor: PayoffTensor, explain: Scenario | None = None) -> It
     an ``explain`` listing: for every profile, its indices, labels and each
     player's income and damage terms and total."""
     n = tensor.n_players
+    rows = functools.partial(listing, profiles=np.arange(tensor.n_profiles), shape=tensor.shape)
+    head = tensor_head(tensor) | {"payoffs": LISTING}
     if tensor.separable:
         # A row lists each player's total at their own strategy: the totals
         # are a listing axis, and a row takes a head and a tail spelling.
         totals = [json_spellings(tensor.player_payoffs(p).ravel().tolist()) for p in range(n)]
-        listings = [("payoffs", [PROFILE], [totals], ())]
+        listings = [("payoffs", [PROFILE], functools.partial(rows, axes=[totals]))]
     else:
         spelled, codes = distinct_spellings(tensor.values, json_spellings)
-        listings = [("payoffs", [SLOT] * n, (), [(spelled, c) for c in codes.reshape(-1, n).T])]
+        details = [(spelled, c) for c in codes.reshape(-1, n).T]
+        listings = [("payoffs", [SLOT] * n, functools.partial(rows, details=details))]
     if explain is not None:
+        from .payoff import PayoffTerms
+
         # One breakdown per (player, site), encoded once at its depth in the
         # document and shared by every profile that picks that site.
         breakdowns = []
@@ -531,9 +605,11 @@ def tensor_document(tensor: PayoffTensor, explain: Scenario | None = None) -> It
                             "damage": damage, "total": total}, indent=2).replace("\n", "\n        ")
                 for site, income, damage, total in zip(player.sites, *columns)
             ])
+        head["explain"] = LISTING
         entry = {"indices": [PROFILE], "labels": [PROFILE], "players": [PROFILE]}
-        listings.append(("explain", entry, [*json_profile_axes(tensor), breakdowns], ()))
-    return json_document(tensor, tensor_head(tensor), listings)
+        axes = [*json_profile_axes(tensor), breakdowns]
+        listings.append(("explain", entry, functools.partial(rows, axes=axes)))
+    return json_document(head, listings)
 
 
 def dumps_tensor(tensor: PayoffTensor, explain: Scenario | None = None) -> str:

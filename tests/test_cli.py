@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import importlib
 import io
 import json
@@ -227,13 +228,27 @@ def test_tensor_of_a_scenario_never_holds_a_dense_tensor(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["tensor"], ["solve"], ["solve", "--format", "json"], ["solve", "--nash"]], ids=" ".join
+    "argv",
+    [
+        ["tensor"],
+        ["solve"],
+        ["solve", "--format", "json"],
+        ["solve", "--nash"],
+        ["solve", "--pairwise-band"],
+        ["solve", "--pairwise-band", "--format", "json"],
+    ],
+    ids=" ".join,
 )
 def test_memory_guard_counts_what_commands_hold(tmp_path, argv):
     # build_tensor refuses a game whose PROFILE_BYTES per profile exceed
     # physical memory; no command may then hold more than that per profile.
+    scenario = seeded_scenario(players=6, sites=8, objects=20)
+    if "--pairwise-band" in argv:
+        # 23 of the site pairs are closer than this, and 31% of the profiles
+        # hold one of them.
+        scenario = dataclasses.replace(scenario, region=dataclasses.replace(scenario.region, rho_min=8.0))
     path = tmp_path / "scenario.json"
-    path.write_text(dumps_scenario(seeded_scenario(players=6, sites=8, objects=20)), encoding="utf-8")
+    path.write_text(dumps_scenario(scenario), encoding="utf-8")
     sink = CountingSink()
     tracemalloc.start()
     try:

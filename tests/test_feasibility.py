@@ -20,7 +20,9 @@ from sitegame import (
     check_site,
     iterate_profiles,
     profile_spacing,
+    spacing_codes,
 )
+from sitegame import feasibility as feasibility_module
 from conftest import scenarios
 
 
@@ -299,6 +301,26 @@ def test_profile_spacing_keys_fit_in_int64():
     ]
     assert math.prod(radices) > 2**63
     _assert_same_spacing(profile_spacing(scn), _spacing_by_profile(scn))
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 16])
+@pytest.mark.parametrize("band", [(2.0, 16.0), (6.0, 14.0), (0.5, 100.0)])
+def test_spacing_codes_list_the_violating_profiles(monkeypatch, block, band):
+    # A block fixes the first players' strategies and covers at least the
+    # last player's (5 sites here): every block size finds the same profiles.
+    monkeypatch.setattr(feasibility_module, "PROFILE_BLOCK", block)
+    scn = _scattered_scenario(players=4, sites=5, band=band)
+    expected = _spacing_by_profile(scn)
+    spacing = spacing_codes(scn)
+    profiles = spacing.violating()
+    shape = (5,) * 4
+    assert [tuple(map(int, np.unravel_index(f, shape))) for f in profiles.tolist()] == list(expected)
+    # Each pair's code names that pair's violation in the profile, or none.
+    codes = spacing.codes_at(profiles)
+    for r, violations in enumerate(expected.values()):
+        found = [pair[3][c - 1] for pair, column in zip(spacing.pairs, codes) if (c := column[r])]
+        assert found == list(violations)
+    _assert_same_spacing(spacing.by_profile(), expected)
 
 
 def test_check_profile_spacing_rejects_a_non_integer_index(scenario):

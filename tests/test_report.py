@@ -29,9 +29,17 @@ from sitegame import (
     iterate_profiles,
     profile_spacing,
     solve,
+    spacing_codes,
 )
 from sitegame import report as report_module
-from conftest import assert_renders_in_blocks, assert_same_text, json_tensors, scenarios, text_labels
+from conftest import (
+    assert_renders_in_blocks,
+    assert_same_text,
+    json_tensors,
+    scenarios,
+    seeded_scenario,
+    text_labels,
+)
 
 SOLVER_CHOICES = [(True, True), (True, False), (False, True), (False, False)]
 
@@ -59,7 +67,7 @@ def test_to_json_is_json_dumps_of_to_dict(t, solvers, tolerance):
 @settings(max_examples=40, deadline=None)
 @given(
     scenario=scenarios(),
-    pairwise=st.booleans(),
+    pairwise=st.sampled_from([None, "per profile", "per pair"]),
     band=st.tuples(st.sampled_from([0.5, 3.0, 6.0]), st.sampled_from([8.0, 15.0, 100.0])),
 )
 def test_to_json_with_feasibility_sections(scenario, pairwise, band):
@@ -71,14 +79,28 @@ def test_to_json_with_feasibility_sections(scenario, pairwise, band):
     except ZeroDistanceError:
         assume(False)
     spacing = None
-    if pairwise:
+    if pairwise == "per profile":
         spacing = {}
         for profile in iterate_profiles(t.shape):
             found = check_profile_spacing(scenario, profile)
             if found:
                 spacing[profile] = tuple(found)
+    elif pairwise == "per pair":
+        # The CLI's form; to_dict lists it as profile_spacing's dict.
+        spacing = spacing_codes(scenario)
     report = solve(t, feasibility=tuple(check_scenario(scenario)), pairwise_spacing=spacing)
     _assert_to_json_is_json_dumps(report)
+
+
+def test_labels_spelled_like_a_listing_placeholder_stay_labels():
+    # json_document finds each listing by its key and the placeholder after
+    # it; labels that spell either are escaped strings and never match.
+    t = dataclasses.replace(
+        fixture_tensor(),
+        players=("equilibria", '"residuals": "<listing>"', report_module.LISTING),
+        strategy_labels=(("<listing>", "a", "b"), ("minimizers", "<listing>", '"', "x"), ("y", "z")),
+    )
+    _assert_to_json_is_json_dumps(solve(t))
 
 
 def test_residual_overflow_is_written_as_infinity():
@@ -138,8 +160,11 @@ def _reference_text(report):
             )
             lines.append(f"  {r.player_id}/{r.site_id}: {'; '.join(problems)}")
         if report.pairwise_spacing is not None:
-            lines.append(f"pairwise spacing violations: {len(report.pairwise_spacing)} profiles")
-            for profile, violations in report.pairwise_spacing.items():
+            spacing = report.pairwise_spacing
+            if not isinstance(spacing, dict):
+                spacing = spacing.by_profile()
+            lines.append(f"pairwise spacing violations: {len(spacing)} profiles")
+            for profile, violations in spacing.items():
                 descriptions = ", ".join(
                     f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})"
                     for v in violations
@@ -182,7 +207,7 @@ def test_to_text_matches_per_profile_rendering(t, solvers, tolerance):
 @settings(max_examples=60, deadline=None)
 @given(
     scenario=scenarios(max_players=4),
-    pairwise=st.booleans(),
+    pairwise=st.sampled_from([None, profile_spacing, spacing_codes]),
     band=st.tuples(st.sampled_from([0.5, 3.0, 6.0]), st.sampled_from([8.0, 15.0, 100.0])),
 )
 def test_to_text_with_feasibility_sections(scenario, pairwise, band):
@@ -195,7 +220,7 @@ def test_to_text_with_feasibility_sections(scenario, pairwise, band):
     report = solve(
         t,
         feasibility=tuple(check_scenario(scenario)),
-        pairwise_spacing=profile_spacing(scenario) if pairwise else None,
+        pairwise_spacing=None if pairwise is None else pairwise(scenario),
     )
     assert_same_text(report.to_text(), _reference_text(report))
 
@@ -286,6 +311,23 @@ def test_to_text_pairwise_listing_across_blocks(monkeypatch):
         pairwise_spacing=spacing,
     )
     _assert_text_in_blocks(monkeypatch, report)
+
+
+@pytest.mark.parametrize("rho_max", [16.0, 2.0 * (1 + 1e-7)])
+def test_spacing_codes_listing_across_blocks(monkeypatch, rho_max):
+    # Most profiles break the band, or every one with all six pairs.
+    scenario = _crowded_scenario(players=4, sites=7)
+    scenario = dataclasses.replace(scenario, region=dataclasses.replace(scenario.region, rho_max=rho_max))
+    spacing = spacing_codes(scenario)
+    report = solve(build_tensor(scenario), feasibility=tuple(check_scenario(scenario)), pairwise_spacing=spacing)
+    reference = solve(
+        report.tensor, feasibility=report.feasibility, pairwise_spacing=profile_spacing(scenario)
+    )
+    assert spacing.violating().size > 1000
+    text = _reference_text(reference)
+    assert_renders_in_blocks(monkeypatch, report.to_text, text, text.count("\n") + 1)
+    document = json.dumps(reference.to_dict(), indent=2)
+    assert_renders_in_blocks(monkeypatch, report.to_json, document, 3 * report.tensor.n_profiles)
 
 
 def _per_profile_spacing(scenario):
@@ -396,20 +438,53 @@ def test_to_json_allocates_little_beyond_its_output():
     assert peak < 3.5 * len(text)
 
 
-def test_json_pieces_allocate_less_than_their_output():
-    # The document of the test above, consumed a piece at a time as the CLI
-    # writes it. Rendered in one piece, it peaked at 3.2 times its length.
-    report = solve(_seeded_tensor((8,) * 5))
+def _peak_and_length(pieces):
+    """The tracemalloc peak while ``pieces`` are consumed a piece at a
+    time, as the CLI writes them, and their total length."""
     written = 0
     tracemalloc.start()
     try:
-        for piece in report.json_pieces():
+        for piece in pieces:
             written += len(piece)
             del piece
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, written
+
+
+def test_json_pieces_allocate_less_than_their_output():
+    # The document of the test above, consumed a piece at a time as the CLI
+    # writes it. Rendered in one piece, it peaked at 3.2 times its length.
+    peak, written = _peak_and_length(solve(_seeded_tensor((8,) * 5)).json_pieces())
     assert written > 7_000_000
+    assert peak < written
+
+
+def test_json_pieces_of_all_ties_allocate_less_than_their_output():
+    # Every payoff ties, so all 32,768 profiles are equilibria and
+    # minimizers. Encoded through one dict per entry, the equilibria and
+    # minimizers peaked at several times the document's length.
+    t = dataclasses.replace(_seeded_tensor((8,) * 5), values=np.ones((8,) * 5 + (5,)))
+    report = solve(t)
+    assert len(report.nash.equilibria) == len(report.compromise.minimizers) == 8**5
+    peak, written = _peak_and_length(report.json_pieces())
+    assert written > 20_000_000
+    assert peak < written
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pieces_of_an_all_violating_report_allocate_less_than_their_output(fmt):
+    # A band of almost no width: every pair of sites breaks it, so every
+    # profile is listed with all 15 of its pairs' violations.
+    scenario = seeded_scenario(players=6, sites=5, objects=3)
+    region = dataclasses.replace(scenario.region, rho_max=scenario.region.rho_min * (1 + 1e-7))
+    scenario = dataclasses.replace(scenario, region=region)
+    spacing = spacing_codes(scenario)
+    assert spacing.violating().size == 5**6
+    report = solve(build_tensor(scenario), feasibility=tuple(check_scenario(scenario)), pairwise_spacing=spacing)
+    peak, written = _peak_and_length(report.text_pieces() if fmt == "text" else report.json_pieces())
+    assert written > 5_000_000
     assert peak < written
 
 

@@ -49,8 +49,8 @@ def test_import_sitegame_imports_no_submodule_and_no_numpy():
 
 
 def test_public_names_are_their_submodules_objects():
-    # `sitegame.tensor` imports the `payoff` module, which the import system
-    # binds on the package; `sitegame.payoff` must stay the function.
+    # Importing the `payoff` module, as the loop below does, makes the import
+    # system bind it on the package; `sitegame.payoff` must stay the function.
     run_code(
         """
         import importlib
@@ -130,20 +130,24 @@ def _imported_modules(importtime_log):
     return {line.rsplit("|", 1)[1].strip() for line in importtime_log.splitlines() if line.startswith("import time:")}
 
 
+# `solve` runs on the fixture tensor: a tensor document needs neither the
+# payoff kernel nor the site checks.
 @pytest.mark.parametrize(
     "command, not_loaded",
     [
-        ("validate", {"numpy", "sitegame.payoff", "sitegame.tensor", "sitegame.solvers"}),
-        ("tensor", {"sitegame.solvers"}),
+        ("validate", {"numpy", "sitegame.payoff", "sitegame.tensor", "sitegame.solvers", "sitegame.report"}),
+        ("tensor", {"sitegame.solvers", "sitegame.report"}),
+        ("solve", {"sitegame.payoff"}),
     ],
 )
 def test_command_loads_only_what_it_runs(tmp_path, command, not_loaded):
-    scenario_path, _ = sitegame.write_fixtures(tmp_path)
-    result = run_python("-X", "importtime", "-m", "sitegame", command, str(scenario_path))
+    scenario_path, tensor_path = sitegame.write_fixtures(tmp_path)
+    path = tensor_path if command == "solve" else scenario_path
+    result = run_python("-X", "importtime", "-m", "sitegame", command, str(path))
     assert result.returncode == 0, result.stderr
     loaded = _imported_modules(result.stderr)
     assert "sitegame.cli" in loaded and "sitegame.scenario" in loaded
-    assert not loaded & ({"sitegame.report", "sitegame.feasibility", "sitegame.fixtures"} | not_loaded)
+    assert not loaded & ({"sitegame.feasibility", "sitegame.fixtures"} | not_loaded)
 
 
 @pytest.mark.parametrize("argv", [["solve", "{tensor}"], ["--version"]])
