@@ -159,15 +159,11 @@ def check_profile_spacing(
     return violations
 
 
-# Profiles that SpacingCodes.violating checks at a time at most, unless the
-# last player alone has more strategies.
-PROFILE_BLOCK = 1 << 16
-
-
 @dataclass(frozen=True)
 class SpacingCodes:
     """The pairwise band over every profile of a scenario, kept per player
-    pair: no array holds a value per profile.
+    pair: the code tables hold nothing per profile, and :meth:`violating`
+    holds one bool per profile while it runs.
 
     ``pairs`` holds ``(a, b, codes, violations)`` for each player pair
     a < b, in lexicographic order, that has a pair of sites outside the
@@ -181,31 +177,24 @@ class SpacingCodes:
     def codes_at(self, profiles: np.ndarray) -> list[np.ndarray]:
         """Each pair's code at each of ``profiles``, flat (C-order) indices."""
         shape = self.shape
-        sites = {}
-        for p in sorted({p for a, b, _, _ in self.pairs for p in (a, b)}):
-            sites[p] = profiles // math.prod(shape[p + 1 :]) % shape[p]
+        sites = np.unravel_index(profiles, shape)
         return [codes.ravel().take(sites[a] * shape[b] + sites[b]) for a, b, codes, _ in self.pairs]
 
     def violating(self) -> np.ndarray:
         """The flat indices, in C order, of the profiles where some pair of
-        sites breaks the band, found a block of profiles at a time (see
-        PROFILE_BLOCK): each block fixes the strategies of the first players
-        and takes every profile of the others."""
-        shape = self.shape
-        # The first `lead` players are fixed in a block, and the others vary.
-        others = (j for j in range(len(shape)) if math.prod(shape[j:]) <= PROFILE_BLOCK)
-        lead = next(others, len(shape) - 1)
-        found = [np.empty(0, dtype=np.intp)]
-        breaks = [(codes != 0).reshape(_pair_axes(shape, a, b)) for a, b, codes, _ in self.pairs]
-        for block, fixed in enumerate(itertools.product(*map(range, shape[:lead]))):
-            hit = np.zeros(shape[lead:], dtype=bool)
-            for bad in breaks:
-                hit |= bad[tuple(k if n > 1 else 0 for k, n in zip(fixed, bad.shape))]
-            found.append(np.flatnonzero(hit) + block * hit.size)
-        return np.concatenate(found)
+        sites breaks the band: each pair's table broadcast from its two axes."""
+        hit = np.zeros(self.shape, dtype=bool)
+        for a, b, codes, _ in self.pairs:
+            hit |= (codes != 0).reshape(_pair_axes(self.shape, a, b))
+        return np.flatnonzero(hit)
 
     def by_profile(self) -> dict[Profile, tuple[PairSpacingViolation, ...]]:
-        """What :func:`profile_spacing` returns."""
+        """What :func:`profile_spacing` returns. Every profile carries a key
+        naming its set of violations so far, mixed radix over the pairs,
+        re-ranked to ``0 .. distinct - 1`` after each pair so it stays below
+        ``n_profiles * (k_a * k_b + 1)``. The dict holds one tuple per
+        distinct set, shared by every profile with that set, and one
+        ``PairSpacingViolation`` per violating site pair."""
         shape = self.shape
         key = np.zeros(math.prod(shape), dtype=np.int64)
         sets: list[tuple[PairSpacingViolation, ...]] = [()]  # the set each key names
@@ -263,13 +252,8 @@ def profile_spacing(scenario: Scenario) -> dict[Profile, tuple[PairSpacingViolat
     """:func:`check_profile_spacing` over every profile at once.
 
     Maps each violating profile, in normative order, to its violations in the
-    order :func:`check_profile_spacing` lists them. Built from
-    :func:`spacing_codes`: every profile carries a key naming its set of
-    violations so far, mixed radix over the pairs, re-ranked to
-    ``0 .. distinct - 1`` after each pair so it stays below
-    ``n_profiles * (k_a * k_b + 1)``. The dict holds one tuple per distinct
-    set, shared by every profile with that set, and one
-    ``PairSpacingViolation`` per violating site pair.
+    order :func:`check_profile_spacing` lists them. Profiles with the same
+    violations share one tuple (see :meth:`SpacingCodes.by_profile`).
     """
     return spacing_codes(scenario).by_profile()
 

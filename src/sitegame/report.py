@@ -35,6 +35,7 @@ from .tensor import (
     Profile,
     distinct_spellings,
     index_spellings,
+    iterate_profiles,
     json_document,
     json_profile_axes,
     json_spellings,
@@ -94,10 +95,9 @@ class SolveReport:
                 )
                 for profile, payoffs in zip(compromise.minimizers, compromise.payoffs)
             ]
-            doc["residuals"] = [
-                self._entry(profile, residual=residual)
-                for profile, residual in compromise.residuals.items()
-            ]
+            shortfall = compromise.shortfall
+            residuals = zip(iterate_profiles(shortfall.shape), shortfall.reshape(-1).tolist())
+            doc["residuals"] = [self._entry(profile, residual=r) for profile, r in residuals]
         return doc
 
     def to_json(self) -> str:
@@ -215,12 +215,11 @@ class SolveReport:
         column names the tuple of violations at c - 1 in it, and 0 none."""
         spacing = self.pairwise_spacing
         if isinstance(spacing, Mapping):
-            return self._mapping_spacing
+            return self._mapping_spacing()
         profiles = spacing.violating()
         columns = [[(violation,) for violation in found] for *_, found in spacing.pairs]
         return profiles, columns, lambda rows: spacing.codes_at(profiles[rows])
 
-    @functools.cached_property
     def _mapping_spacing(self) -> _Spacing:
         """A mapping's pairwise listing: one column, its code the row's tuple.
         Tuples are told apart by identity, so no violation is ever hashed:

@@ -22,7 +22,6 @@ from sitegame import (
     profile_spacing,
     spacing_codes,
 )
-from sitegame import feasibility as feasibility_module
 from conftest import scenarios
 
 
@@ -303,17 +302,22 @@ def test_profile_spacing_keys_fit_in_int64():
     _assert_same_spacing(profile_spacing(scn), _spacing_by_profile(scn))
 
 
-@pytest.mark.parametrize("block", [1, 5, 64, 1 << 16])
-@pytest.mark.parametrize("band", [(2.0, 16.0), (6.0, 14.0), (0.5, 100.0)])
-def test_spacing_codes_list_the_violating_profiles(monkeypatch, block, band):
-    # A block fixes the first players' strategies and covers at least the
-    # last player's (5 sites here): every block size finds the same profiles.
-    monkeypatch.setattr(feasibility_module, "PROFILE_BLOCK", block)
-    scn = _scattered_scenario(players=4, sites=5, band=band)
+@pytest.mark.parametrize(
+    "players, sites, band",
+    [
+        (4, 5, (2.0, 16.0)),
+        (4, 5, (6.0, 14.0)),
+        (4, 5, (0.5, 100.0)),
+        # 100,000 profiles, of which 84,338 violate the band.
+        (5, 10, (2.0, 16.0)),
+    ],
+)
+def test_spacing_codes_list_the_violating_profiles(players, sites, band):
+    scn = _scattered_scenario(players=players, sites=sites, band=band)
     expected = _spacing_by_profile(scn)
     spacing = spacing_codes(scn)
     profiles = spacing.violating()
-    shape = (5,) * 4
+    shape = (sites,) * players
     assert [tuple(map(int, np.unravel_index(f, shape))) for f in profiles.tolist()] == list(expected)
     # Each pair's code names that pair's violation in the profile, or none.
     codes = spacing.codes_at(profiles)

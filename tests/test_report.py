@@ -489,7 +489,8 @@ def test_pieces_of_an_all_violating_report_allocate_less_than_their_output(fmt):
 
 
 def test_rendering_leaves_the_residuals_dict_unbuilt(tensor, scenario):
-    # ``residuals`` is built on first access; no render path may ask for it.
+    # ``residuals`` is built on first access; no render path may ask for it,
+    # not even to_dict(), the reference the listings are checked against.
     t = build_tensor(scenario)
     reports = [
         solve(tensor),
@@ -498,4 +499,5 @@ def test_rendering_leaves_the_residuals_dict_unbuilt(tensor, scenario):
     for report in reports:
         report.to_text()
         report.to_json()
+        report.to_dict()
         assert "residuals" not in vars(report.compromise)
