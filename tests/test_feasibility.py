@@ -302,29 +302,36 @@ def test_profile_spacing_keys_fit_in_int64():
     _assert_same_spacing(profile_spacing(scn), _spacing_by_profile(scn))
 
 
-@pytest.mark.parametrize(
-    "players, sites, band",
-    [
-        (4, 5, (2.0, 16.0)),
-        (4, 5, (6.0, 14.0)),
-        (4, 5, (0.5, 100.0)),
-        # 100,000 profiles, of which 84,338 violate the band.
-        (5, 10, (2.0, 16.0)),
-    ],
-)
-def test_spacing_codes_list_the_violating_profiles(players, sites, band):
-    scn = _scattered_scenario(players=players, sites=sites, band=band)
+def _assert_spacing_codes_list(scn, sites, players, block):
     expected = _spacing_by_profile(scn)
     spacing = spacing_codes(scn)
     profiles = spacing.violating()
     shape = (sites,) * players
     assert [tuple(map(int, np.unravel_index(f, shape))) for f in profiles.tolist()] == list(expected)
-    # Each pair's code names that pair's violation in the profile, or none.
+    # Each pair's code names that pair's violation in the profile, or none,
+    # whether the profiles are asked for all at once or ``block`` at a time.
     codes = spacing.codes_at(profiles)
+    for start in range(0, len(profiles), block):
+        part = spacing.codes_at(profiles[start : start + block])
+        for whole, column in zip(codes, part):
+            assert column.tolist() == whole[start : start + block].tolist()
     for r, violations in enumerate(expected.values()):
         found = [pair[3][c - 1] for pair, column in zip(spacing.pairs, codes) if (c := column[r])]
         assert found == list(violations)
     _assert_same_spacing(spacing.by_profile(), expected)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 16])
+@pytest.mark.parametrize("band", [(2.0, 16.0), (6.0, 14.0), (0.5, 100.0)])
+def test_spacing_codes_list_the_violating_profiles(block, band):
+    scn = _scattered_scenario(players=4, sites=5, band=band)
+    _assert_spacing_codes_list(scn, sites=5, players=4, block=block)
+
+
+def test_spacing_codes_list_the_violating_profiles_of_a_larger_game():
+    # 100,000 profiles, of which 84,338 violate the band.
+    scn = _scattered_scenario(players=5, sites=10, band=(2.0, 16.0))
+    _assert_spacing_codes_list(scn, sites=10, players=5, block=1 << 16)
 
 
 def test_check_profile_spacing_rejects_a_non_integer_index(scenario):
