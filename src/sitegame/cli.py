@@ -124,7 +124,10 @@ def _cmd_tensor(args: argparse.Namespace) -> None:
     from .tensor import tensor_document
 
     scenario = _valid_scenario(_read_document(args.file), _write_stderr)
-    document = tensor_document(_build_tensor(scenario), scenario if args.explain else None)
+    kernels = []  # with --explain, the kernels that build the tensor spell its breakdowns
+    tensor = _build_tensor(scenario, kernels.append if args.explain else None)
+    document = tensor_document(tensor, kernels if args.explain else None)
+    del kernels  # spelled, so freed before the first piece is written
     _write(itertools.chain(document, "\n"))
 
 
@@ -172,11 +175,11 @@ def _cmd_solve(args: argparse.Namespace) -> None:
         )
     if report.compromise is not None:
         shortfall = report.compromise.shortfall
-        if not math.isfinite(shortfall.max()):
-            profile = tuple(np.argwhere(~np.isfinite(shortfall))[0].tolist())
+        if not math.isfinite(shortfall.max()):  # the first inf, by one bool a profile
+            profile = list(map(int, np.unravel_index(np.isinf(shortfall).argmax(), tensor.shape)))
             raise _Exit(
                 EXIT_DOMAIN,
-                f"compromise residual overflows to inf at profile {list(profile)} "
+                f"compromise residual overflows to inf at profile {profile} "
                 f"(labels {list(tensor.labels_for(profile))!r}): payoffs too far apart for a float",
             )
     pieces = report.json_pieces() if args.format == "json" else report.text_pieces()

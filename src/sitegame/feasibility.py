@@ -159,7 +159,7 @@ def check_profile_spacing(
     return violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpacingCodes:
     """The pairwise band over every profile of a scenario, kept per player
     pair: the code tables hold nothing per profile, and :meth:`violating`

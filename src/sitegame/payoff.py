@@ -111,9 +111,9 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
 
 
 class PayoffTerms:
-    """The payoff kernel: one player's income and damage terms at several
-    locations, as (locations × objects) arrays, with their totals and
-    gradients.
+    """The payoff kernel: the income and damage terms of one player (the
+    PlayerSpec ``player``) at several locations, as (locations × objects)
+    arrays, with their totals and gradients.
 
     Location r is ``positions[r]`` evaluated with coefficient row ``rows[r]``;
     by default, the player's candidate sites with their own rows. Every
@@ -135,7 +135,7 @@ class PayoffTerms:
         if positions is None:
             positions = [site.position for site in player.sites]
             rows = range(len(player.sites))
-        self._player = player
+        self.player = player
         self._rows = rows
         self._objects = scenario.objects
         self.dx, self.dy, self.rho = offsets(positions, [obj.position for obj in self._objects])
@@ -160,8 +160,8 @@ class PayoffTerms:
         the first location, then object, where one is."""
         if not denominators.all():
             r, j = np.argwhere(denominators == 0.0)[0].tolist()
-            site_id = self._player.sites[self._rows[r]].id
-            raise ZeroDistanceError(self._player.id, site_id, self._objects[j].id)
+            site_id = self.player.sites[self._rows[r]].id
+            raise ZeroDistanceError(self.player.id, site_id, self._objects[j].id)
         return denominators
 
     def gradient(self) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,7 @@ class CompromiseResult:
     minimizers: tuple[Profile, ...]
     payoffs: tuple[tuple[float, ...], ...]
     min_residual: float
-    shortfall: np.ndarray = field(compare=False)
+    shortfall: np.ndarray = field(compare=False, repr=False)
 
     @cached_property
     def residuals(self) -> MappingProxyType[Profile, float]:

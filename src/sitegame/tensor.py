@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -35,7 +35,7 @@ class TensorFormatError(ValueError):
     """A document could not be parsed into a PayoffTensor."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PayoffTensor:
     """Payoff vectors for every strategy profile of a finite game.
 
@@ -54,7 +54,7 @@ class PayoffTensor:
     shape: tuple[int, ...]
     players: tuple[str, ...]
     strategy_labels: tuple[tuple[str, ...], ...]
-    values: np.ndarray | None
+    values: np.ndarray | None = field(repr=False)
     provenance: str
     totals: InitVar[Sequence[Sequence[float]] | None] = None
 
@@ -574,11 +574,12 @@ def _walk_payoffs(payoffs_doc: list, n: int) -> list[list[float]]:
     return rows
 
 
-def tensor_document(tensor: PayoffTensor, explain: Scenario | None = None) -> Iterator[str]:
-    """``json.dumps(tensor_to_dict(tensor), indent=2)`` in pieces.
-    Given the scenario the tensor was built from as ``explain``, it ends with
-    an ``explain`` listing: for every profile, its indices, labels and each
-    player's income and damage terms and total."""
+def tensor_document(
+    tensor: PayoffTensor, explain: Sequence[PayoffTerms] | None = None
+) -> Iterator[str]:
+    """``json.dumps(tensor_to_dict(tensor), indent=2)`` in pieces. Given as ``explain`` the
+    kernels that built the tensor (one PayoffTerms per player, in order, at all its sites),
+    it ends with an ``explain`` listing: each profile's indices, labels and breakdowns."""
     n = tensor.n_players
     rows = functools.partial(listing, profiles=np.arange(tensor.n_profiles), shape=tensor.shape)
     head = tensor_head(tensor) | {"payoffs": LISTING}
@@ -592,18 +593,15 @@ def tensor_document(tensor: PayoffTensor, explain: Scenario | None = None) -> It
         details = [(spelled, c) for c in codes.reshape(-1, n).T]
         listings = [("payoffs", [SLOT] * n, functools.partial(rows, details=details))]
     if explain is not None:
-        from .payoff import PayoffTerms
-
         # One breakdown per (player, site), encoded once at its depth in the
         # document and shared by every profile that picks that site.
         breakdowns = []
-        for p, player in enumerate(explain.players):
-            terms = PayoffTerms(explain, p)
+        for terms in explain:
             columns = (terms.income.tolist(), terms.damage.tolist(), terms.total.tolist())
             breakdowns.append([
-                json.dumps({"player": player.id, "site": site.id, "income": income,
+                json.dumps({"player": terms.player.id, "site": site.id, "income": income,
                             "damage": damage, "total": total}, indent=2).replace("\n", "\n        ")
-                for site, income, damage, total in zip(player.sites, *columns)
+                for site, income, damage, total in zip(terms.player.sites, *columns)
             ])
         head["explain"] = LISTING
         entry = {"indices": [PROFILE], "labels": [PROFILE], "players": [PROFILE]}
@@ -613,8 +611,12 @@ def tensor_document(tensor: PayoffTensor, explain: Scenario | None = None) -> It
 
 
 def dumps_tensor(tensor: PayoffTensor, explain: Scenario | None = None) -> str:
-    """The document of tensor_document as one string, ending in a newline."""
-    return "".join(itertools.chain(tensor_document(tensor, explain), "\n"))
+    """The document of tensor_document, with the ``explain`` listing of the
+    scenario ``explain`` if given, as one string ending in a newline."""
+    from .payoff import PayoffTerms
+
+    kernels = explain and [PayoffTerms(explain, p) for p in range(explain.n_players)]
+    return "".join(itertools.chain(tensor_document(tensor, kernels), "\n"))
 
 
 def load_tensor(path: Path | str) -> PayoffTensor:

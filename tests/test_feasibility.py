@@ -302,6 +302,16 @@ def test_profile_spacing_keys_fit_in_int64():
     _assert_same_spacing(profile_spacing(scn), _spacing_by_profile(scn))
 
 
+def test_spacing_codes_compare_and_hash_by_identity(scenario):
+    # The generated __eq__ and __hash__ compared and hashed the code tables:
+    # ValueError for ==, TypeError for hash.
+    tight = dataclasses.replace(scenario, region=dataclasses.replace(scenario.region, rho_min=3.0))
+    codes, other = spacing_codes(tight), spacing_codes(tight)
+    assert codes.pairs  # a pair of sites breaks the band
+    assert codes == codes and codes != other
+    assert len({codes, other, codes}) == 2
+
+
 def _assert_spacing_codes_list(scn, sites, players, block):
     expected = _spacing_by_profile(scn)
     spacing = spacing_codes(scn)

@@ -612,6 +612,30 @@ def test_a_writable_array_is_copied():
     assert values.flags.writeable
 
 
+def test_tensors_compare_and_hash_by_identity(tensor, scenario):
+    # The generated __eq__ and __hash__ compared and hashed the values array:
+    # ValueError for ==, TypeError for hash, also through a SolveReport.
+    other = dataclasses.replace(tensor)
+    assert tensor == tensor and tensor != other
+    assert len({tensor, other, tensor}) == 2
+    built = build_tensor(scenario)
+    assert solve(built) == solve(built) != solve(build_tensor(scenario))
+    assert hash(solve(built)) == hash(solve(built))
+
+
+def test_repr_holds_nothing_per_profile(scenario):
+    # repr read ``values``, which built the dense tensor and kept it, and
+    # printed the compromise residual of every profile.
+    tensor = build_tensor(scenario)
+    text = repr(solve(tensor))
+    assert "values" not in vars(tensor)
+    assert "values=" not in text and "shortfall=" not in text
+    assert repr(tensor) == (
+        "PayoffTensor(shape=(3, 4, 2), players=('P1', 'P2', 'P3'), strategy_labels="
+        f"{tensor.strategy_labels!r}, provenance='computed-from-equation')"
+    )
+
+
 @pytest.mark.parametrize("method", ["labels_for", "payoff_vector"])
 @pytest.mark.parametrize("player", [0, 1, 2])
 @pytest.mark.parametrize("end", ["-1", "k"])
