@@ -44,8 +44,8 @@ class _Exit(Exception):
 
 def _write(pieces: Iterable[str]) -> None:
     """Write each of ``pieces`` to stdout as it is rendered, and flush it.
-    Output that cannot be written exits 2, without a message for a broken
-    pipe."""
+    Output that cannot be written, or spelled in the stream's encoding, exits
+    2, without a message for a broken pipe."""
     out = sys.stdout
     try:
         if out is None:  # the process started with stdout closed
@@ -55,7 +55,7 @@ def _write(pieces: Iterable[str]) -> None:
             # A document renders its next piece only once this one is freed.
             del piece
         out.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         # Python flushes stdout again at exit; what is left goes to devnull.
         # A stream without a file descriptor raises io.UnsupportedOperation,
         # a ValueError.

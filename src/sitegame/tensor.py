@@ -11,7 +11,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
@@ -48,7 +47,9 @@ class PayoffTensor:
     A separable tensor, as build_tensor makes, is given ``values=None`` and
     ``totals`` instead: ``totals[p][k]`` is player p's payoff at every profile
     where p plays strategy k. It holds these Σk_i numbers alone, and builds
-    ``values`` only when that is read. player_payoffs reads either form.
+    ``values`` (and keeps it) only when that is read: player_payoffs never
+    does, dataclasses.replace does and returns a dense tensor. A separable
+    copy takes ``totals=[t.player_payoffs(p).ravel() for p in range(n)]``.
     """
 
     shape: tuple[int, ...]
@@ -149,15 +150,11 @@ class PayoffTensor:
 def checked_profile(
     profile: Sequence[int], shape: Sequence[int], players: Sequence[str]
 ) -> Profile:
-    """``profile`` as a tuple of ints, once it holds one index in
-    ``range(shape[p])`` for every player p (see checked_index). Otherwise
-    raises ValueError naming the player and the index."""
+    """``profile`` as a tuple of ints, entry p checked by checked_index against
+    ``shape[p]``: a ValueError names the player and the index."""
     profile = tuple(profile)
     if len(profile) != len(shape):
         raise ValueError(f"profile {profile!r} has {len(profile)} indices for {len(shape)} players")
-    ints = set(map(type, profile)) <= {int}
-    if ints and min(profile, default=0) >= 0 and all(map(operator.lt, profile, shape)):
-        return profile
     return tuple(
         checked_index(index, size, "strategy index", "strategies", player)
         for index, size, player in zip(profile, shape, players)

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -502,6 +503,25 @@ def test_solve_shape_only_document_is_a_tensor_exit2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", str(path))
     assert (code, out) == (2, "")
     assert err == "error: document: missing required key 'payoffs'\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"shape": 3, "payoffs": []}, "shape: expected a non-empty list of integers"),
+        ({"shape": [2], "payoffs": {}}, "payoffs: expected a list of payoff vectors"),
+        (
+            {"shape": [2], "payoffs": [[1.0], [2.0]], "strategy_labels": [["a", "b"], ["c"]]},
+            "strategy_labels: expected 1 label lists",
+        ),
+    ],
+    ids=["shape", "payoffs", "strategy_labels"],
+)
+def test_solve_malformed_tensor_document_exit2(tmp_path, capsys, doc, message):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def _players_past_numpy_limit() -> int:
@@ -1075,6 +1095,53 @@ def test_broken_pipe_exit2_silently(tmp_path):
         err = process.stderr.read()
         assert process.wait(timeout=120) == 2
     assert err == b""
+
+
+def _accented_tensor(fixture_files, tmp_path):
+    """The fixture tensor document with its first label spelled "é"."""
+    _, tensor_path = fixture_files
+    doc = json.loads(tensor_path.read_text())
+    doc["strategy_labels"][0][0] = "é"
+    path = tmp_path / "accented.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_output_the_encoding_cannot_spell_exit2(fixture_files, tmp_path, capsys, monkeypatch):
+    # An ASCII stdout used to end text output in a UnicodeEncodeError traceback.
+    path = _accented_tensor(fixture_files, tmp_path)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    code = main(["solve", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    _assert_one_line_error(err)
+    assert err.startswith("error: cannot write to stdout: 'ascii' codec can't encode character '\\xe9'")
+
+
+@pytest.mark.parametrize("command", ["solve", "validate", "fixtures"])
+def test_ascii_stdout_exit2_without_traceback(fixture_files, tmp_path, command):
+    scenario_path, _ = fixture_files
+    if command == "solve":
+        argv = ["solve", str(_accented_tensor(fixture_files, tmp_path))]
+    elif command == "validate":
+        # Two sites named 'Bé': the duplicate-id violation names one of them.
+        doc = json.loads(scenario_path.read_text())
+        for site in doc["players"][0]["sites"][:2]:
+            site["id"] = "Bé"
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["validate", str(path)]
+    else:
+        argv = ["fixtures", "emit", str(tmp_path / "dé")]
+    result = subprocess.run(
+        [sys.executable, "-m", "sitegame", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert result.returncode == 2
+    _assert_one_line_error(result.stderr)
+    assert result.stderr.startswith("error: cannot write to stdout: 'ascii' codec ")
 
 
 # --- mutated fixture documents ------------------------------------------------

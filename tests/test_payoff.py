@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -139,6 +140,16 @@ def test_numpy_integer_site_index_is_accepted(scenario):
 def test_unmatched_position_raises(scenario):
     with pytest.raises(ValueError, match="not a candidate site"):
         payoff(0, Point(6.5, 8.0), scenario)
+
+
+def test_short_coefficient_row_raises(scenario):
+    # validate reports the row; payoff on an unvalidated scenario names the player.
+    p1 = scenario.players[0]
+    p1 = dataclasses.replace(p1, loss=(p1.loss[0][:-1], *p1.loss[1:]))
+    scenario = dataclasses.replace(scenario, players=(p1, *scenario.players[1:]))
+    message = "player 'P1': every coefficient row needs one entry per object"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        payoff(0, p1.sites[0].position, scenario)
 
 
 def test_explicit_row_matches_oracle_at_arbitrary_point(scenario):

@@ -23,6 +23,7 @@ from sitegame import (
     build_tensor,
     check_profile_spacing,
     check_scenario,
+    dumps_scenario,
     find_compromise,
     find_pure_nash,
     fixture_tensor,
@@ -32,6 +33,7 @@ from sitegame import (
     spacing_codes,
 )
 from sitegame import report as report_module
+from sitegame.cli import main
 from conftest import (
     assert_renders_in_blocks,
     assert_same_text,
@@ -223,6 +225,24 @@ def test_to_text_with_feasibility_sections(scenario, pairwise, band):
         pairwise_spacing=None if pairwise is None else pairwise(scenario),
     )
     assert_same_text(report.to_text(), _reference_text(report))
+
+
+def test_site_outside_the_region_box_is_listed(tmp_path, capsys, scenario):
+    # No generated scenario puts a site outside the box: B1 moves to x 20 of 15.
+    p1 = scenario.players[0]
+    b1 = dataclasses.replace(p1.sites[0], position=Point(20, 8))
+    p1 = dataclasses.replace(p1, sites=(b1, *p1.sites[1:]))
+    scenario = dataclasses.replace(scenario, players=(p1, *scenario.players[1:]))
+    path = tmp_path / "outside.json"
+    path.write_text(dumps_scenario(scenario), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "\nfeasibility: 9 sites checked, 8 feasible\n  P1/B1: outside region box\n" in out
+    report = solve(build_tensor(scenario), feasibility=tuple(check_scenario(scenario)))
+    assert_same_text(out, _reference_text(report) + "\n")
+    assert main(["solve", str(path), "--format", "json"]) == 0
+    sites = json.loads(capsys.readouterr().out)["feasibility"]["sites"]
+    assert [site["in_box"] for site in sites] == [False] + [True] * 8
 
 
 # --- listings longer than one block --------------------------------------------

@@ -2,6 +2,7 @@
 import dataclasses
 import importlib
 import json
+import os
 import re
 import sys
 import tracemalloc
@@ -275,6 +276,14 @@ def test_from_dict_checks_row_count_before_building_defaults(extra):
     assert peak < 2**20
 
 
+def test_from_dict_reads_numpy_floats_as_their_plain_values(tensor):
+    # np.float64 is a float subclass: such rows miss the plain-number path
+    # and are read entry by entry.
+    doc = tensor_to_dict(tensor)
+    numpy_doc = {**doc, "payoffs": [[np.float64(v) for v in row] for row in doc["payoffs"]]}
+    assert tensor_from_dict(numpy_doc).values.tobytes() == tensor_from_dict(doc).values.tobytes()
+
+
 def test_load_tensor_names_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"shape": [1],,}', encoding="utf-8")
@@ -464,6 +473,21 @@ def test_constructor_takes_values_or_totals_for_each_player(totals, values):
         PayoffTensor((1, 2), ("P1", "P2"), (("a",), ("b", "c")), values, PROVENANCE_LOADED, totals)
 
 
+@pytest.mark.parametrize(
+    "shape, players, labels, values, message",
+    [
+        ((2,), ("a", "b"), (("x", "y"),), np.zeros((2, 2)), "2 player labels for 1 axes"),
+        ((0,), ("a",), ((),), np.zeros((0, 1)), "every player needs at least one strategy, got shape (0,)"),
+        ((2,), ("a",), (("x",),), np.zeros((2, 1)), "strategy_labels must match shape"),
+        ((2,), ("a",), (("x", "y"),), np.zeros((2, 2)), "values shape (2, 2) does not match (2, 1)"),
+    ],
+    ids=["players", "empty axis", "labels", "values"],
+)
+def test_constructor_rejects_parts_that_disagree_with_shape(shape, players, labels, values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PayoffTensor(shape, players, labels, values, PROVENANCE_LOADED)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_constructor_rejects_nonfinite_totals(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -566,6 +590,19 @@ def test_build_tensor_refuses_one_byte_over_physical_memory(scenario, monkeypatc
             build_tensor(scenario)
     else:
         assert build_tensor(scenario).n_profiles * tensor_module.PROFILE_BYTES == nbytes
+
+
+@pytest.mark.parametrize("fault", [None, ValueError, OSError])
+def test_build_tensor_skips_the_guard_where_memory_is_unknown(scenario, monkeypatch, fault):
+    def sysconf(name):
+        raise fault(name)
+
+    if fault is None:  # a platform without os.sysconf
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        monkeypatch.setattr(os, "sysconf", sysconf)
+    assert tensor_module._physical_memory() is None
+    assert build_tensor(scenario).shape == (3, 4, 2)
 
 
 def _many_site_scenario(sites):
