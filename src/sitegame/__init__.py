@@ -47,7 +47,6 @@ _EXPORTS = {
         "check_profile_spacing",
         "SpacingCodes",
         "spacing_codes",
-        "profile_spacing",
     ),
     "payoff": (
         "PayoffBreakdown",

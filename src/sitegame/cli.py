@@ -69,12 +69,12 @@ def _write(pieces: Iterable[str]) -> None:
 
 
 def _write_stderr(text: str) -> None:
-    """Write ``text`` to stderr and flush it; a stderr that cannot be written
-    must not change the exit code."""
+    """Write ``text`` to stderr and flush it; a stderr that cannot be written,
+    or cannot spell ``text`` in its encoding, must not change the exit code."""
     err = sys.stderr
     if err is None:  # the process started with stderr closed
         return
-    with contextlib.suppress(OSError):
+    with contextlib.suppress(OSError, UnicodeEncodeError):
         err.write(text)
         err.flush()
 

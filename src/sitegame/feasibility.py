@@ -4,8 +4,9 @@ A location is feasible when it lies inside the region box and its distance to
 every natural object falls within the closed band [rho_min, rho_max]. The
 band can optionally also be enforced pairwise between distinct players' chosen
 sites: per profile via :func:`check_profile_spacing`, or over every profile at
-once via :func:`spacing_codes` (per player pair) and :func:`profile_spacing`
-(per profile).
+once via :func:`spacing_codes`, which keeps the checks per player pair and
+lists the violating profiles through :meth:`SpacingCodes.violating` and
+:meth:`SpacingCodes.codes_at`.
 
 Feasibility here is advisory: the solvers operate on whatever payoff tensor
 they are given and never consult these checks.
@@ -14,7 +15,6 @@ they are given and never consult these checks.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .payoff import distance, offsets
 from .scenario import Point, RegionConfig, Scenario
-from .tensor import Profile, checked_profile, indices_where
+from .tensor import checked_profile, indices_where
 
 BELOW = "below"
 ABOVE = "above"
@@ -168,7 +168,9 @@ class SpacingCodes:
     ``pairs`` holds ``(a, b, codes, violations)`` for each player pair
     a < b, in lexicographic order, that has a pair of sites outside the
     band: ``codes[k_a, k_b]`` is 0 where sites k_a and k_b keep the band,
-    else c for ``violations[c - 1]``.
+    else c for ``violations[c - 1]``. A profile's violations, in the order
+    :func:`check_profile_spacing` lists them, are ``violations[c - 1]`` for
+    each pair whose code c at it (see :meth:`codes_at`) is not 0.
     """
 
     shape: tuple[int, ...]
@@ -187,34 +189,6 @@ class SpacingCodes:
         for a, b, codes, _ in self.pairs:
             hit |= (codes != 0).reshape(_pair_axes(self.shape, a, b))
         return np.flatnonzero(hit)
-
-    def by_profile(self) -> dict[Profile, tuple[PairSpacingViolation, ...]]:
-        """What :func:`profile_spacing` returns. Every profile carries a key
-        naming its set of violations so far, mixed radix over the pairs,
-        re-ranked to ``0 .. distinct - 1`` after each pair so it stays below
-        ``n_profiles * (k_a * k_b + 1)``. The dict holds one tuple per
-        distinct set, shared by every profile with that set, and one
-        ``PairSpacingViolation`` per violating site pair."""
-        shape = self.shape
-        key = np.zeros(math.prod(shape), dtype=np.int64)
-        sets: list[tuple[PairSpacingViolation, ...]] = [()]  # the set each key names
-        for a, b, codes, found in self.pairs:
-            # Code c adds suffixes[c] to a profile's set.
-            suffixes = [(), *((violation,) for violation in found)]
-            axes = _pair_axes(shape, a, b)
-            key = (key.reshape(shape) * len(suffixes) + codes.reshape(axes)).reshape(-1)
-            distinct, key = _rank(key, len(sets) * len(suffixes))
-            sets = [
-                sets[prior] + suffixes[code]
-                for prior, code in zip(*map(np.ndarray.tolist, np.divmod(distinct, len(suffixes))))
-            ]
-        if not any(sets):
-            return {}
-        # Ranks keep the order of keys, so the empty set, if some profile has it,
-        # is key 0: if sets[0] is not empty, every profile violates the band.
-        violating = (key != 0) | bool(sets[0])
-        profiles = indices_where(violating.reshape(shape))
-        return dict(zip(profiles, map(sets.__getitem__, key[violating].tolist())))
 
 
 def _pair_axes(shape: tuple[int, ...], a: int, b: int) -> list[int]:
@@ -246,23 +220,3 @@ def spacing_codes(scenario: Scenario) -> SpacingCodes:
         if found:
             pairs.append((a, b, codes, tuple(found)))
     return SpacingCodes(tuple(len(player.sites) for player in players), tuple(pairs))
-
-
-def profile_spacing(scenario: Scenario) -> dict[Profile, tuple[PairSpacingViolation, ...]]:
-    """:func:`check_profile_spacing` over every profile at once.
-
-    Maps each violating profile, in normative order, to its violations in the
-    order :func:`check_profile_spacing` lists them. Profiles with the same
-    violations share one tuple (see :meth:`SpacingCodes.by_profile`).
-    """
-    return spacing_codes(scenario).by_profile()
-
-
-def _rank(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(key, return_inverse=True)`` for keys in ``range(bound)``:
-    without a sort when a table of ``bound`` entries is no larger than ``key``."""
-    if bound > key.size:
-        return np.unique(key, return_inverse=True)
-    seen = np.zeros(bound, dtype=bool)
-    seen[key] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]

@@ -51,16 +51,17 @@ TOOL_NAME = "sitegame"
 # The codes of a listing's details for a block's slice of its rows (see listing).
 _Codes = Callable[[slice], Sequence[np.ndarray]]
 # A pairwise listing (see SolveReport._spacing).
-_Spacing = tuple[np.ndarray, list[list[tuple["PairSpacingViolation", ...]]], _Codes]
+_Spacing = tuple[np.ndarray, list[Sequence["PairSpacingViolation"]], _Codes]
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Everything the CLI reports about one solve run.
 
-    ``pairwise_spacing`` is what :func:`sitegame.feasibility.profile_spacing`
-    returns, or the same checks as :func:`sitegame.feasibility.spacing_codes`
-    returns them.
+    ``pairwise_spacing`` is what :func:`sitegame.feasibility.spacing_codes`
+    returns. A mapping from profiles to their violations is listed too, in
+    its own order: ``perfbench/traced.py`` builds one from
+    :func:`sitegame.feasibility.check_profile_spacing`.
     """
 
     tensor: PayoffTensor
@@ -69,18 +70,23 @@ class SolveReport:
     compromise: CompromiseResult | None
     feasibility: tuple[FeasibilityReport, ...] | None = None
     pairwise_spacing: (
-        Mapping[Profile, tuple[PairSpacingViolation, ...]] | SpacingCodes | None
+        SpacingCodes | Mapping[Profile, Sequence[PairSpacingViolation]] | None
     ) = None
 
     def to_dict(self) -> dict:
         doc = self._head_dict()
         if self.pairwise_spacing is not None:
-            spacing = self.pairwise_spacing
-            if not isinstance(spacing, Mapping):
-                spacing = spacing.by_profile()
+            profiles, columns, codes = self._spacing()
+            grid = np.unravel_index(profiles, self.tensor.shape)  # up to 64 axes
+            codes = [c.tolist() for c in codes(slice(None))]
             doc["feasibility"]["pairwise_spacing"] = [
-                self._entry(profile, violations=list(map(_violation_dict, violations)))
-                for profile, violations in spacing.items()
+                self._entry(
+                    profile,
+                    violations=[
+                        _violation_dict(column[c[r] - 1]) for column, c in zip(columns, codes) if c[r]
+                    ],
+                )
+                for r, profile in enumerate(zip(*(axis.tolist() for axis in grid)))
             ]
         if self.nash is not None:
             doc["nash"]["equilibria"] = [
@@ -212,26 +218,22 @@ class SolveReport:
     def _spacing(self) -> _Spacing:
         """The pairwise listing: its profiles' flat (C-order) indices, its
         columns and the codes of a block's rows in each. Code c >= 1 of a
-        column names the tuple of violations at c - 1 in it, and 0 none."""
+        column names the violation at c - 1 in it, and 0 none: one column
+        per player pair, or, for a mapping, column j for each row's
+        violation at j."""
         spacing = self.pairwise_spacing
-        if isinstance(spacing, Mapping):
-            return self._mapping_spacing()
-        profiles = spacing.violating()
-        columns = [[(violation,) for violation in found] for *_, found in spacing.pairs]
-        return profiles, columns, lambda rows: spacing.codes_at(profiles[rows])
-
-    def _mapping_spacing(self) -> _Spacing:
-        """A mapping's pairwise listing: one column, its code the row's tuple.
-        Tuples are told apart by identity, so no violation is ever hashed:
-        profile_spacing shares one tuple among the profiles with the same
-        violations, and each is spelled once."""
-        spacing = self.pairwise_spacing
-        ids = list(map(id, spacing.values()))
-        distinct = {key: row for key, row in zip(ids, spacing.values()) if row}
-        code = dict(zip(distinct, itertools.count(1)))
-        codes = np.fromiter((code.get(key, 0) for key in ids), np.intp, len(ids))
+        if not isinstance(spacing, Mapping):
+            profiles = spacing.violating()
+            columns = [found for *_, found in spacing.pairs]
+            return profiles, columns, lambda rows: spacing.codes_at(profiles[rows])
+        found = list(spacing.values())
+        columns, codes = [], []
+        for j in range(max(map(len, found), default=0)):
+            hit = np.fromiter((len(row) > j for row in found), bool, len(found))
+            columns.append([row[j] for row in found if len(row) > j])
+            codes.append(np.cumsum(hit) * hit)
         profiles = _flat_indices(spacing, self.tensor.shape)
-        return profiles, [list(distinct.values())], lambda rows: [codes[rows]]
+        return profiles, columns, lambda rows: [c[rows] for c in codes]
 
     def to_text(self) -> str:
         return "".join(self.text_pieces())
@@ -334,7 +336,7 @@ def _violation_text(v: PairSpacingViolation) -> str:
 
 
 def _violation_columns(
-    columns: list[list[tuple[PairSpacingViolation, ...]]],
+    columns: list[Sequence[PairSpacingViolation]],
     codes: _Codes,
     spell: Callable[[PairSpacingViolation], str],
     first: str,
@@ -342,13 +344,13 @@ def _violation_columns(
     close: tuple[str, str] | None = None,
 ) -> tuple[list[Detail], _Codes]:
     """A pairwise listing's details, and what gives their codes for a block
-    (see listing): a row's violations, each spelled by ``spell`` and joined
-    by ``later``, after ``first`` for its first column with violations and
-    after ``later`` for each later one. ``close``, if given, ends a row
+    (see listing): a row's violations, each spelled once per column by
+    ``spell``, after ``first`` in its first column with a violation and
+    after ``later`` in each later one. ``close``, if given, ends a row
     without violations and a row with some."""
     details = []
     for j, column in enumerate(columns):
-        spelled = [later.join(map(spell, violations)) for violations in column]
+        spelled = list(map(spell, column))
         every = ["", *(first + text for text in spelled)]
         if j:  # no column comes before the first
             every += [later + text for text in spelled]
@@ -394,7 +396,7 @@ def solve(
     tolerance: float = DEFAULT_TOLERANCE,
     feasibility: tuple[FeasibilityReport, ...] | None = None,
     pairwise_spacing: (
-        Mapping[Profile, tuple[PairSpacingViolation, ...]] | SpacingCodes | None
+        SpacingCodes | Mapping[Profile, Sequence[PairSpacingViolation]] | None
     ) = None,
 ) -> SolveReport:
     """Run the requested solvers (both by default) and assemble a report."""

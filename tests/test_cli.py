@@ -1118,6 +1118,13 @@ def test_output_the_encoding_cannot_spell_exit2(fixture_files, tmp_path, capsys,
     assert err.startswith("error: cannot write to stdout: 'ascii' codec can't encode character '\\xe9'")
 
 
+def test_error_line_the_stderr_encoding_cannot_spell_keeps_exit_code(tmp_path, monkeypatch):
+    # An ASCII stderr used to raise UnicodeEncodeError out of main on the
+    # error line naming the missing file.
+    monkeypatch.setattr(sys, "stderr", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    assert main(["solve", str(tmp_path / "missé.json")]) == 2
+
+
 @pytest.mark.parametrize("command", ["solve", "validate", "fixtures"])
 def test_ascii_stdout_exit2_without_traceback(fixture_files, tmp_path, command):
     scenario_path, _ = fixture_files

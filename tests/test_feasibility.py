@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import re
 
@@ -19,7 +18,6 @@ from sitegame import (
     check_scenario,
     check_site,
     iterate_profiles,
-    profile_spacing,
     spacing_codes,
 )
 from conftest import scenarios
@@ -189,7 +187,7 @@ def test_profile_spacing_detects_close_pair():
     assert v.bound == "below"
 
 
-def _spacing_by_profile(scenario):
+def _checked_spacing(scenario):
     """check_profile_spacing on every profile, keeping the violating ones."""
     shape = tuple(len(player.sites) for player in scenario.players)
     spacing = {}
@@ -198,6 +196,19 @@ def _spacing_by_profile(scenario):
         if found:
             spacing[profile] = tuple(found)
     return spacing
+
+
+def _listing(spacing):
+    """The profiles that ``spacing.violating()`` lists, each with the
+    violations that its pairs' codes name (see codes_at), in pair order."""
+    profiles = spacing.violating()
+    codes = spacing.codes_at(profiles)
+    return {
+        tuple(map(int, np.unravel_index(flat, spacing.shape))): tuple(
+            found[c - 1] for (*_, found), column in zip(spacing.pairs, codes) if (c := column[r])
+        )
+        for r, flat in enumerate(profiles.tolist())
+    }
 
 
 def _assert_same_spacing(got, expected):
@@ -215,7 +226,7 @@ def _assert_same_spacing(got, expected):
 def test_profile_spacing_equals_per_profile_checks(scenario, band):
     region = dataclasses.replace(scenario.region, rho_min=band[0], rho_max=band[1])
     scenario = dataclasses.replace(scenario, region=region)
-    _assert_same_spacing(profile_spacing(scenario), _spacing_by_profile(scenario))
+    _assert_same_spacing(_listing(spacing_codes(scenario)), _checked_spacing(scenario))
 
 
 def _player(player_id, *sites):
@@ -234,7 +245,7 @@ def test_profile_spacing_single_player_is_empty():
         objects=(NaturalObject("A1", Point(9, 9)),),
         players=(_player("P1", (0, 0), (1, 0)),),
     )
-    assert profile_spacing(scn) == {}
+    assert _listing(spacing_codes(scn)) == {}
 
 
 def test_profile_spacing_coincident_sites():
@@ -247,8 +258,8 @@ def test_profile_spacing_coincident_sites():
             _player("P3", (2, 3), (9, 0)),
         ),
     )
-    spacing = profile_spacing(scn)
-    _assert_same_spacing(spacing, _spacing_by_profile(scn))
+    spacing = _listing(spacing_codes(scn))
+    _assert_same_spacing(spacing, _checked_spacing(scn))
     first = spacing[(0, 0, 0)][0]
     assert (first.site_a, first.site_b, first.distance, first.bound) == (
         "P1S1", "P2S1", 0.0, "below"
@@ -270,38 +281,6 @@ def _scattered_scenario(players, sites, band, seed=0):
     )
 
 
-@pytest.mark.parametrize("band", [(2.0, 16.0), (6.0, 14.0)])
-def test_profile_spacing_shares_one_tuple_per_violation_set(band):
-    scn = _scattered_scenario(players=5, sites=4, band=band)
-    spacing = profile_spacing(scn)
-    _assert_same_spacing(spacing, _spacing_by_profile(scn))
-    rows = list(spacing.values())
-    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
-    violations = [v for row in rows for v in row]
-    assert len({id(v) for v in violations}) == len(set(violations))
-
-
-def test_profile_spacing_keys_fit_in_int64():
-    # Seven players, four sites each and a narrow band. A key naming each
-    # profile's violations in mixed radix over the 21 player pairs, one digit
-    # per pair (0, or 1 + the index of its violating site pair), would pass
-    # 2**63; ranked after each pair it stays below 4**7 * 17.
-    scn = _scattered_scenario(players=7, sites=4, band=(8.0, 12.0))
-
-    def outside(site_a, site_b):
-        rho = math.dist(
-            (site_a.position.x, site_a.position.y), (site_b.position.x, site_b.position.y)
-        )
-        return not 8.0 <= rho <= 12.0
-
-    radices = [
-        1 + sum(outside(s_a, s_b) for s_a in a.sites for s_b in b.sites)
-        for a, b in itertools.combinations(scn.players, 2)
-    ]
-    assert math.prod(radices) > 2**63
-    _assert_same_spacing(profile_spacing(scn), _spacing_by_profile(scn))
-
-
 def test_spacing_codes_compare_and_hash_by_identity(scenario):
     # The generated __eq__ and __hash__ compared and hashed the code tables:
     # ValueError for ==, TypeError for hash.
@@ -313,7 +292,7 @@ def test_spacing_codes_compare_and_hash_by_identity(scenario):
 
 
 def _assert_spacing_codes_list(scn, sites, players, block):
-    expected = _spacing_by_profile(scn)
+    expected = _checked_spacing(scn)
     spacing = spacing_codes(scn)
     profiles = spacing.violating()
     shape = (sites,) * players
@@ -328,7 +307,6 @@ def _assert_spacing_codes_list(scn, sites, players, block):
     for r, violations in enumerate(expected.values()):
         found = [pair[3][c - 1] for pair, column in zip(spacing.pairs, codes) if (c := column[r])]
         assert found == list(violations)
-    _assert_same_spacing(spacing.by_profile(), expected)
 
 
 @pytest.mark.parametrize("block", [1, 5, 64, 1 << 16])

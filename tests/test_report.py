@@ -28,7 +28,6 @@ from sitegame import (
     find_pure_nash,
     fixture_tensor,
     iterate_profiles,
-    profile_spacing,
     solve,
     spacing_codes,
 )
@@ -48,6 +47,30 @@ SOLVER_CHOICES = [(True, True), (True, False), (False, True), (False, False)]
 
 def _assert_to_json_is_json_dumps(report):
     assert_same_text(report.to_json(), json.dumps(report.to_dict(), indent=2))
+
+
+def _checked_spacing(scenario):
+    """A pairwise dict as a caller builds it: check_profile_spacing on every
+    profile, a fresh tuple of fresh violations for each violating one."""
+    found = {}
+    for profile in iterate_profiles(tuple(len(player.sites) for player in scenario.players)):
+        violations = check_profile_spacing(scenario, profile)
+        if violations:
+            found[profile] = tuple(violations)
+    return found
+
+
+def _pairwise_entries(scenario, tensor):
+    """to_dict()'s pairwise listing, built from check_profile_spacing on
+    every profile."""
+    return [
+        {
+            "indices": list(profile),
+            "labels": [tensor.strategy_labels[p][k] for p, k in enumerate(profile)],
+            "violations": [dataclasses.asdict(v) for v in violations],
+        }
+        for profile, violations in _checked_spacing(scenario).items()
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,16 +105,13 @@ def test_to_json_with_feasibility_sections(scenario, pairwise, band):
         assume(False)
     spacing = None
     if pairwise == "per profile":
-        spacing = {}
-        for profile in iterate_profiles(t.shape):
-            found = check_profile_spacing(scenario, profile)
-            if found:
-                spacing[profile] = tuple(found)
+        spacing = _checked_spacing(scenario)
     elif pairwise == "per pair":
-        # The CLI's form; to_dict lists it as profile_spacing's dict.
-        spacing = spacing_codes(scenario)
+        spacing = spacing_codes(scenario)  # the CLI's form
     report = solve(t, feasibility=tuple(check_scenario(scenario)), pairwise_spacing=spacing)
     _assert_to_json_is_json_dumps(report)
+    if spacing is not None:
+        assert report.to_dict()["feasibility"]["pairwise_spacing"] == _pairwise_entries(scenario, t)
 
 
 def test_labels_spelled_like_a_listing_placeholder_stay_labels():
@@ -139,9 +159,10 @@ def _profile_text(tensor, profile):
     return f"({labels}) = ({indices})"
 
 
-def _reference_text(report):
+def _reference_text(report, scenario=None):
     """The text report rendered one profile at a time, each row through
-    labels_for and its own joins."""
+    labels_for and its own joins; a pairwise section that is not a dict is
+    listed from check_profile_spacing on every profile of ``scenario``."""
     tensor = report.tensor
     lines = [f"sitegame {__version__}"]
     shape = "x".join(str(s) for s in tensor.shape)
@@ -164,7 +185,7 @@ def _reference_text(report):
         if report.pairwise_spacing is not None:
             spacing = report.pairwise_spacing
             if not isinstance(spacing, dict):
-                spacing = spacing.by_profile()
+                spacing = _checked_spacing(scenario)
             lines.append(f"pairwise spacing violations: {len(spacing)} profiles")
             for profile, violations in spacing.items():
                 descriptions = ", ".join(
@@ -209,7 +230,7 @@ def test_to_text_matches_per_profile_rendering(t, solvers, tolerance):
 @settings(max_examples=60, deadline=None)
 @given(
     scenario=scenarios(max_players=4),
-    pairwise=st.sampled_from([None, profile_spacing, spacing_codes]),
+    pairwise=st.sampled_from([None, _checked_spacing, spacing_codes]),
     band=st.tuples(st.sampled_from([0.5, 3.0, 6.0]), st.sampled_from([8.0, 15.0, 100.0])),
 )
 def test_to_text_with_feasibility_sections(scenario, pairwise, band):
@@ -224,7 +245,7 @@ def test_to_text_with_feasibility_sections(scenario, pairwise, band):
         feasibility=tuple(check_scenario(scenario)),
         pairwise_spacing=None if pairwise is None else pairwise(scenario),
     )
-    assert_same_text(report.to_text(), _reference_text(report))
+    assert_same_text(report.to_text(), _reference_text(report, scenario))
 
 
 def test_site_outside_the_region_box_is_listed(tmp_path, capsys, scenario):
@@ -258,10 +279,10 @@ def _seeded_tensor(shape, seed=0):
     )
 
 
-def _assert_text_in_blocks(monkeypatch, report):
+def _assert_text_in_blocks(monkeypatch, report, scenario=None):
     """to_text matches its reference whatever the block budget (see
     assert_renders_in_blocks)."""
-    text = _reference_text(report)
+    text = _reference_text(report, scenario)
     assert_renders_in_blocks(monkeypatch, report.to_text, text, text.count("\n") + 1)
 
 
@@ -323,14 +344,14 @@ def _crowded_scenario(players, sites, seed=0):
 
 def test_to_text_pairwise_listing_across_blocks(monkeypatch):
     scenario = _crowded_scenario(players=4, sites=12)
-    spacing = profile_spacing(scenario)
-    assert len(spacing) > 8192
+    spacing = spacing_codes(scenario)
+    assert spacing.violating().size > 8192
     report = solve(
         build_tensor(scenario),
         feasibility=tuple(check_scenario(scenario)),
         pairwise_spacing=spacing,
     )
-    _assert_text_in_blocks(monkeypatch, report)
+    _assert_text_in_blocks(monkeypatch, report, scenario)
 
 
 @pytest.mark.parametrize("rho_max", [16.0, 2.0 * (1 + 1e-7)])
@@ -340,30 +361,18 @@ def test_spacing_codes_listing_across_blocks(monkeypatch, rho_max):
     scenario = dataclasses.replace(scenario, region=dataclasses.replace(scenario.region, rho_max=rho_max))
     spacing = spacing_codes(scenario)
     report = solve(build_tensor(scenario), feasibility=tuple(check_scenario(scenario)), pairwise_spacing=spacing)
-    reference = solve(
-        report.tensor, feasibility=report.feasibility, pairwise_spacing=profile_spacing(scenario)
-    )
     assert spacing.violating().size > 1000
-    text = _reference_text(reference)
+    text = _reference_text(report, scenario)
     assert_renders_in_blocks(monkeypatch, report.to_text, text, text.count("\n") + 1)
-    document = json.dumps(reference.to_dict(), indent=2)
+    doc = report.to_dict()
+    assert doc["feasibility"]["pairwise_spacing"] == _pairwise_entries(scenario, report.tensor)
+    document = json.dumps(doc, indent=2)
     assert_renders_in_blocks(monkeypatch, report.to_json, document, 3 * report.tensor.n_profiles)
-
-
-def _per_profile_spacing(scenario):
-    """A pairwise dict as a caller builds it: check_profile_spacing on every
-    profile, a fresh tuple of fresh violations for each violating one."""
-    found = {}
-    for profile in iterate_profiles(tuple(len(player.sites) for player in scenario.players)):
-        violations = check_profile_spacing(scenario, profile)
-        if violations:
-            found[profile] = tuple(violations)
-    return found
 
 
 def test_to_text_pairwise_listing_from_fresh_tuples(monkeypatch):
     scenario = _crowded_scenario(players=4, sites=10)
-    spacing = _per_profile_spacing(scenario)
+    spacing = _checked_spacing(scenario)
     assert len(spacing) > 4096
     report = solve(
         build_tensor(scenario),
@@ -374,20 +383,20 @@ def test_to_text_pairwise_listing_from_fresh_tuples(monkeypatch):
 
 
 def test_pairwise_details_spell_each_tuple_object_once(monkeypatch):
-    # Details are keyed by tuple object, so no violation is ever hashed:
-    # profile_spacing's shared tuples cost one spelling per distinct set, and
-    # a caller's fresh tuples one per row.
+    # Each violation object is spelled once, however many rows name it: a
+    # pair's violations once per pair, and a caller's fresh tuples once per
+    # row.
     scenario = _crowded_scenario(players=4, sites=6)
     t = build_tensor(scenario)
-    shared = profile_spacing(scenario)
-    fresh = _per_profile_spacing(scenario)
-    distinct = {id(row): row for row in shared.values()}.values()
-    assert len(distinct) < len(shared)
+    codes = spacing_codes(scenario)
+    fresh = _checked_spacing(scenario)
+    pairs = [found for *_, found in codes.pairs]
+    assert sum(map(len, pairs)) < sum(map(len, fresh.values()))
     spelled = []
     fmt = report_module._fmt
     monkeypatch.setattr(report_module, "_fmt", lambda x: spelled.append(x) or fmt(x))
     texts = []
-    for spacing, rows in [(shared, distinct), (fresh, fresh.values())]:
+    for spacing, rows in [(codes, pairs), (fresh, fresh.values())]:
         spelled.clear()
         report = solve(t, nash=False, compromise=False, feasibility=(), pairwise_spacing=spacing)
         texts.append(report.to_text())
@@ -420,7 +429,7 @@ def test_to_text_listing_split_into_head_and_tail(monkeypatch, shape):
     "spacing", [{}, {(0, 0, 0): ()}, {(2, 3, 1): (), (0, 1, 0): ()}]
 )
 def test_to_text_pairwise_rows_without_violations(spacing):
-    # profile_spacing lists only violating profiles, but a report may be
+    # spacing_codes lists only violating profiles, but a report may be
     # given any mapping: rows with no violations end after ": ".
     report = solve(fixture_tensor(), feasibility=(), pairwise_spacing=spacing)
     assert_same_text(report.to_text(), _reference_text(report))
@@ -514,7 +523,7 @@ def test_rendering_leaves_the_residuals_dict_unbuilt(tensor, scenario):
     t = build_tensor(scenario)
     reports = [
         solve(tensor),
-        solve(t, feasibility=tuple(check_scenario(scenario)), pairwise_spacing=profile_spacing(scenario)),
+        solve(t, feasibility=tuple(check_scenario(scenario)), pairwise_spacing=spacing_codes(scenario)),
     ]
     for report in reports:
         report.to_text()
