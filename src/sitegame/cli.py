@@ -135,7 +135,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .report import solve
-    from .tensor import TensorFormatError, tensor_from_dict
+    from .tensor import TensorFormatError, profiles_at, tensor_from_dict
 
     doc = _read_document(args.file)
     scenario = None
@@ -176,7 +176,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     if report.compromise is not None:
         shortfall = report.compromise.shortfall
         if not math.isfinite(shortfall.max()):  # the first inf, by one bool a profile
-            profile = list(map(int, np.unravel_index(np.isinf(shortfall).argmax(), tensor.shape)))
+            profile = list(profiles_at([np.isinf(shortfall).argmax()], tensor.shape)[0])
             raise _Exit(
                 EXIT_DOMAIN,
                 f"compromise residual overflows to inf at profile {profile} "

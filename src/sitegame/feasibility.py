@@ -22,7 +22,7 @@ import numpy as np
 
 from .payoff import distance, offsets
 from .scenario import Point, RegionConfig, Scenario
-from .tensor import checked_profile, indices_where
+from .tensor import checked_profile, profiles_at
 
 BELOW = "below"
 ABOVE = "above"
@@ -127,7 +127,7 @@ def _band_violations(
     below, above = _band(rho, region)
     outside = below | above
     bounds = np.where(below[outside], BELOW, ABOVE).tolist()
-    return list(zip(indices_where(outside), rho[outside].tolist(), bounds))
+    return list(zip(profiles_at(np.flatnonzero(outside), rho.shape), rho[outside].tolist(), bounds))
 
 
 def check_profile_spacing(

@@ -9,9 +9,7 @@ significant digits.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-import math
 from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -34,17 +32,21 @@ from .tensor import (
     PayoffTensor,
     Profile,
     distinct_spellings,
+    flat_indices,
     index_spellings,
     iterate_profiles,
     json_document,
     json_profile_axes,
     json_spellings,
     listing,
+    profiles_at,
     tensor_head,
 )
 
 if TYPE_CHECKING:
     from .feasibility import FeasibilityReport, PairSpacingViolation, SpacingCodes
+    # What SolveReport lists as its pairwise section.
+    _Pairwise = SpacingCodes | Mapping[Profile, Sequence[PairSpacingViolation]]
 
 TOOL_NAME = "sitegame"
 
@@ -61,7 +63,8 @@ class SolveReport:
     ``pairwise_spacing`` is what :func:`sitegame.feasibility.spacing_codes`
     returns. A mapping from profiles to their violations is listed too, in
     its own order: ``perfbench/traced.py`` builds one from
-    :func:`sitegame.feasibility.check_profile_spacing`.
+    :func:`sitegame.feasibility.check_profile_spacing`. Either is listed in
+    the feasibility section and needs ``feasibility``: ``()`` lists no sites.
     """
 
     tensor: PayoffTensor
@@ -69,15 +72,16 @@ class SolveReport:
     nash: NashResult | None
     compromise: CompromiseResult | None
     feasibility: tuple[FeasibilityReport, ...] | None = None
-    pairwise_spacing: (
-        SpacingCodes | Mapping[Profile, Sequence[PairSpacingViolation]] | None
-    ) = None
+    pairwise_spacing: _Pairwise | None = None
+
+    def __post_init__(self) -> None:
+        if self.pairwise_spacing is not None and self.feasibility is None:
+            raise ValueError("pairwise_spacing needs feasibility; feasibility=() lists no sites")
 
     def to_dict(self) -> dict:
         doc = self._head_dict()
         if self.pairwise_spacing is not None:
             profiles, columns, codes = self._spacing()
-            grid = np.unravel_index(profiles, self.tensor.shape)  # up to 64 axes
             codes = [c.tolist() for c in codes(slice(None))]
             doc["feasibility"]["pairwise_spacing"] = [
                 self._entry(
@@ -86,7 +90,7 @@ class SolveReport:
                         _violation_dict(column[c[r] - 1]) for column, c in zip(columns, codes) if c[r]
                     ],
                 )
-                for r, profile in enumerate(zip(*(axis.tolist() for axis in grid)))
+                for r, profile in enumerate(profiles_at(profiles, self.tensor.shape))
             ]
         if self.nash is not None:
             doc["nash"]["equilibria"] = [
@@ -232,7 +236,7 @@ class SolveReport:
             hit = np.fromiter((len(row) > j for row in found), bool, len(found))
             columns.append([row[j] for row in found if len(row) > j])
             codes.append(np.cumsum(hit) * hit)
-        profiles = _flat_indices(spacing, self.tensor.shape)
+        profiles = flat_indices(spacing, self.tensor.shape)
         return profiles, columns, lambda rows: [c[rows] for c in codes]
 
     def to_text(self) -> str:
@@ -310,7 +314,7 @@ class SolveReport:
         """The flat (C-order) indices of ``profiles``, and a detail per
         player's payoff, then, given ``shortfall``, one for the residual:
         each distinct float of a detail spelled once by ``spell``."""
-        flat = _flat_indices(profiles, self.tensor.shape)
+        flat = flat_indices(profiles, self.tensor.shape)
         values = np.array(payoffs, dtype=float).reshape(len(flat), self.tensor.n_players)
         if shortfall is not None:
             values = np.column_stack([values, shortfall.reshape(-1)[flat]])
@@ -374,16 +378,6 @@ def _violation_columns(
     return details, block_codes
 
 
-def _flat_indices(profiles: Collection[Profile], shape: tuple[int, ...]) -> np.ndarray:
-    """The flat (C-order) index of each profile."""
-    grid = np.fromiter(
-        itertools.chain.from_iterable(profiles), dtype=np.intp, count=len(profiles) * len(shape)
-    )
-    # Not np.ravel_multi_index, which takes at most 63 axes.
-    strides = [math.prod(shape[p + 1 :]) for p in range(len(shape))]
-    return grid.reshape(-1, len(shape)) @ np.array(strides, dtype=np.intp)
-
-
 def _vector_text(values) -> str:
     return "(" + ", ".join(_fmt(v) for v in values) + ")"
 
@@ -395,11 +389,10 @@ def solve(
     compromise: bool = True,
     tolerance: float = DEFAULT_TOLERANCE,
     feasibility: tuple[FeasibilityReport, ...] | None = None,
-    pairwise_spacing: (
-        SpacingCodes | Mapping[Profile, Sequence[PairSpacingViolation]] | None
-    ) = None,
+    pairwise_spacing: _Pairwise | None = None,
 ) -> SolveReport:
-    """Run the requested solvers (both by default) and assemble a report."""
+    """Run the requested solvers (both by default) and assemble a report.
+    ``pairwise_spacing`` needs ``feasibility``, else ValueError (see SolveReport)."""
     return SolveReport(
         tensor=tensor,
         tolerance=tolerance,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import DEFAULT_TOLERANCE
 from .scenario import checked_index
-from .tensor import PayoffTensor, Profile, checked_profile, indices_where, iterate_profiles
+from .tensor import PayoffTensor, Profile, checked_profile, iterate_profiles, profiles_at
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,9 @@ def find_pure_nash(
     for p in range(tensor.n_players):
         payoffs_p = tensor.player_payoffs(p)
         stable &= payoffs_p >= payoffs_p.max(axis=p, keepdims=True) - tolerance
-    # Boolean indexing, like indices_where, lists profiles in C order.
-    return NashResult(indices_where(stable), tuple(map(tuple, tensor.payoffs_at(stable).tolist())))
+    # Boolean indexing, like np.flatnonzero, lists profiles in C order.
+    equilibria = profiles_at(np.flatnonzero(stable), tensor.shape)
+    return NashResult(equilibria, tuple(map(tuple, tensor.payoffs_at(stable).tolist())))
 
 
 def ideal_vector(tensor: PayoffTensor) -> tuple[float, ...]:
@@ -125,4 +126,5 @@ def find_compromise(
     min_residual = float(shortfall.min())
     minimal = shortfall <= min_residual + tolerance
     payoffs = tuple(map(tuple, tensor.payoffs_at(minimal).tolist()))
-    return CompromiseResult(ideal, indices_where(minimal), payoffs, min_residual, shortfall)
+    minimizers = profiles_at(np.flatnonzero(minimal), tensor.shape)
+    return CompromiseResult(ideal, minimizers, payoffs, min_residual, shortfall)

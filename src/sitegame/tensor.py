@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -186,11 +186,20 @@ def _physical_memory() -> int | None:
         return None
 
 
-def indices_where(mask: np.ndarray) -> tuple[Profile, ...]:
-    """The index tuples, of Python ints, where ``mask`` holds, in C order
-    (the normative profile order)."""
-    grid = np.unravel_index(np.flatnonzero(mask), mask.shape)
+def profiles_at(flat: Sequence[int] | np.ndarray, shape: tuple[int, ...]) -> tuple[Profile, ...]:
+    """The profile, a tuple of Python ints, at each flat (C-order) index."""
+    grid = np.unravel_index(flat, shape)  # up to 64 axes
     return tuple(zip(*(axis.tolist() for axis in grid)))
+
+
+def flat_indices(profiles: Collection[Profile], shape: tuple[int, ...]) -> np.ndarray:
+    """The flat (C-order) index of each profile."""
+    grid = np.fromiter(
+        itertools.chain.from_iterable(profiles), dtype=np.intp, count=len(profiles) * len(shape)
+    )
+    # Not np.ravel_multi_index, which takes at most 63 axes.
+    strides = [math.prod(shape[p + 1 :]) for p in range(len(shape))]
+    return grid.reshape(-1, len(shape)) @ np.array(strides, dtype=np.intp)
 
 
 def iterate_profiles(shape: Iterable[int]) -> Iterator[Profile]:

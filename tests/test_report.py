@@ -26,6 +26,7 @@ from sitegame import (
     dumps_scenario,
     find_compromise,
     find_pure_nash,
+    fixture_scenario,
     fixture_tensor,
     iterate_profiles,
     solve,
@@ -433,6 +434,27 @@ def test_to_text_pairwise_rows_without_violations(spacing):
     # given any mapping: rows with no violations end after ": ".
     report = solve(fixture_tensor(), feasibility=(), pairwise_spacing=spacing)
     assert_same_text(report.to_text(), _reference_text(report))
+
+
+@pytest.mark.parametrize("pairwise", [spacing_codes, _checked_spacing])
+def test_pairwise_spacing_needs_feasibility(pairwise):
+    # The pairwise listing sits in the feasibility section. Without one,
+    # to_text left it out, to_json and to_dict raised.
+    scenario = fixture_scenario()
+    scenario = dataclasses.replace(scenario, region=dataclasses.replace(scenario.region, rho_min=3.0))
+    t, spacing = build_tensor(scenario), pairwise(scenario)
+    message = r"^pairwise_spacing needs feasibility; feasibility=\(\) lists no sites$"
+    with pytest.raises(ValueError, match=message):
+        solve(t, pairwise_spacing=spacing)
+    with pytest.raises(ValueError, match=message):
+        SolveReport(t, DEFAULT_TOLERANCE, None, None, pairwise_spacing=spacing)
+    report = solve(t, feasibility=(), pairwise_spacing=spacing)
+    doc = report.to_dict()
+    assert list(doc["feasibility"]) == ["sites", "pairwise_spacing"]
+    assert doc["feasibility"]["sites"] == []
+    assert doc["feasibility"]["pairwise_spacing"] == _pairwise_entries(scenario, t) != []
+    _assert_to_json_is_json_dumps(report)
+    assert_same_text(report.to_text(), _reference_text(report, scenario))
 
 
 def test_compromise_and_text_allocate_little_beyond_the_text():

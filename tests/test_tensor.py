@@ -161,10 +161,13 @@ def test_iterate_profiles_rejects_empty_axis():
 @given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=6, max_side=4)))
 @example(mask=np.zeros((2, 3, 1), dtype=bool))
 @example(mask=np.ones((3, 1, 2), dtype=bool))
-def test_indices_where_lists_the_profiles_where_a_mask_holds(mask):
-    found = tensor_module.indices_where(mask)
+@example(mask=np.ones((1,) * 64, dtype=bool))  # np.ravel_multi_index takes at most 63 axes
+def test_profiles_at_lists_the_profiles_where_a_mask_holds(mask):
+    flat = np.flatnonzero(mask)
+    found = tensor_module.profiles_at(flat, mask.shape)
     assert found == tuple(u for u in iterate_profiles(mask.shape) if mask[u])
     assert all(type(i) is int for profile in found for i in profile)
+    assert np.array_equal(tensor_module.flat_indices(found, mask.shape), flat)
 
 
 def test_round_trip_preserves_everything(tensor):
