@@ -187,16 +187,8 @@ class SpacingCodes:
         sites breaks the band: each pair's table broadcast from its two axes."""
         hit = np.zeros(self.shape, dtype=bool)
         for a, b, codes, _ in self.pairs:
-            hit |= (codes != 0).reshape(_pair_axes(self.shape, a, b))
+            hit |= np.expand_dims(codes != 0, tuple(q for q in range(hit.ndim) if q not in (a, b)))
         return np.flatnonzero(hit)
-
-
-def _pair_axes(shape: tuple[int, ...], a: int, b: int) -> list[int]:
-    """The shape that broadcasts a (k_a x k_b) array of players a and b,
-    a < b, over the profiles of ``shape``."""
-    axes = [1] * len(shape)
-    axes[a], axes[b] = shape[a], shape[b]
-    return axes
 
 
 def spacing_codes(scenario: Scenario) -> SpacingCodes:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,6 +65,8 @@ class SolveReport:
     its own order: ``perfbench/traced.py`` builds one from
     :func:`sitegame.feasibility.check_profile_spacing`. Either is listed in
     the feasibility section and needs ``feasibility``: ``()`` lists no sites.
+    ``pairwise_spacing``, unless a mapping, and ``compromise`` must be of
+    the tensor's shape: ValueError otherwise.
     """
 
     tensor: PayoffTensor
@@ -75,20 +77,29 @@ class SolveReport:
     pairwise_spacing: _Pairwise | None = None
 
     def __post_init__(self) -> None:
-        if self.pairwise_spacing is not None and self.feasibility is None:
+        spacing = self.pairwise_spacing
+        if spacing is not None and self.feasibility is None:
             raise ValueError("pairwise_spacing needs feasibility; feasibility=() lists no sites")
+        shapes = {}
+        if spacing is not None and not isinstance(spacing, Mapping):
+            shapes["pairwise_spacing"] = spacing.shape
+        if self.compromise is not None:
+            shapes["compromise"] = self.compromise.shortfall.shape
+        for name, shape in shapes.items():
+            if shape != self.tensor.shape:
+                raise ValueError(f"{name} has shape {shape}, the tensor {self.tensor.shape}")
 
     def to_dict(self) -> dict:
         doc = self._head_dict()
         if self.pairwise_spacing is not None:
             profiles, columns, codes = self._spacing()
             codes = [c.tolist() for c in codes(slice(None))]
+            # asdict costs about 20 dict literals: each violation is turned
+            # into a dict once, and that dict copied for each row that lists it.
+            dicts = [[None, *map(asdict, column)] for column in columns]
             doc["feasibility"]["pairwise_spacing"] = [
                 self._entry(
-                    profile,
-                    violations=[
-                        _violation_dict(column[c[r] - 1]) for column, c in zip(columns, codes) if c[r]
-                    ],
+                    profile, violations=[dict(d[c[r]]) for d, c in zip(dicts, codes) if c[r]]
                 )
                 for r, profile in enumerate(profiles_at(profiles, self.tensor.shape))
             ]
@@ -211,7 +222,7 @@ class SolveReport:
         item = f"{between[1:]}    "  # a row's violations sit one level below its keys
 
         def spell(violation: PairSpacingViolation) -> str:
-            return json.dumps(_violation_dict(violation), indent=2).replace("\n", item)
+            return json.dumps(asdict(violation), indent=2).replace("\n", item)
 
         close = ("[]", f"{between[1:]}  ]")
         details, codes = _violation_columns(columns, codes, spell, f"[{item}", f",{item}", close)
@@ -330,11 +341,6 @@ def _text_spellings(floats: list[float]) -> list[str]:
     return list(map(_fmt, floats))
 
 
-def _violation_dict(v: PairSpacingViolation) -> dict:
-    return {"player_a": v.player_a, "site_a": v.site_a, "player_b": v.player_b,
-            "site_b": v.site_b, "distance": v.distance, "bound": v.bound}
-
-
 def _violation_text(v: PairSpacingViolation) -> str:
     return f"{v.site_a}-{v.site_b} {v.bound} band (distance {_fmt(v.distance)})"
 
@@ -392,12 +398,10 @@ def solve(
     pairwise_spacing: _Pairwise | None = None,
 ) -> SolveReport:
     """Run the requested solvers (both by default) and assemble a report.
-    ``pairwise_spacing`` needs ``feasibility``, else ValueError (see SolveReport)."""
-    return SolveReport(
-        tensor=tensor,
-        tolerance=tolerance,
+    Raises the report's ValueErrors (see SolveReport) before either solver runs."""
+    report = SolveReport(tensor, tolerance, None, None, feasibility, pairwise_spacing)
+    return replace(
+        report,
         nash=find_pure_nash(tensor, tolerance) if nash else None,
         compromise=find_compromise(tensor, tolerance) if compromise else None,
-        feasibility=feasibility,
-        pairwise_spacing=pairwise_spacing,
     )

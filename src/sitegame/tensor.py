@@ -65,6 +65,8 @@ class PayoffTensor:
         labels = tuple(tuple(axis) for axis in self.strategy_labels)
         if len(shape) != len(players):
             raise ValueError(f"{len(players)} player labels for {len(shape)} axes")
+        if not shape:
+            raise ValueError("a game needs at least one player")
         if any(s < 1 for s in shape):
             raise ValueError(f"every player needs at least one strategy, got shape {shape}")
         if len(labels) != len(shape) or any(len(axis) != s for axis, s in zip(labels, shape)):
@@ -171,8 +173,8 @@ def _separable(
         raise ValueError(f"a tensor needs values, or totals of one payoff per strategy of {shape}")
     try:
         return [
-            array.reshape([s if q == p else 1 for q in range(len(shape))])
-            for p, (array, s) in enumerate(zip(arrays, shape))
+            np.expand_dims(array, tuple(q for q in range(len(shape)) if q != p))
+            for p, array in enumerate(arrays)
         ]
     except ValueError as exc:  # more axes than numpy's limit on dimensions
         raise ValueError(f"{len(shape)} players are more than numpy supports: {exc}") from None

@@ -322,6 +322,14 @@ def test_spacing_codes_list_the_violating_profiles_of_a_larger_game():
     _assert_spacing_codes_list(scn, sites=10, players=5, block=1 << 16)
 
 
+def test_spacing_codes_list_the_violating_profile_of_64_players():
+    # One profile and 460 violating pairs: violating() broadcasts each pair's
+    # table over numpy's limit of 64 axes.
+    scn = _scattered_scenario(players=64, sites=1, band=(2.0, 16.0))
+    assert sum(len(found) for *_, found in spacing_codes(scn).pairs) == 460
+    _assert_spacing_codes_list(scn, sites=1, players=64, block=1)
+
+
 def test_check_profile_spacing_rejects_a_non_integer_index(scenario):
     # 0.5 used to end in a TypeError from indexing a tuple.
     message = "strategy index 0.5 is not an integer for player 'P2', which has 4 strategies"

@@ -457,6 +457,53 @@ def test_pairwise_spacing_needs_feasibility(pairwise):
     assert_same_text(report.to_text(), _reference_text(report, scenario))
 
 
+def _tight_fixture():
+    """The fixture scenario with rho_min 3, where a pair of sites breaks the band."""
+    scenario = fixture_scenario()
+    return dataclasses.replace(scenario, region=dataclasses.replace(scenario.region, rho_min=3.0))
+
+
+@pytest.mark.parametrize("sites", [6, 2], ids=["larger", "smaller"])
+def test_report_rejects_arrays_of_another_game(sites):
+    # Spacing codes or a compromise of the 3x4x2 fixture, given with another
+    # tensor, listed the wrong profiles silently, or failed while rendering
+    # with an IndexError or a numpy ValueError.
+    scenario = _tight_fixture()
+    t = build_tensor(scenario)
+    other = build_tensor(seeded_scenario(players=3, sites=sites, objects=5))
+    spacing, compromise = spacing_codes(scenario), find_compromise(t)
+    assert spacing.pairs
+    fixture_shape, other_shape = r"\(3, 4, 2\)", rf"\({sites}, {sites}, {sites}\)"
+    message = rf"^pairwise_spacing has shape {fixture_shape}, the tensor {other_shape}$"
+    with pytest.raises(ValueError, match=message):
+        SolveReport(other, DEFAULT_TOLERANCE, None, None, (), spacing)
+    report = SolveReport(t, DEFAULT_TOLERANCE, None, compromise, (), spacing)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(report, tensor=other, compromise=None)
+    message = rf"^compromise has shape {fixture_shape}, the tensor {other_shape}$"
+    with pytest.raises(ValueError, match=message):
+        SolveReport(other, DEFAULT_TOLERANCE, None, compromise)
+    # Results of the report's own tensor stay accepted.
+    SolveReport(other, DEFAULT_TOLERANCE, None, find_compromise(other))
+
+
+def test_solve_checks_its_arguments_before_either_solver_runs(monkeypatch):
+    # solve ran both solvers, which take seconds on a large game, and only
+    # then built the report that rejected its arguments.
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(report_module, "find_pure_nash", solver)
+    monkeypatch.setattr(report_module, "find_compromise", solver)
+    scenario = _tight_fixture()
+    t, spacing = build_tensor(scenario), spacing_codes(scenario)
+    with pytest.raises(ValueError, match="^pairwise_spacing needs feasibility"):
+        solve(t, pairwise_spacing=spacing)
+    other = build_tensor(seeded_scenario(players=3, sites=2, objects=5))
+    with pytest.raises(ValueError, match=r"^pairwise_spacing has shape \(3, 4, 2\)"):
+        solve(other, feasibility=(), pairwise_spacing=spacing)
+
+
 def test_compromise_and_text_allocate_little_beyond_the_text():
     # 46,656 profiles. Rendering a row at a time, or the whole listing in one
     # piece, peaked at more than 4.5 times the text's length.

@@ -491,6 +491,21 @@ def test_constructor_rejects_parts_that_disagree_with_shape(shape, players, labe
         PayoffTensor(shape, players, labels, values, PROVENANCE_LOADED)
 
 
+def test_a_game_needs_at_least_one_player():
+    # A game of no players was accepted, and every later call failed with an
+    # unrelated numpy error (find_pure_nash, find_compromise, dumps_tensor).
+    message = r"^a game needs at least one player$"
+    with pytest.raises(ValueError, match=message):
+        PayoffTensor((), (), (), np.zeros((0,)), PROVENANCE_LOADED)
+    with pytest.raises(ValueError, match=message):
+        PayoffTensor((), (), (), None, PROVENANCE_COMPUTED, [])
+    with pytest.raises(ValueError, match=message):
+        build_tensor(dataclasses.replace(fixture_scenario(), players=()))
+    # A document's shape is checked first, with its own message.
+    with pytest.raises(TensorFormatError, match=r"^shape: expected a non-empty list of integers$"):
+        tensor_from_dict({"shape": [], "payoffs": [[]]})
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_constructor_rejects_nonfinite_totals(bad):
     with pytest.raises(ValueError, match="finite"):
