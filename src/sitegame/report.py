@@ -31,6 +31,7 @@ from .tensor import (
     Detail,
     PayoffTensor,
     Profile,
+    checked_profile,
     distinct_spellings,
     flat_indices,
     index_spellings,
@@ -66,7 +67,8 @@ class SolveReport:
     :func:`sitegame.feasibility.check_profile_spacing`. Either is listed in
     the feasibility section and needs ``feasibility``: ``()`` lists no sites.
     ``pairwise_spacing``, unless a mapping, and ``compromise`` must be of
-    the tensor's shape: ValueError otherwise.
+    the tensor's shape, and each key of a mapping a profile of the tensor
+    (see checked_profile): ValueError otherwise.
     """
 
     tensor: PayoffTensor
@@ -81,7 +83,10 @@ class SolveReport:
         if spacing is not None and self.feasibility is None:
             raise ValueError("pairwise_spacing needs feasibility; feasibility=() lists no sites")
         shapes = {}
-        if spacing is not None and not isinstance(spacing, Mapping):
+        if isinstance(spacing, Mapping):
+            for profile in spacing:
+                checked_profile(profile, self.tensor.shape, self.tensor.players)
+        elif spacing is not None:
             shapes["pairwise_spacing"] = spacing.shape
         if self.compromise is not None:
             shapes["compromise"] = self.compromise.shortfall.shape
@@ -235,7 +240,7 @@ class SolveReport:
         columns and the codes of a block's rows in each. Code c >= 1 of a
         column names the violation at c - 1 in it, and 0 none: one column
         per player pair, or, for a mapping, column j for each row's
-        violation at j."""
+        violation at j, and at least one."""
         spacing = self.pairwise_spacing
         if not isinstance(spacing, Mapping):
             profiles = spacing.violating()
@@ -243,7 +248,7 @@ class SolveReport:
             return profiles, columns, lambda rows: spacing.codes_at(profiles[rows])
         found = list(spacing.values())
         columns, codes = [], []
-        for j in range(max(map(len, found), default=0)):
+        for j in range(max([1, *map(len, found)])):  # one at least, for the close column
             hit = np.fromiter((len(row) > j for row in found), bool, len(found))
             columns.append([row[j] for row in found if len(row) > j])
             codes.append(np.cumsum(hit) * hit)

@@ -367,36 +367,29 @@ def listing(
 
     # A head spelling ends in ``join`` when a tail spelling follows it.
     end = join if h < len(shape) else ""
-    heads_and_tails = [(spell(axis[:h], end), spell(axis[h:], "")) for axis in axes]
-    spellings = [*itertools.chain(*heads_and_tails), *(spelled for spelled, _ in details)]
+    spellings = [
+        *itertools.chain.from_iterable((spell(axis[:h], end), spell(axis[h:], "")) for axis in axes),
+        *(spelled for spelled, _ in details),
+    ]
     widest = len(row) + len(between) + sum(max(map(len, s.tolist()), default=0) for s in spellings)
     size = max(1, BLOCK_CHARS // widest)
     if codes is None:
-        codes = lambda rows: [c[rows] for _, c in details]  # noqa: E731
+        detail_codes = [c for _, c in details]
+        codes = lambda rows: [c[rows] for c in detail_codes]  # noqa: E731
 
-    # A row is its slots' spellings with the text around them folded in once:
-    # the text after an axis slot into that slot's spellings, and the text
-    # between two details as a column of its own. A row starts with the text
-    # after the last slot, ``between`` and the text before the first slot,
-    # which a block's first row cuts down to the last of the three; a block
-    # ends with the text after the last slot.
-    texts = row.split(SLOT)
-    last = texts.pop() if len(texts) > 1 else ""
-    texts[0] = last + between + texts[0]
+    # A row is its slots' spellings with the text after each slot folded into
+    # that slot's spellings once; a slot followed by no text keeps its
+    # spellings uncopied. The text after the last slot starts the next row
+    # instead, with ``between`` and the text before the first slot: a block's
+    # first row cuts them down to the last of the three, and a block ends with
+    # the text after the last slot.
+    first, *after, last = row.split(SLOT)
+    columns = [spelled + text if text else spelled for spelled, text in zip(spellings, [*after, ""])]
+    columns[0] = last + between + first + columns[0]
     cut = len(last) + len(between)
-    # A column is (spellings, index of its codes) or (text, None), the text
-    # as a 0-d array that broadcasts to every row.
-    columns: list[tuple[np.ndarray, int | None]] = []
-    for i, text in enumerate(texts):
-        spelled = spellings[i] if i < len(spellings) else None
-        if i == 0 and axes:
-            spelled = text + spelled
-        elif 0 < i <= 2 * len(axes):
-            columns[-1] = (columns[-1][0] + text, i - 1)
-        elif text or i == 0:
-            columns.append((np.array(text, dtype=object), None))
-        if spelled is not None:
-            columns.append((spelled, i))
+    # No name holds the first spellings of a copied slot: a caller that keeps
+    # no detail frees them.
+    del details, spellings
     for start in range(0, len(profiles), size):
         if start:
             yield between
@@ -404,22 +397,14 @@ def listing(
         head, tail = divmod(profiles[rows], tail_size)
         block_codes = [*(head, tail) * len(axes), *codes(rows)]
         # No name holds the block or its pieces while the caller writes it.
-        yield "".join(_pieces(columns, block_codes, len(head), cut, last))
+        yield "".join(_pieces(columns, block_codes, cut, last))
 
 
-def _pieces(
-    columns: list[tuple[np.ndarray, int | None]],
-    codes: list[np.ndarray],
-    rows: int,
-    cut: int,
-    last: str,
-) -> list[str]:
+def _pieces(columns: list[np.ndarray], codes: list[np.ndarray], cut: int, last: str) -> list[str]:
     """A block's pieces in row order: each column's spellings gathered by the
-    rows' codes, or its text in every row (see listing); the block's first
-    piece cut by ``cut`` characters; and ``last`` at the end."""
-    block = np.column_stack([
-        np.broadcast_to(spelled, rows) if k is None else spelled[codes[k]] for spelled, k in columns
-    ])
+    rows' codes (see listing); the block's first piece cut by ``cut``
+    characters; and ``last`` at the end."""
+    block = np.column_stack([spelled[c] for spelled, c in zip(columns, codes)])
     block[0, 0] = block[0, 0][cut:]
     pieces = block.ravel().tolist()
     pieces.append(last)
@@ -597,9 +582,14 @@ def tensor_document(
         totals = [json_spellings(tensor.player_payoffs(p).ravel().tolist()) for p in range(n)]
         listings = [("payoffs", [PROFILE], functools.partial(rows, axes=[totals]))]
     else:
-        spelled, codes = distinct_spellings(tensor.values, json_spellings)
-        details = [(spelled, c) for c in codes.reshape(-1, n).T]
-        listings = [("payoffs", [SLOT] * n, functools.partial(rows, details=details))]
+        def payoff_rows(*layout: str) -> Iterator[str]:
+            # Each player's distinct payoffs are spelled apart, since the text
+            # after a payoff is folded into them, and only the listing holds
+            # them (see listing).
+            payoffs = tensor.values.reshape(-1, n).T
+            return rows(*layout, details=[distinct_spellings(u, json_spellings) for u in payoffs])
+
+        listings = [("payoffs", [SLOT] * n, payoff_rows)]
     if explain is not None:
         # One breakdown per (player, site), encoded once at its depth in the
         # document and shared by every profile that picks that site.

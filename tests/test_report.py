@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -431,9 +432,31 @@ def test_to_text_listing_split_into_head_and_tail(monkeypatch, shape):
 )
 def test_to_text_pairwise_rows_without_violations(spacing):
     # spacing_codes lists only violating profiles, but a report may be
-    # given any mapping: rows with no violations end after ": ".
+    # given any mapping: rows with no violations end after ": ". to_json()
+    # raised AttributeError when no row held a violation.
     report = solve(fixture_tensor(), feasibility=(), pairwise_spacing=spacing)
     assert_same_text(report.to_text(), _reference_text(report))
+    _assert_to_json_is_json_dumps(report)
+
+
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        ((5, 0, 0), "strategy index 5 is out of range for player 'P1', which has 3 strategies"),
+        ((0, 0), "profile (0, 0) has 2 indices for 3 players"),
+        ((0, 0, 0, 0), "profile (0, 0, 0, 0) has 4 indices for 3 players"),
+    ],
+    ids=["out of range", "too short", "too long"],
+)
+def test_report_rejects_a_mapping_key_that_is_no_profile_of_the_tensor(profile, message):
+    # An index out of range raised IndexError while rendering, too few
+    # indices "iterator too short", and too many listed the profile of the
+    # first three silently.
+    t, spacing = fixture_tensor(), {profile: ()}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(t, feasibility=(), pairwise_spacing=spacing)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolveReport(t, DEFAULT_TOLERANCE, None, None, (), spacing)
 
 
 @pytest.mark.parametrize("pairwise", [spacing_codes, _checked_spacing])

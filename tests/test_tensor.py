@@ -524,10 +524,13 @@ def test_dumps_tensor_across_blocks(monkeypatch, shape):
     scenario = dataclasses.replace(scenario, players=players)
     t = build_tensor(scenario)
     expected = json.dumps(tensor_to_dict(t), indent=2) + "\n"
-    assert_renders_in_blocks(monkeypatch, lambda: dumps_tensor(t), expected, t.n_profiles)
-    expected = json.dumps(_explain_reference(t, scenario), indent=2) + "\n"
-    rows = 2 * t.n_profiles
-    assert_renders_in_blocks(monkeypatch, lambda: dumps_tensor(t, scenario), expected, rows)
+    explained = json.dumps(_explain_reference(t, scenario), indent=2) + "\n"
+    # A dense copy lists its payoffs as details, with text between them and
+    # no axis slot in its rows.
+    for tensor in (t, _dense_copy(t)):
+        assert_renders_in_blocks(monkeypatch, lambda: dumps_tensor(tensor), expected, t.n_profiles)
+        rows = 2 * t.n_profiles
+        assert_renders_in_blocks(monkeypatch, lambda: dumps_tensor(tensor, scenario), explained, rows)
 
 
 @pytest.mark.parametrize(
