@@ -158,8 +158,10 @@ def _cmd_solve(args: argparse.Namespace) -> None:
         kernels = []  # the payoff kernel's distances serve the site checks too
         tensor = _build_tensor(scenario, kernels.append)
         feasibility = tuple(check_scenario(scenario, [terms.rho for terms in kernels]))
+        del kernels  # read, so freed before the game is solved
         if args.pairwise_band:
             pairwise = spacing_codes(scenario)
+    del scenario  # read by the checks and the pairwise codes, so freed too
 
     both = not (args.nash or args.compromise)
     # Payoffs further apart than the largest float overflow a residual to

@@ -28,7 +28,7 @@ from .tensor import (
     LISTING,
     PROFILE,
     SLOT,
-    Detail,
+    Codes,
     PayoffTensor,
     Profile,
     checked_profile,
@@ -51,10 +51,8 @@ if TYPE_CHECKING:
 
 TOOL_NAME = "sitegame"
 
-# The codes of a listing's details for a block's slice of its rows (see listing).
-_Codes = Callable[[slice], Sequence[np.ndarray]]
 # A pairwise listing (see SolveReport._spacing).
-_Spacing = tuple[np.ndarray, list[Sequence["PairSpacingViolation"]], _Codes]
+_Spacing = tuple[np.ndarray, list[Sequence["PairSpacingViolation"]], Codes]
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,9 @@ class SolveReport:
     :func:`sitegame.feasibility.check_profile_spacing`. Either is listed in
     the feasibility section and needs ``feasibility``: ``()`` lists no sites.
     ``pairwise_spacing``, unless a mapping, and ``compromise`` must be of
-    the tensor's shape, and each key of a mapping a profile of the tensor
-    (see checked_profile): ValueError otherwise.
+    the tensor's shape, each key of a mapping a profile of the tensor (see
+    checked_profile) and each value a sequence of PairSpacingViolation:
+    ValueError otherwise.
     """
 
     tensor: PayoffTensor
@@ -84,8 +83,17 @@ class SolveReport:
             raise ValueError("pairwise_spacing needs feasibility; feasibility=() lists no sites")
         shapes = {}
         if isinstance(spacing, Mapping):
-            for profile in spacing:
+            from .feasibility import PairSpacingViolation
+
+            for profile, found in spacing.items():
                 checked_profile(profile, self.tensor.shape, self.tensor.players)
+                if not isinstance(found, Sequence) or not all(
+                    isinstance(violation, PairSpacingViolation) for violation in found
+                ):
+                    raise ValueError(
+                        f"pairwise_spacing at profile {profile!r}: expected a sequence of "
+                        f"PairSpacingViolation, got {found!r}"
+                    )
         elif spacing is not None:
             shapes["pairwise_spacing"] = spacing.shape
         if self.compromise is not None:
@@ -199,8 +207,8 @@ class SolveReport:
         return {"indices": list(profile), "labels": list(self.tensor.labels_for(profile)), **fields}
 
     def _json_rows(
-        self, layout: tuple[str, str, str], profiles: np.ndarray, details: Sequence[Detail],
-        codes: _Codes | None = None,
+        self, layout: tuple[str, str, str], profiles: np.ndarray, details: Sequence[np.ndarray],
+        codes: Codes,
     ) -> Iterator[str]:
         """A JSON listing's rows laid out by ``layout``, (row, join, between)
         (see json_document), for the flat (C-order) indices ``profiles``,
@@ -214,13 +222,13 @@ class SolveReport:
     ) -> Iterator[str]:
         """The rows of ``profiles``, each with its payoff vector and, given
         ``shortfall``, its residual."""
-        flat, details = self._payoff_details(profiles, payoffs, json_spellings, shortfall)
-        return self._json_rows(layout, flat, details)
+        flat, details, codes = self._payoff_details(profiles, payoffs, json_spellings, shortfall)
+        return self._json_rows(layout, flat, details, codes)
 
     def _json_residuals(self, *layout: str) -> Iterator[str]:
         shortfall = self.compromise.shortfall.reshape(-1)
-        details = [distinct_spellings(shortfall, json_spellings)]
-        return self._json_rows(layout, np.arange(shortfall.size), details)
+        details, codes = distinct_spellings([shortfall], json_spellings)
+        return self._json_rows(layout, np.arange(shortfall.size), details, codes)
 
     def _spacing_json(self, row: str, join: str, between: str) -> Iterator[str]:
         profiles, columns, codes = self._spacing()
@@ -294,8 +302,8 @@ class SolveReport:
             yield from self._payoff_rows(self.compromise.minimizers, self.compromise.payoffs)
             yield "\nresiduals:"
             shortfall = self.compromise.shortfall.reshape(-1)
-            residuals = distinct_spellings(shortfall, _text_spellings)
-            yield from self._rows(np.arange(shortfall.size), [residuals])
+            details, codes = distinct_spellings([shortfall], _text_spellings)
+            yield from self._rows(np.arange(shortfall.size), details, codes)
 
     def _spacing_text(self) -> Iterator[str]:
         """The pairwise section: its count, then a row per profile."""
@@ -306,7 +314,7 @@ class SolveReport:
         yield from self._rows(profiles, details, codes)
 
     def _rows(
-        self, profiles: np.ndarray, details: Sequence[Detail], codes: _Codes | None = None,
+        self, profiles: np.ndarray, details: Sequence[np.ndarray], codes: Codes,
         text: str | None = None,
     ) -> Iterator[str]:
         """The rows "\\n  (labels) = (indices): details" of a text listing,
@@ -320,21 +328,21 @@ class SolveReport:
         self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]]
     ) -> Iterator[str]:
         """The text rows of ``profiles``, each with its payoff vector, "payoffs (...)"."""
-        flat, details = self._payoff_details(profiles, payoffs, _text_spellings)
-        return self._rows(flat, details, text=f"payoffs ({', '.join([SLOT] * len(details))})")
+        flat, details, codes = self._payoff_details(profiles, payoffs, _text_spellings)
+        return self._rows(flat, details, codes, f"payoffs ({', '.join([SLOT] * len(details))})")
 
     def _payoff_details(
         self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]],
         spell: Callable[[list[float]], list[str]], shortfall: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list[Detail]]:
-        """The flat (C-order) indices of ``profiles``, and a detail per
-        player's payoff, then, given ``shortfall``, one for the residual:
-        each distinct float of a detail spelled once by ``spell``."""
+    ) -> tuple[np.ndarray, list[np.ndarray], Codes]:
+        """The flat (C-order) indices of ``profiles``, a detail per player's
+        payoff, then, given ``shortfall``, one for the residual, and their
+        codes: each distinct float of a detail spelled once by ``spell``."""
         flat = flat_indices(profiles, self.tensor.shape)
         values = np.array(payoffs, dtype=float).reshape(len(flat), self.tensor.n_players)
         if shortfall is not None:
             values = np.column_stack([values, shortfall.reshape(-1)[flat]])
-        return flat, [distinct_spellings(column, spell) for column in values.T]
+        return flat, *distinct_spellings(values.T, spell)
 
 
 def _fmt(x: float) -> str:
@@ -352,12 +360,12 @@ def _violation_text(v: PairSpacingViolation) -> str:
 
 def _violation_columns(
     columns: list[Sequence[PairSpacingViolation]],
-    codes: _Codes,
+    codes: Codes,
     spell: Callable[[PairSpacingViolation], str],
     first: str,
     later: str,
     close: tuple[str, str] | None = None,
-) -> tuple[list[Detail], _Codes]:
+) -> tuple[list[np.ndarray], Codes]:
     """A pairwise listing's details, and what gives their codes for a block
     (see listing): a row's violations, each spelled once per column by
     ``spell``, after ``first`` in its first column with a violation and
@@ -369,11 +377,11 @@ def _violation_columns(
         every = ["", *(first + text for text in spelled)]
         if j:  # no column comes before the first
             every += [later + text for text in spelled]
-        details.append((np.array(every, dtype=object), None))
+        details.append(np.array(every, dtype=object))
     if close is not None:
-        details.append((np.array(close, dtype=object), None))
+        details.append(np.array(close, dtype=object))
 
-    def block_codes(rows: slice) -> list[np.ndarray]:
+    def violation_codes(rows: slice) -> list[np.ndarray]:
         # Code c of a column stands for c + len(column) once an earlier
         # column of its row has violations. A listing with rows has a
         # column, so ``seen`` ends as an array.
@@ -386,7 +394,7 @@ def _violation_columns(
             found.append(seen.view(np.uint8))
         return found
 
-    return details, block_codes
+    return details, violation_codes
 
 
 def _vector_text(values) -> str:

@@ -306,27 +306,32 @@ BLOCK_CHARS = 1 << 20
 SLOT = "%s"
 # A profile's entries along one axis: its head's spelling, then its tail's.
 PROFILE = SLOT * 2
-# A column of a listing, (spellings, codes): row r's slot takes spellings[codes[r]].
-Detail = tuple[np.ndarray, np.ndarray]
+# A listing's detail codes for a block's slice of its rows (see listing).
+Codes = Callable[[slice], Sequence[np.ndarray]]
 # The value a document head gives each key that json_document writes as a
 # listing, and what writes that listing's rows from (row, join, between).
 LISTING = "<listing>"
 Rows = Callable[[str, str, str], Iterator[str]]
 
 
-def distinct_spellings(values: np.ndarray, spell: Callable[[list[float]], list[str]]) -> Detail:
-    """The spellings of the distinct floats in ``values``, as an object
-    array, and for every float in ``values`` the index of its spelling, as an
-    array of the same shape: a listing detail. ``spell`` maps a list of
-    floats to their spellings.
+def distinct_spellings(
+    columns: Iterable[np.ndarray], spell: Callable[[list[float]], list[str]]
+) -> tuple[list[np.ndarray], Codes]:
+    """Listing details and their codes (see listing). For each of
+    ``columns``, flat float arrays: its distinct floats as spelled by
+    ``spell`` (a list of floats to their spellings), in an object array, and
+    each float's index in that array.
 
     Each distinct bit pattern is spelled once (so -0.0 and 0.0 stay apart):
     residuals, and payoffs read from a file, often repeat.
     """
-    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    spelled = spell(distinct.view(float).tolist())
-    return np.array(spelled, dtype=object), inverse.reshape(values.shape)
+    details, codes = [], []
+    for column in columns:
+        bits = np.ascontiguousarray(column, dtype=float).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        details.append(np.array(spell(distinct.view(float).tolist()), dtype=object))
+        codes.append(inverse)
+    return details, lambda rows: [c[rows] for c in codes]
 
 
 def json_spellings(floats: list[float]) -> list[str]:
@@ -343,8 +348,8 @@ def index_spellings(shape: Sequence[int]) -> list[list[str]]:
 
 def listing(
     row: str, join: str, between: str, profiles: np.ndarray, shape: tuple[int, ...],
-    axes: Sequence[Sequence[Sequence[str]]] = (), details: Sequence[Detail] = (),
-    codes: Callable[[slice], Sequence[np.ndarray]] | None = None,
+    axes: Sequence[Sequence[Sequence[str]]] = (), details: Sequence[np.ndarray] = (),
+    codes: Codes = lambda rows: (),
 ) -> Iterator[str]:
     """The rows laid out by ``row``, row r for the profile whose flat
     (C-order) index is ``profiles[r]``, joined by ``between``: in blocks of
@@ -352,12 +357,12 @@ def listing(
     two blocks as a piece of its own.
 
     ``row`` holds two slots (PROFILE) for each of ``axes``, then one for each
-    of the ``details`` (see Detail). ``axes[a][p][k]`` spells player p's
+    of the ``details``, arrays of spellings: a row's slot takes the spelling
+    that its code from ``codes`` names. ``axes[a][p][k]`` spells player p's
     strategy k along axis a, and a row's two slots take its profile's entries
     joined by ``join``. The players split into a head and a tail of about
     equal profile counts, and every head and every tail profile is spelled
-    once. ``codes``, if given, maps a block's slice of ``profiles`` to the
-    details' codes for its rows, which ``details`` then need not hold.
+    once.
     """
     h = min(range(1, len(shape) + 1), key=lambda h: math.prod(shape[:h]) + math.prod(shape[h:]))
     tail_size = math.prod(shape[h:])
@@ -369,13 +374,10 @@ def listing(
     end = join if h < len(shape) else ""
     spellings = [
         *itertools.chain.from_iterable((spell(axis[:h], end), spell(axis[h:], "")) for axis in axes),
-        *(spelled for spelled, _ in details),
+        *details,
     ]
     widest = len(row) + len(between) + sum(max(map(len, s.tolist()), default=0) for s in spellings)
     size = max(1, BLOCK_CHARS // widest)
-    if codes is None:
-        detail_codes = [c for _, c in details]
-        codes = lambda rows: [c[rows] for c in detail_codes]  # noqa: E731
 
     # A row is its slots' spellings with the text after each slot folded into
     # that slot's spellings once; a slot followed by no text keeps its
@@ -395,9 +397,8 @@ def listing(
             yield between
         rows = slice(start, start + size)
         head, tail = divmod(profiles[rows], tail_size)
-        block_codes = [*(head, tail) * len(axes), *codes(rows)]
         # No name holds the block or its pieces while the caller writes it.
-        yield "".join(_pieces(columns, block_codes, cut, last))
+        yield "".join(_pieces(columns, [*(head, tail) * len(axes), *codes(rows)], cut, last))
 
 
 def _pieces(columns: list[np.ndarray], codes: list[np.ndarray], cut: int, last: str) -> list[str]:
@@ -586,8 +587,8 @@ def tensor_document(
             # Each player's distinct payoffs are spelled apart, since the text
             # after a payoff is folded into them, and only the listing holds
             # them (see listing).
-            payoffs = tensor.values.reshape(-1, n).T
-            return rows(*layout, details=[distinct_spellings(u, json_spellings) for u in payoffs])
+            details, codes = distinct_spellings(tensor.values.reshape(-1, n).T, json_spellings)
+            return rows(*layout, details=details, codes=codes)
 
         listings = [("payoffs", [SLOT] * n, payoff_rows)]
     if explain is not None:

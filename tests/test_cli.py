@@ -261,6 +261,40 @@ def test_tensor_hands_its_kernels_to_the_explain_listing_alone(fixture_files, mo
     assert len(alive) == 3
 
 
+@pytest.mark.parametrize("argv", [[], ["--pairwise-band"]], ids=["solve", "pairwise"])
+def test_solve_frees_its_kernels_and_scenario_before_solving(fixture_files, monkeypatch, argv):
+    # `solve` held every player's kernel and the scenario through solving
+    # and rendering, though only the site checks and the pairwise codes
+    # read them.
+    report_module = importlib.import_module("sitegame.report")
+    cli_module = importlib.import_module("sitegame.cli")
+    init, from_dict = PayoffTerms.__init__, cli_module.scenario_from_dict
+    solve = report_module.solve
+    made, alive = [], []
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    def recording_from_dict(doc):
+        scenario = from_dict(doc)
+        made.append(weakref.ref(scenario))
+        return scenario
+
+    def checked_solve(*args, **kwargs):
+        alive.extend(ref for ref in made if ref() is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(PayoffTerms, "__init__", recording_init)
+    monkeypatch.setattr(cli_module, "scenario_from_dict", recording_from_dict)
+    monkeypatch.setattr(report_module, "solve", checked_solve)
+    scenario_path, _ = fixture_files
+    with contextlib.redirect_stdout(CountingSink()):
+        assert main(["solve", str(scenario_path), *argv]) == 0
+    assert len(made) == 4  # a kernel per player, and the scenario
+    assert alive == []
+
+
 def test_tensor_of_a_scenario_never_holds_a_dense_tensor(tmp_path):
     # 8**6 = 262,144 profiles of 6 players: their dense tensor takes 12 MiB.
     path = tmp_path / "scenario.json"

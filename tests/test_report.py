@@ -459,6 +459,21 @@ def test_report_rejects_a_mapping_key_that_is_no_profile_of_the_tensor(profile, 
         SolveReport(t, DEFAULT_TOLERANCE, None, None, (), spacing)
 
 
+@pytest.mark.parametrize("found", [(1,), "ab", None], ids=["ints", "string", "none"])
+def test_report_rejects_a_mapping_value_that_is_no_sequence_of_violations(found):
+    # Each was accepted; then to_text() raised AttributeError, and to_json()
+    # and to_dict() TypeError ("has no len()" for None).
+    t, spacing = fixture_tensor(), {(0, 0, 0): found}
+    message = (
+        "pairwise_spacing at profile (0, 0, 0): expected a sequence of "
+        f"PairSpacingViolation, got {found!r}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(t, feasibility=(), pairwise_spacing=spacing, nash=False, compromise=False)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolveReport(t, DEFAULT_TOLERANCE, None, None, (), spacing)
+
+
 @pytest.mark.parametrize("pairwise", [spacing_codes, _checked_spacing])
 def test_pairwise_spacing_needs_feasibility(pairwise):
     # The pairwise listing sits in the feasibility section. Without one,

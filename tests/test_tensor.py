@@ -541,7 +541,8 @@ def test_listing_fills_whole_rows_into_blocks_within_the_budget(monkeypatch, joi
     # Labels and details of unequal widths, none holding the "<" a row starts with.
     axis = [[f"{p}{'x' * k}" for k in range(s)] for p, s in enumerate(shape)]
     profiles = np.array([23, 0, 5, 5, 17, 2, 9, 11, 20, 3, 14])
-    detail = (np.array(["", "d", "dd", "ddd"], dtype=object), np.arange(len(profiles)) % 4)
+    detail = np.array(["", "d", "dd", "ddd"], dtype=object)
+    codes = np.arange(len(profiles)) % 4
     grid = np.unravel_index(profiles, shape)
     spelled = [join.join(axis[p][grid[p][r]] for p in range(len(shape))) for r in range(len(profiles))]
     # With and without axes: one slot in a row leaves less room for the
@@ -553,7 +554,11 @@ def test_listing_fills_whole_rows_into_blocks_within_the_budget(monkeypatch, joi
     for row, axes, rows in cases:
 
         def render(profiles):
-            return list(tensor_module.listing(row, join, between, profiles, shape, axes, [detail]))
+            return list(
+                tensor_module.listing(
+                    row, join, between, profiles, shape, axes, [detail], lambda r: [codes[r]]
+                )
+            )
 
         short_last = set()
         # Up to a budget that fits every row, with its template's slots, into one block.
