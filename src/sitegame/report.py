@@ -26,7 +26,6 @@ from .solvers import (
 )
 from .tensor import (
     LISTING,
-    PROFILE,
     SLOT,
     Codes,
     PayoffTensor,
@@ -141,21 +140,21 @@ class SolveReport:
     def json_pieces(self) -> Iterator[str]:
         """to_json() in pieces, each per-profile listing a block at a time."""
         listings = []
-        profile = {"indices": [PROFILE], "labels": [PROFILE]}
-        payoffs = [SLOT] * self.tensor.n_players
+        slots = [SLOT] * self.tensor.n_players
+        profile = {"indices": slots, "labels": slots}
         if self.pairwise_spacing is not None:
             entry = {**profile, "violations": SLOT}
             listings.append(("pairwise_spacing", entry, self._spacing_json))
         if self.nash is not None:
             nash = self.nash
             rows = functools.partial(self._json_payoffs, nash.equilibria, nash.payoffs, None)
-            listings.append(("equilibria", {**profile, "payoffs": payoffs}, rows))
+            listings.append(("equilibria", {**profile, "payoffs": slots}, rows))
         if self.compromise is not None:
             compromise = self.compromise
             rows = functools.partial(
                 self._json_payoffs, compromise.minimizers, compromise.payoffs, compromise.shortfall
             )
-            listings.append(("minimizers", {**profile, "payoffs": payoffs, "residual": SLOT}, rows))
+            listings.append(("minimizers", {**profile, "payoffs": slots, "residual": SLOT}, rows))
             listings.append(("residuals", {**profile, "residual": SLOT}, self._json_residuals))
         return json_document(self._head_dict(), listings)
 
@@ -207,12 +206,12 @@ class SolveReport:
         return {"indices": list(profile), "labels": list(self.tensor.labels_for(profile)), **fields}
 
     def _json_rows(
-        self, layout: tuple[str, str, str], profiles: np.ndarray, details: Sequence[np.ndarray],
+        self, layout: tuple[str, str], profiles: np.ndarray, details: Sequence[np.ndarray],
         codes: Codes,
     ) -> Iterator[str]:
-        """A JSON listing's rows laid out by ``layout``, (row, join, between)
-        (see json_document), for the flat (C-order) indices ``profiles``,
-        each starting with its indices and labels."""
+        """A JSON listing's rows laid out by ``layout``, (row, between) (see
+        json_document), for the flat (C-order) indices ``profiles``, each
+        starting with its indices and labels."""
         axes = json_profile_axes(self.tensor)
         return listing(*layout, profiles, self.tensor.shape, axes, details, codes)
 
@@ -230,7 +229,7 @@ class SolveReport:
         details, codes = distinct_spellings([shortfall], json_spellings)
         return self._json_rows(layout, np.arange(shortfall.size), details, codes)
 
-    def _spacing_json(self, row: str, join: str, between: str) -> Iterator[str]:
+    def _spacing_json(self, row: str, between: str) -> Iterator[str]:
         profiles, columns, codes = self._spacing()
         item = f"{between[1:]}    "  # a row's violations sit one level below its keys
 
@@ -240,7 +239,7 @@ class SolveReport:
         close = ("[]", f"{between[1:]}  ]")
         details, codes = _violation_columns(columns, codes, spell, f"[{item}", f",{item}", close)
         before, _, after = row.rpartition(SLOT)  # the violations' slot is the last
-        layout = (before + SLOT * len(details) + after, join, between)
+        layout = (before + SLOT * len(details) + after, between)
         return self._json_rows(layout, profiles, details, codes)
 
     def _spacing(self) -> _Spacing:
@@ -303,7 +302,7 @@ class SolveReport:
             yield "\nresiduals:"
             shortfall = self.compromise.shortfall.reshape(-1)
             details, codes = distinct_spellings([shortfall], _text_spellings)
-            yield from self._rows(np.arange(shortfall.size), details, codes)
+            yield from self._rows(np.arange(shortfall.size), details, codes, SLOT)
 
     def _spacing_text(self) -> Iterator[str]:
         """The pairwise section: its count, then a row per profile."""
@@ -311,18 +310,18 @@ class SolveReport:
         profiles, columns, codes = self._spacing()
         yield f"\npairwise spacing violations: {len(profiles)} profiles"
         details, codes = _violation_columns(columns, codes, _violation_text, "", ", ")
-        yield from self._rows(profiles, details, codes)
+        yield from self._rows(profiles, details, codes, SLOT * len(details))
 
     def _rows(
-        self, profiles: np.ndarray, details: Sequence[np.ndarray], codes: Codes,
-        text: str | None = None,
+        self, profiles: np.ndarray, details: Sequence[np.ndarray], codes: Codes, text: str
     ) -> Iterator[str]:
-        """The rows "\\n  (labels) = (indices): details" of a text listing,
-        for the flat (C-order) indices ``profiles`` (see listing); ``text``
-        lays out the details, one slot each by default."""
+        """The rows "\\n  (labels) = (indices): text" of a text listing, for
+        the flat (C-order) indices ``profiles`` (see listing); ``text`` holds
+        a slot for each of the details."""
+        profile = ", ".join([SLOT] * self.tensor.n_players)
         axes = (self.tensor.strategy_labels, index_spellings(self.tensor.shape))
-        row = "\n  (%s%s) = (%s%s): " + (SLOT * len(details) if text is None else text)
-        return listing(row, ", ", "", profiles, self.tensor.shape, axes, details, codes)
+        row = f"\n  ({profile}) = ({profile}): {text}"
+        return listing(row, "", profiles, self.tensor.shape, axes, details, codes)
 
     def _payoff_rows(
         self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]]

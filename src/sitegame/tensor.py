@@ -304,14 +304,12 @@ def tensor_to_dict(tensor: PayoffTensor) -> dict:
 BLOCK_CHARS = 1 << 20
 
 SLOT = "%s"
-# A profile's entries along one axis: its head's spelling, then its tail's.
-PROFILE = SLOT * 2
 # A listing's detail codes for a block's slice of its rows (see listing).
 Codes = Callable[[slice], Sequence[np.ndarray]]
 # The value a document head gives each key that json_document writes as a
-# listing, and what writes that listing's rows from (row, join, between).
+# listing, and what writes that listing's rows from (row, between).
 LISTING = "<listing>"
-Rows = Callable[[str, str, str], Iterator[str]]
+Rows = Callable[[str, str], Iterator[str]]
 
 
 def distinct_spellings(
@@ -347,7 +345,7 @@ def index_spellings(shape: Sequence[int]) -> list[list[str]]:
 
 
 def listing(
-    row: str, join: str, between: str, profiles: np.ndarray, shape: tuple[int, ...],
+    row: str, between: str, profiles: np.ndarray, shape: tuple[int, ...],
     axes: Sequence[Sequence[Sequence[str]]] = (), details: Sequence[np.ndarray] = (),
     codes: Codes = lambda rows: (),
 ) -> Iterator[str]:
@@ -356,42 +354,47 @@ def listing(
     at most BLOCK_CHARS characters or of one row, with the separator between
     two blocks as a piece of its own.
 
-    ``row`` holds two slots (PROFILE) for each of ``axes``, then one for each
-    of the ``details``, arrays of spellings: a row's slot takes the spelling
-    that its code from ``codes`` names. ``axes[a][p][k]`` spells player p's
-    strategy k along axis a, and a row's two slots take its profile's entries
-    joined by ``join``. The players split into a head and a tail of about
-    equal profile counts, and every head and every tail profile is spelled
-    once.
+    ``row`` is a row with each value replaced by SLOT: one slot for each
+    player along each of ``axes``, then one for each of the ``details``,
+    arrays of spellings. ``axes[a][p][k]`` spells player p's strategy k
+    along axis a, and a detail's slot takes the spelling that the row's code
+    from ``codes`` names. The players split into a head and a tail of about
+    equal profile counts: along each axis, every head and every tail
+    profile is spelled once, as its players' words, each followed by the
+    text after its slot.
     """
     h = min(range(1, len(shape) + 1), key=lambda h: math.prod(shape[:h]) + math.prod(shape[h:]))
     tail_size = math.prod(shape[h:])
 
-    def spell(part: Sequence[Sequence[str]], end: str) -> np.ndarray:
-        return np.array([join.join(p) + end for p in itertools.product(*part)], dtype=object)
-
-    # A head spelling ends in ``join`` when a tail spelling follows it.
-    end = join if h < len(shape) else ""
-    spellings = [
-        *itertools.chain.from_iterable((spell(axis[:h], end), spell(axis[h:], "")) for axis in axes),
-        *details,
-    ]
-    widest = len(row) + len(between) + sum(max(map(len, s.tolist()), default=0) for s in spellings)
-    size = max(1, BLOCK_CHARS // widest)
-
-    # A row is its slots' spellings with the text after each slot folded into
-    # that slot's spellings once; a slot followed by no text keeps its
-    # spellings uncopied. The text after the last slot starts the next row
-    # instead, with ``between`` and the text before the first slot: a block's
-    # first row cuts them down to the last of the three, and a block ends with
-    # the text after the last slot.
+    # A detail that no text follows keeps its spellings uncopied. The text
+    # after the last slot starts the next row instead, with ``between`` and
+    # the text before the first slot, in front of the first slot's words: a
+    # block's first row cuts that start down to the last of the three, and a
+    # block ends with the text after the last slot.
     first, *after, last = row.split(SLOT)
-    columns = [spelled + text if text else spelled for spelled, text in zip(spellings, [*after, ""])]
-    columns[0] = last + between + first + columns[0]
+    lead = last + between + first
+    texts = [*after, ""]
+    columns = []
+    for a, axis in enumerate(axes):
+        words = [[w + text for w in player] for player, text in zip(axis, texts[a * len(shape) :])]
+        if not a:
+            words[0] = [lead + w for w in words[0]]
+        for part in (words[:h], words[h:]):
+            columns.append(np.array(list(map("".join, itertools.product(*part))), dtype=object))
+    for spelled, text in zip(details, texts[len(axes) * len(shape) :]):
+        if not columns:  # one pass: the first spellings are copied once
+            spelled = np.array([lead + s + text for s in spelled.tolist()], dtype=object)
+        elif text:
+            spelled = spelled + text
+        columns.append(spelled)
+    # Each column counts len(SLOT) characters past its widest spelling: blocks of
+    # true-width rows raised render peaks (6x6x200 pairwise text 2.49 -> 2.72 MB).
+    widest = sum(len(SLOT) + max(map(len, c.tolist()), default=0) for c in columns)
+    size = max(1, BLOCK_CHARS // widest)
     cut = len(last) + len(between)
     # No name holds the first spellings of a copied slot: a caller that keeps
     # no detail frees them.
-    del details, spellings
+    del details
     for start in range(0, len(profiles), size):
         if start:
             yield between
@@ -422,9 +425,9 @@ def json_document(head: dict, listings: Iterable[tuple[str, object, Rows]]) -> I
     """``json.dumps(head, indent=2)`` in pieces, with the list of each listing
     ``(key, entry, rows)`` where the head gives ``key`` the value LISTING.
     The listings come in the order of the document, and their keys are
-    unique in it. ``rows(row, join, between)`` gives the entries in blocks,
-    each shaped like ``entry`` with each string of slots standing for those
-    slots (see listing); with no entries the list is ``[]``."""
+    unique in it. ``rows(row, between)`` gives the entries in blocks, each
+    shaped like ``entry`` with each SLOT string standing for a slot (see
+    listing); with no entries the list is ``[]``."""
     rest = json.dumps(head, indent=2)
     for key, entry, rows in listings:
         # A string value escapes its quotes, so only the key itself, with
@@ -432,14 +435,10 @@ def json_document(head: dict, listings: Iterable[tuple[str, object, Rows]]) -> I
         before, rest = rest.split(f"{json.dumps(key)}: {json.dumps(LISTING)}", 1)
         newline = before[before.rindex("\n") :]
         yield f"{before}{json.dumps(key)}: "
-        # Entries sit one level deeper than their key. A profile's entries
-        # along an axis are items of the list that holds the first slot,
-        # indented as that slot is.
+        # Entries sit one level deeper than their key.
         row = json.dumps(entry, indent=2).replace("\n", f"{newline}  ")
         row = row.replace(f'"{SLOT}', SLOT).replace(f'{SLOT}"', SLOT)
-        first = row.index(SLOT)
-        join = "," + row[row.rindex("\n", 0, first) : first]
-        pieces = rows(row, join, f",{newline}  ")
+        pieces = rows(row, f",{newline}  ")
         piece = next(pieces, None)
         if piece is None:
             yield "[]"
@@ -579,9 +578,9 @@ def tensor_document(
     head = tensor_head(tensor) | {"payoffs": LISTING}
     if tensor.separable:
         # A row lists each player's total at their own strategy: the totals
-        # are a listing axis, and a row takes a head and a tail spelling.
+        # are a listing axis.
         totals = [json_spellings(tensor.player_payoffs(p).ravel().tolist()) for p in range(n)]
-        listings = [("payoffs", [PROFILE], functools.partial(rows, axes=[totals]))]
+        payoff_rows = functools.partial(rows, axes=[totals])
     else:
         def payoff_rows(*layout: str) -> Iterator[str]:
             # Each player's distinct payoffs are spelled apart, since the text
@@ -590,7 +589,7 @@ def tensor_document(
             details, codes = distinct_spellings(tensor.values.reshape(-1, n).T, json_spellings)
             return rows(*layout, details=details, codes=codes)
 
-        listings = [("payoffs", [SLOT] * n, payoff_rows)]
+    listings = [("payoffs", [SLOT] * n, payoff_rows)]
     if explain is not None:
         # One breakdown per (player, site), encoded once at its depth in the
         # document and shared by every profile that picks that site.
@@ -603,7 +602,7 @@ def tensor_document(
                 for site, income, damage, total in zip(terms.player.sites, *columns)
             ])
         head["explain"] = LISTING
-        entry = {"indices": [PROFILE], "labels": [PROFILE], "players": [PROFILE]}
+        entry = {"indices": [SLOT] * n, "labels": [SLOT] * n, "players": [SLOT] * n}
         axes = [*json_profile_axes(tensor), breakdowns]
         listings.append(("explain", entry, functools.partial(rows, axes=axes)))
     return json_document(head, listings)

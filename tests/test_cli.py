@@ -598,9 +598,13 @@ def test_scenario_with_too_many_players_exit1(tmp_path, scenario, capsys, comman
         if n == limit:
             assert (code, err) == (0, "")
             if command == "tensor":
-                assert json.loads(out)["shape"] == [1] * n
+                written = json.loads(out)
+                assert written["shape"] == [1] * n
+                assert [len(row) for row in written["payoffs"]] == [n]
             else:
                 assert "\nnash equilibria (1):\n" in out
+                labels, indices = ", ".join(["B1"] * n), ", ".join(["0"] * n)
+                assert f"\n  ({labels}) = ({indices}): payoffs (" in out
             continue
         assert (code, out) == (1, "")
         _assert_one_line_error(err)

@@ -548,7 +548,11 @@ def test_listing_fills_whole_rows_into_blocks_within_the_budget(monkeypatch, joi
     # With and without axes: one slot in a row leaves less room for the
     # separator between rows than three do.
     cases = [
-        ("<%s%s|%s>", [axis], [f"<{spelled[r]}|{'d' * (r % 4)}>" for r in range(len(profiles))]),
+        (
+            "<" + join.join(["%s"] * 4) + "|%s>",
+            [axis],
+            [f"<{spelled[r]}|{'d' * (r % 4)}>" for r in range(len(profiles))],
+        ),
         ("<%s>", [], [f"<{'d' * (r % 4)}>" for r in range(len(profiles))]),
     ]
     for row, axes, rows in cases:
@@ -556,7 +560,7 @@ def test_listing_fills_whole_rows_into_blocks_within_the_budget(monkeypatch, joi
         def render(profiles):
             return list(
                 tensor_module.listing(
-                    row, join, between, profiles, shape, axes, [detail], lambda r: [codes[r]]
+                    row, between, profiles, shape, axes, [detail], lambda r: [codes[r]]
                 )
             )
 
@@ -575,6 +579,49 @@ def test_listing_fills_whole_rows_into_blocks_within_the_budget(monkeypatch, joi
         assert counts == [len(rows)]
         assert short_last == {False, True}
         assert render(profiles[:0]) == []
+
+
+@pytest.mark.parametrize(
+    "shape, row",
+    [((3, 1, 4, 2), "<%s-%s+%s/%s=%s;%s:%s~%s|%s>"), ((5,), "<%s=%s|%s>")],
+    ids=["four-players", "one-player"],
+)
+def test_listing_writes_the_text_after_each_slot(shape, row):
+    # Every slot has text of its own after it, so each row is the template
+    # filled in, wherever the players split into a head and a tail; one
+    # player is a head alone.
+    axes = [[[f"{a}{p}{'x' * k}" for k in range(s)] for p, s in enumerate(shape)] for a in "ab"]
+    profiles = np.random.default_rng(0).permutation(int(np.prod(shape)))
+    detail = np.array(["", "d", "dd"], dtype=object)
+    codes = np.arange(len(profiles)) % 3
+    expected = [
+        row % (*(axis[p][k] for axis in axes for p, k in enumerate(profile)), detail[c])
+        for profile, c in zip(tensor_module.profiles_at(profiles, shape), codes)
+    ]
+    pieces = tensor_module.listing(
+        row, "\n", profiles, shape, axes, [detail], lambda rows: [codes[rows]]
+    )
+    assert "".join(pieces) == "\n".join(expected)
+
+
+def test_listing_copies_its_first_detail_once_as_it_starts():
+    # With no axis, the text before the first slot and the text after it are
+    # folded into the first detail's spellings in one pass: the listing holds
+    # one copy of them, not two, while it starts.
+    spellings = np.array([f"{k:0200d}" for k in range(20_000)], dtype=object)
+    size = sum(map(sys.getsizeof, spellings.tolist()))
+    tracemalloc.start()
+    try:
+        pieces = tensor_module.listing(
+            "[%s, %s]", ",", np.arange(1), (20_000,), details=[spellings, spellings],
+            codes=lambda rows: [np.zeros(1, dtype=np.intp)] * 2,
+        )
+        first = next(pieces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == f"[{spellings[0]}, {spellings[0]}]"
+    assert peak < 1.5 * size
 
 
 def test_dumps_tensor_allocates_little_beyond_its_output():
