@@ -346,7 +346,7 @@ def index_spellings(shape: Sequence[int]) -> list[list[str]]:
 
 def listing(
     row: str, between: str, profiles: np.ndarray, shape: tuple[int, ...],
-    axes: Sequence[Sequence[Sequence[str]]] = (), details: Sequence[np.ndarray] = (),
+    axes: Sequence[Sequence[Sequence[str]]] = (), details: list[np.ndarray] | tuple[()] = (),
     codes: Codes = lambda rows: (),
 ) -> Iterator[str]:
     """The rows laid out by ``row``, row r for the profile whose flat
@@ -356,9 +356,10 @@ def listing(
 
     ``row`` is a row with each value replaced by SLOT: one slot for each
     player along each of ``axes``, then one for each of the ``details``,
-    arrays of spellings. ``axes[a][p][k]`` spells player p's strategy k
-    along axis a, and a detail's slot takes the spelling that the row's code
-    from ``codes`` names. The players split into a head and a tail of about
+    arrays of spellings, which it empties: it takes each out of the list as
+    it folds its slot. ``axes[a][p][k]`` spells player p's strategy k along
+    axis a, and a detail's slot takes the spelling that the row's code from
+    ``codes`` names. The players split into a head and a tail of about
     equal profile counts: along each axis, every head and every tail
     profile is spelled once, as its players' words, each followed by the
     text after its slot.
@@ -381,7 +382,8 @@ def listing(
             words[0] = [lead + w for w in words[0]]
         for part in (words[:h], words[h:]):
             columns.append(np.array(list(map("".join, itertools.product(*part))), dtype=object))
-    for spelled, text in zip(details, texts[len(axes) * len(shape) :]):
+    for text in texts[len(axes) * len(shape) :]:
+        spelled = details.pop(0)
         if not columns:  # one pass: the first spellings are copied once
             spelled = np.array([lead + s + text for s in spelled.tolist()], dtype=object)
         elif text:
@@ -392,9 +394,6 @@ def listing(
     widest = sum(len(SLOT) + max(map(len, c.tolist()), default=0) for c in columns)
     size = max(1, BLOCK_CHARS // widest)
     cut = len(last) + len(between)
-    # No name holds the first spellings of a copied slot: a caller that keeps
-    # no detail frees them.
-    del details
     for start in range(0, len(profiles), size):
         if start:
             yield between
@@ -582,12 +581,10 @@ def tensor_document(
         totals = [json_spellings(tensor.player_payoffs(p).ravel().tolist()) for p in range(n)]
         payoff_rows = functools.partial(rows, axes=[totals])
     else:
-        def payoff_rows(*layout: str) -> Iterator[str]:
-            # Each player's distinct payoffs are spelled apart, since the text
-            # after a payoff is folded into them, and only the listing holds
-            # them (see listing).
-            details, codes = distinct_spellings(tensor.values.reshape(-1, n).T, json_spellings)
-            return rows(*layout, details=details, codes=codes)
+        # Each player's distinct payoffs are spelled apart, since the text
+        # after a payoff is folded into them; the listing empties ``details``.
+        details, codes = distinct_spellings(tensor.values.reshape(-1, n).T, json_spellings)
+        payoff_rows = functools.partial(rows, details=details, codes=codes)
 
     listings = [("payoffs", [SLOT] * n, payoff_rows)]
     if explain is not None:

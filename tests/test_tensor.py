@@ -624,18 +624,63 @@ def test_listing_copies_its_first_detail_once_as_it_starts():
     assert peak < 1.5 * size
 
 
-def test_dumps_tensor_allocates_little_beyond_its_output():
-    # 46,656 profiles and 7.6 MB of output; the tensor-only writer peaked at
-    # 2.55 times the output's length while it joined its template twice.
-    t = build_tensor(seeded_scenario(players=6, sites=6, objects=200))
+def test_listing_frees_each_detail_as_it_folds_it():
+    # Three columns of 20,000 spellings that only the list holds: each is
+    # freed as its slot is folded, so at most four columns are alive at once
+    # (the three given and the copy being built), not five.
+    tracemalloc.start()
+    try:
+        details = [np.array([f"{k:0200d}" for k in range(20_000)], dtype=object) for _ in range(3)]
+        pieces = tensor_module.listing(
+            "[%s, %s, %s]", ",", np.arange(1), (20_000,), details=details,
+            codes=lambda rows: [np.zeros(1, dtype=np.intp)] * 3,
+        )
+        first = next(pieces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    zero = "0" * 200
+    assert first == f"[{zero}, {zero}, {zero}]"
+    assert details == []
+    assert peak < 4.7 * 20_000 * sys.getsizeof(zero)
+
+
+def _dense_tensor() -> PayoffTensor:
+    shape = (8,) * 5
+    return PayoffTensor(
+        shape=shape,
+        players=tuple(f"P{p + 1}" for p in range(5)),
+        strategy_labels=tuple(tuple(f"S{k + 1}" for k in range(s)) for s in shape),
+        values=np.random.default_rng(7).uniform(-10.0, 10.0, size=shape + (5,)),
+        provenance=PROVENANCE_LOADED,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, chars, bound",
+    [
+        # 46,656 profiles and 7.6 MB of output; the tensor-only writer peaked at
+        # 2.55 times the output's length while it joined its template twice.
+        pytest.param(
+            lambda: build_tensor(seeded_scenario(players=6, sites=6, objects=200)),
+            7_000_000, 2.4, id="built",
+        ),
+        # 32,768 profiles and 4.6 MB of output, each player's payoffs spelled
+        # apart: 5.56 times the output's length while the listing kept every
+        # player's spellings until all were folded.
+        pytest.param(_dense_tensor, 4_000_000, 5.0, id="dense"),
+    ],
+)
+def test_dumps_tensor_allocates_little_beyond_its_output(make, chars, bound):
+    t = make()
     tracemalloc.start()
     try:
         text = dumps_tensor(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(text) > 7_000_000
-    assert peak < 2.4 * len(text)
+    assert len(text) > chars
+    assert peak < bound * len(text)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
