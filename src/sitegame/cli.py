@@ -21,11 +21,16 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable
+from typing import TYPE_CHECKING
 
-# Each command imports the modules it runs: `validate` needs only `scenario`,
-# which does not import numpy.
+# Each command imports the modules it runs, so `--version`, `--help` and a
+# usage error load no document reader. `validate` loads `document` and
+# `scenario`, neither of which imports numpy; `solve` on a tensor document
+# loads no `scenario`.
 from . import DEFAULT_TOLERANCE, __version__
-from .scenario import Scenario, ScenarioFormatError, read_json, scenario_from_dict, validate
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -81,6 +86,8 @@ def _write_stderr(text: str) -> None:
 
 def _read_document(path: str) -> object:
     """The parsed JSON document at ``path``."""
+    from .document import ScenarioFormatError, read_json
+
     try:
         return read_json(path)
     except (OSError, UnicodeDecodeError) as exc:  # read_text's error for non-UTF-8 bytes
@@ -92,6 +99,8 @@ def _read_document(path: str) -> object:
 def _valid_scenario(doc: object, report: Callable[[str], object]) -> Scenario:
     """The valid Scenario of a parsed document; its violations, if any, go to
     ``report`` one per line before exit 1."""
+    from .scenario import ScenarioFormatError, scenario_from_dict, validate
+
     try:
         scenario = scenario_from_dict(doc)
     except ScenarioFormatError as exc:

@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenario import Point, PlayerSpec, Scenario, checked_index
+from .document import checked_index
+from .scenario import Point, PlayerSpec, Scenario
 
 
 class ZeroDistanceError(ArithmeticError):

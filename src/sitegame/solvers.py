@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import DEFAULT_TOLERANCE
-from .scenario import checked_index
+from .document import checked_index
 from .tensor import PayoffTensor, Profile, checked_profile, iterate_profiles, profiles_at
 
 

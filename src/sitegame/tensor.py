@@ -18,11 +18,11 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequ
 
 import numpy as np
 
-from .scenario import NOT_UTF8, Scenario, checked_index, encodes_as_utf8, read_json
-from .scenario import _expect_dict, _get
+from .document import NOT_UTF8, _expect_dict, _get, checked_index, encodes_as_utf8, read_json
 
 if TYPE_CHECKING:
     from .payoff import PayoffTerms
+    from .scenario import Scenario
 
 Profile = tuple[int, ...]
 

@@ -267,8 +267,8 @@ def test_solve_frees_its_kernels_and_scenario_before_solving(fixture_files, monk
     # and rendering, though only the site checks and the pairwise codes
     # read them.
     report_module = importlib.import_module("sitegame.report")
-    cli_module = importlib.import_module("sitegame.cli")
-    init, from_dict = PayoffTerms.__init__, cli_module.scenario_from_dict
+    scenario_module = importlib.import_module("sitegame.scenario")
+    init, from_dict = PayoffTerms.__init__, scenario_module.scenario_from_dict
     solve = report_module.solve
     made, alive = [], []
 
@@ -286,7 +286,7 @@ def test_solve_frees_its_kernels_and_scenario_before_solving(fixture_files, monk
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(PayoffTerms, "__init__", recording_init)
-    monkeypatch.setattr(cli_module, "scenario_from_dict", recording_from_dict)
+    monkeypatch.setattr(scenario_module, "scenario_from_dict", recording_from_dict)
     monkeypatch.setattr(report_module, "solve", checked_solve)
     scenario_path, _ = fixture_files
     with contextlib.redirect_stdout(CountingSink()):
@@ -929,6 +929,50 @@ def test_nested_too_deep_exit2(tmp_path, capsys, command):
     assert out == ""
     _assert_one_line_error(err)
     assert f"error: {path}: " in err
+
+
+# Malformed JSON of either kind, and where its parse fails.
+_MALFORMED = {
+    "scenario": (b'{"region": {"x_max": 10.0,\n  "y_max" 10.0}}', "line 2, column 11: Expecting ':' delimiter"),
+    "tensor": (b'{"shape": [2],\n  "payoffs": [[1.0] [2.0]]}', "line 2, column 21: Expecting ',' delimiter"),
+}
+
+
+@pytest.mark.parametrize("case", ["malformed", "bom", "non-utf8", "missing"])
+@pytest.mark.parametrize("kind", ["scenario", "tensor"])
+def test_unreadable_document_exit2_with_one_error_line(fixture_files, tmp_path, capsys, kind, case):
+    # The reader runs before `solve` tells a tensor from a scenario; a
+    # document of either kind that it refuses ends in the same one line.
+    text = fixture_files[kind == "tensor"].read_bytes()
+    path = tmp_path / "document.json"
+    if case == "malformed":
+        content, fault = _MALFORMED[kind]
+        message = f"{path}: {fault}"
+    elif case == "bom":
+        content = b"\xef\xbb\xbf" + text
+        message = f"{path}: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    elif case == "non-utf8":
+        content = text.replace(b'"P1"', b'"P\xe91"', 1)
+        position = text.index(b'"P1"') + 2
+        message = f"cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position {position}: invalid continuation byte"
+    else:
+        content, message = None, f"cannot read {path}: [Errno 2] No such file or directory: {str(path)!r}"
+    if content is not None:
+        path.write_bytes(content)
+    for command in ["validate", "tensor", "solve"] if kind == "scenario" else ["solve"]:
+        assert run_cli(capsys, command, str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_scenario_with_oversized_integer_literal_exit2(fixture_files, tmp_path, capsys):
+    # The int is refused while the JSON is parsed, as in a tensor document.
+    scenario_path, _ = fixture_files
+    path = tmp_path / "big.json"
+    path.write_text(scenario_path.read_text().replace("15.0", "1" + "0" * 5000, 1))
+    for command in ["validate", "tensor", "solve"]:
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        _assert_one_line_error(err)
+        assert err.startswith(f"error: {path}: ") and "5001 digits" in err
 
 
 def test_module_entry_point(fixture_files):

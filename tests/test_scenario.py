@@ -172,6 +172,33 @@ def test_load_scenario_names_line_and_column(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "case, error, match",
+    [
+        ("bom", ScenarioFormatError, "line 1, column 1: Unexpected UTF-8 BOM"),
+        ("non-utf8", UnicodeDecodeError, "can't decode byte 0xe9"),
+        ("missing", FileNotFoundError, "No such file"),
+    ],
+)
+def test_load_scenario_unreadable_file(tmp_path, scenario, case, error, match):
+    text = dumps_scenario(scenario).encode()
+    path = tmp_path / "scenario.json"
+    if case == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+    elif case == "non-utf8":
+        path.write_bytes(text.replace(b'"P1"', b'"P\xe91"', 1))
+    with pytest.raises(error, match=match):
+        load_scenario(path)
+
+
+def test_scenario_module_keeps_the_names_of_the_document_reader():
+    import sitegame.document
+    import sitegame.scenario
+
+    for name in ("ScenarioFormatError", "read_json", "checked_index", "NOT_UTF8", "encodes_as_utf8", "_expect_dict", "_get"):
+        assert getattr(sitegame.scenario, name) is getattr(sitegame.document, name), name
+
+
 def test_load_scenario_round_trip(tmp_path, scenario):
     path = tmp_path / "scenario.json"
     path.write_text(dumps_scenario(scenario), encoding="utf-8")

@@ -131,23 +131,41 @@ def _imported_modules(importtime_log):
 
 
 # `solve` runs on the fixture tensor: a tensor document needs neither the
-# payoff kernel nor the site checks.
+# scenario model, nor the payoff kernel, nor the site checks. `--version` and
+# `--help` read no document.
 @pytest.mark.parametrize(
     "command, not_loaded",
     [
         ("validate", {"numpy", "sitegame.payoff", "sitegame.tensor", "sitegame.solvers", "sitegame.report"}),
         ("tensor", {"sitegame.solvers", "sitegame.report"}),
         ("solve", {"sitegame.payoff"}),
+        ("--version", {"json", "numpy"}),
+        ("--help", {"json", "numpy"}),
     ],
 )
 def test_command_loads_only_what_it_runs(tmp_path, command, not_loaded):
-    scenario_path, tensor_path = sitegame.write_fixtures(tmp_path)
-    path = tensor_path if command == "solve" else scenario_path
-    result = run_python("-X", "importtime", "-m", "sitegame", command, str(path))
+    scenario_path, tensor_path = map(str, sitegame.write_fixtures(tmp_path))
+    files = {"validate": [scenario_path], "tensor": [scenario_path], "solve": [tensor_path]}.get(command, [])
+    result = run_python("-X", "importtime", "-m", "sitegame", command, *files)
     assert result.returncode == 0, result.stderr
     loaded = _imported_modules(result.stderr)
-    assert "sitegame.cli" in loaded and "sitegame.scenario" in loaded
+    assert "sitegame.cli" in loaded
+    # A command loads the document reader if it reads a file, and the
+    # scenario model if that file is a scenario.
+    assert ("sitegame.document" in loaded) == bool(files)
+    assert ("sitegame.scenario" in loaded) == (files == [scenario_path])
     assert not loaded & ({"sitegame.feasibility", "sitegame.fixtures"} | not_loaded)
+
+
+def test_document_module_imports_no_numpy_and_no_scenario_model():
+    out = run_code(
+        """
+        import sys
+        import sitegame.document
+        print("numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("sitegame")))
+        """
+    )
+    assert out == "False ['sitegame', 'sitegame.document']\n"
 
 
 @pytest.mark.parametrize("argv", [["solve", "{tensor}"], ["--version"]])

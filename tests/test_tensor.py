@@ -294,6 +294,25 @@ def test_load_tensor_names_line_and_column(tmp_path):
         load_tensor(path)
 
 
+@pytest.mark.parametrize(
+    "case, error, match",
+    [
+        ("bom", TensorFormatError, "line 1, column 1: Unexpected UTF-8 BOM"),
+        ("non-utf8", UnicodeDecodeError, "can't decode byte 0xe9"),
+        ("missing", FileNotFoundError, "No such file"),
+    ],
+)
+def test_load_tensor_unreadable_file(tmp_path, tensor, case, error, match):
+    text = dumps_tensor(tensor).encode()
+    path = tmp_path / "tensor.json"
+    if case == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+    elif case == "non-utf8":
+        path.write_bytes(text.replace(b'"P1"', b'"P\xe91"', 1))
+    with pytest.raises(error, match=match):
+        load_tensor(path)
+
+
 def test_constructor_rejects_nonfinite_values():
     with pytest.raises(ValueError, match="finite"):
         PayoffTensor(
