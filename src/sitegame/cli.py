@@ -23,10 +23,10 @@ import sys
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
-# Each command imports the modules it runs, so `--version`, `--help` and a
-# usage error load no document reader. `validate` loads `document` and
-# `scenario`, neither of which imports numpy; `solve` on a tensor document
-# loads no `scenario`.
+# Each command imports the modules it runs: `--version`, `--help` and a usage
+# error load no document reader, and no command loads numpy before it has
+# parsed its document. `validate` loads `document` and `scenario`, neither of
+# which imports numpy; `solve` on a tensor document loads no `scenario`.
 from . import DEFAULT_TOLERANCE, __version__
 
 if TYPE_CHECKING:
@@ -130,9 +130,9 @@ def _cmd_validate(args: argparse.Namespace) -> None:
 
 
 def _cmd_tensor(args: argparse.Namespace) -> None:
+    scenario = _valid_scenario(_read_document(args.file), _write_stderr)
     from .tensor import tensor_document
 
-    scenario = _valid_scenario(_read_document(args.file), _write_stderr)
     kernels = []  # with --explain, the kernels that build the tensor spell its breakdowns
     tensor = _build_tensor(scenario, kernels.append if args.explain else None)
     document = tensor_document(tensor, kernels if args.explain else None)
@@ -141,12 +141,12 @@ def _cmd_tensor(args: argparse.Namespace) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:
+    doc = _read_document(args.file)
     import numpy as np
 
     from .report import solve
     from .tensor import TensorFormatError, profiles_at, tensor_from_dict
 
-    doc = _read_document(args.file)
     scenario = None
     if isinstance(doc, dict) and ("payoffs" in doc or "shape" in doc):
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -63,9 +63,9 @@ class SolveReport:
     its own order: ``perfbench/traced.py`` builds one from
     :func:`sitegame.feasibility.check_profile_spacing`. Either is listed in
     the feasibility section and needs ``feasibility``: ``()`` lists no sites.
-    ``pairwise_spacing``, unless a mapping, and ``compromise`` must be of
-    the tensor's shape, each key of a mapping a profile of the tensor (see
-    checked_profile) and each value a sequence of PairSpacingViolation:
+    ``pairwise_spacing``, unless a mapping, ``nash`` and ``compromise`` must
+    be of the tensor's shape, each key of a mapping a profile of the tensor
+    (see checked_profile) and each value a sequence of PairSpacingViolation:
     ValueError otherwise.
     """
 
@@ -81,6 +81,8 @@ class SolveReport:
         if spacing is not None and self.feasibility is None:
             raise ValueError("pairwise_spacing needs feasibility; feasibility=() lists no sites")
         shapes = {}
+        if self.nash is not None:
+            shapes["nash"] = self.nash.shape
         if isinstance(spacing, Mapping):
             from .feasibility import PairSpacingViolation
 
@@ -146,14 +148,11 @@ class SolveReport:
             entry = {**profile, "violations": SLOT}
             listings.append(("pairwise_spacing", entry, self._spacing_json))
         if self.nash is not None:
-            nash = self.nash
-            rows = functools.partial(self._json_payoffs, nash.equilibria, nash.payoffs, None)
+            rows = functools.partial(self._json_payoffs, self.nash, None)
             listings.append(("equilibria", {**profile, "payoffs": slots}, rows))
         if self.compromise is not None:
             compromise = self.compromise
-            rows = functools.partial(
-                self._json_payoffs, compromise.minimizers, compromise.payoffs, compromise.shortfall
-            )
+            rows = functools.partial(self._json_payoffs, compromise, compromise.shortfall)
             listings.append(("minimizers", {**profile, "payoffs": slots, "residual": SLOT}, rows))
             listings.append(("residuals", {**profile, "residual": SLOT}, self._json_residuals))
         return json_document(self._head_dict(), listings)
@@ -190,12 +189,12 @@ class SolveReport:
                 feasibility["pairwise_spacing"] = LISTING
             doc["feasibility"] = feasibility
         if self.nash is not None:
-            doc["nash"] = {"count": len(self.nash.equilibria), "equilibria": LISTING}
+            doc["nash"] = {"count": self.nash.flat.size, "equilibria": LISTING}
         if self.compromise is not None:
             doc["compromise"] = {
                 "ideal": list(self.compromise.ideal),
                 "min_residual": self.compromise.min_residual,
-                "count": len(self.compromise.minimizers),
+                "count": self.compromise.flat.size,
                 "minimizers": LISTING,
             }
             doc["residuals"] = LISTING
@@ -216,13 +215,14 @@ class SolveReport:
         return listing(*layout, profiles, self.tensor.shape, axes, details, codes)
 
     def _json_payoffs(
-        self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]],
-        shortfall: np.ndarray | None, *layout: str,
+        self, listed: NashResult | CompromiseResult, shortfall: np.ndarray | None, *layout: str
     ) -> Iterator[str]:
-        """The rows of ``profiles``, each with its payoff vector and, given
-        ``shortfall``, its residual."""
-        flat, details, codes = self._payoff_details(profiles, payoffs, json_spellings, shortfall)
-        return self._json_rows(layout, flat, details, codes)
+        """The rows of ``listed``'s profiles (see _payoff_rows) and, given
+        ``shortfall``, their residuals."""
+        flat, values = listed.flat, listed.values
+        if shortfall is not None:
+            values = np.column_stack([values, shortfall.reshape(-1)[flat]])
+        return self._json_rows(layout, flat, *distinct_spellings(values.T, json_spellings))
 
     def _json_residuals(self, *layout: str) -> Iterator[str]:
         shortfall = self.compromise.shortfall.reshape(-1)
@@ -290,15 +290,15 @@ class SolveReport:
             if self.pairwise_spacing is not None:
                 yield from self._spacing_text()
         if self.nash is not None:
-            yield f"\nnash equilibria ({len(self.nash.equilibria)}):"
-            yield from self._payoff_rows(self.nash.equilibria, self.nash.payoffs)
+            yield f"\nnash equilibria ({self.nash.flat.size}):"
+            yield from self._payoff_rows(self.nash)
         if self.compromise is not None:
             yield f"\nideal vector: {_vector_text(self.compromise.ideal)}"
             yield (
-                f"\ncompromise minimizers ({len(self.compromise.minimizers)}), "
+                f"\ncompromise minimizers ({self.compromise.flat.size}), "
                 f"min residual {_fmt(self.compromise.min_residual)}:"
             )
-            yield from self._payoff_rows(self.compromise.minimizers, self.compromise.payoffs)
+            yield from self._payoff_rows(self.compromise)
             yield "\nresiduals:"
             shortfall = self.compromise.shortfall.reshape(-1)
             details, codes = distinct_spellings([shortfall], _text_spellings)
@@ -323,25 +323,11 @@ class SolveReport:
         row = f"\n  ({profile}) = ({profile}): {text}"
         return listing(row, "", profiles, self.tensor.shape, axes, details, codes)
 
-    def _payoff_rows(
-        self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]]
-    ) -> Iterator[str]:
-        """The text rows of ``profiles``, each with its payoff vector, "payoffs (...)"."""
-        flat, details, codes = self._payoff_details(profiles, payoffs, _text_spellings)
-        return self._rows(flat, details, codes, f"payoffs ({', '.join([SLOT] * len(details))})")
-
-    def _payoff_details(
-        self, profiles: Collection[Profile], payoffs: Collection[Sequence[float]],
-        spell: Callable[[list[float]], list[str]], shortfall: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list[np.ndarray], Codes]:
-        """The flat (C-order) indices of ``profiles``, a detail per player's
-        payoff, then, given ``shortfall``, one for the residual, and their
-        codes: each distinct float of a detail spelled once by ``spell``."""
-        flat = flat_indices(profiles, self.tensor.shape)
-        values = np.array(payoffs, dtype=float).reshape(len(flat), self.tensor.n_players)
-        if shortfall is not None:
-            values = np.column_stack([values, shortfall.reshape(-1)[flat]])
-        return flat, *distinct_spellings(values.T, spell)
+    def _payoff_rows(self, listed: NashResult | CompromiseResult) -> Iterator[str]:
+        """The text rows of ``listed``'s profiles, those at its flat (C-order)
+        indices, each with its payoff vector, a row of its values: "payoffs (...)"."""
+        details, codes = distinct_spellings(listed.values.T, _text_spellings)
+        return self._rows(listed.flat, details, codes, f"payoffs ({', '.join([SLOT] * len(details))})")
 
 
 def _fmt(x: float) -> str:

@@ -25,29 +25,46 @@ from .document import checked_index
 from .tensor import PayoffTensor, Profile, checked_profile, iterate_profiles, profiles_at
 
 
-@dataclass(frozen=True)
+def _payoff_tuples(listed: NashResult | CompromiseResult) -> tuple[tuple[float, ...], ...]:
+    return tuple(map(tuple, listed.values.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class NashResult:
-    """Pure equilibria in normative profile order, with their payoff vectors."""
+    """Pure equilibria in normative order: ``flat``, their flat C-order
+    indices in a game of ``shape``, and ``values``, their payoff vectors, as
+    read-only arrays; ``equilibria`` and ``payoffs`` are tuple views, built
+    on first access. Compares and hashes by identity, as it holds arrays."""
 
-    equilibria: tuple[Profile, ...]
-    payoffs: tuple[tuple[float, ...], ...]
+    shape: tuple[int, ...]
+    flat: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    @cached_property
+    def equilibria(self) -> tuple[Profile, ...]:
+        return profiles_at(self.flat, self.shape)
+
+    payoffs = cached_property(_payoff_tuples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompromiseResult:
-    """Ideal payoffs, per-profile shortfall residuals and their minimizers.
-
-    ``shortfall`` holds ``max_i(ideal[i] - payoff_i)`` for every profile, as
-    a read-only array of the tensor's shape; ``minimizers`` are all profiles
-    whose residual is within tolerance of ``min_residual``, in normative
-    order, and ``payoffs`` their payoff vectors.
-    """
+    """Ideal payoffs; ``shortfall``, ``max_i(ideal[i] - payoff_i)`` at every
+    profile, as a read-only array of the tensor's shape; and the minimizers,
+    the profiles whose residual is within tolerance of ``min_residual``,
+    listed as in NashResult."""
 
     ideal: tuple[float, ...]
-    minimizers: tuple[Profile, ...]
-    payoffs: tuple[tuple[float, ...], ...]
+    flat: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     min_residual: float
-    shortfall: np.ndarray = field(compare=False, repr=False)
+    shortfall: np.ndarray = field(repr=False)
+
+    @cached_property
+    def minimizers(self) -> tuple[Profile, ...]:
+        return profiles_at(self.flat, self.shortfall.shape)
+
+    payoffs = cached_property(_payoff_tuples)
 
     @cached_property
     def residuals(self) -> MappingProxyType[Profile, float]:
@@ -57,6 +74,15 @@ class CompromiseResult:
         return MappingProxyType(
             dict(zip(iterate_profiles(self.shortfall.shape), self.shortfall.reshape(-1).tolist()))
         )
+
+
+def _listed(tensor: PayoffTensor, where: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``flat`` and ``values`` of the profiles where the mask ``where`` holds:
+    boolean indexing, like np.flatnonzero, lists them in C order."""
+    arrays = np.flatnonzero(where), tensor.payoffs_at(where)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -100,9 +126,7 @@ def find_pure_nash(
     for p in range(tensor.n_players):
         payoffs_p = tensor.player_payoffs(p)
         stable &= payoffs_p >= payoffs_p.max(axis=p, keepdims=True) - tolerance
-    # Boolean indexing, like np.flatnonzero, lists profiles in C order.
-    equilibria = profiles_at(np.flatnonzero(stable), tensor.shape)
-    return NashResult(equilibria, tuple(map(tuple, tensor.payoffs_at(stable).tolist())))
+    return NashResult(tensor.shape, *_listed(tensor, stable))
 
 
 def ideal_vector(tensor: PayoffTensor) -> tuple[float, ...]:
@@ -125,6 +149,4 @@ def find_compromise(
     shortfall.setflags(write=False)
     min_residual = float(shortfall.min())
     minimal = shortfall <= min_residual + tolerance
-    payoffs = tuple(map(tuple, tensor.payoffs_at(minimal).tolist()))
-    minimizers = profiles_at(np.flatnonzero(minimal), tensor.shape)
-    return CompromiseResult(ideal, minimizers, payoffs, min_residual, shortfall)
+    return CompromiseResult(ideal, *_listed(tensor, minimal), min_residual, shortfall)

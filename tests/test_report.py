@@ -13,6 +13,8 @@ from sitegame import (
     PROVENANCE_LOADED,
     __version__,
     CandidateSite,
+    CompromiseResult,
+    NashResult,
     NaturalObject,
     PayoffTensor,
     PlayerSpec,
@@ -503,7 +505,7 @@ def _tight_fixture():
 
 @pytest.mark.parametrize("sites", [6, 2], ids=["larger", "smaller"])
 def test_report_rejects_arrays_of_another_game(sites):
-    # Spacing codes or a compromise of the 3x4x2 fixture, given with another
+    # Spacing codes or solver results of the 3x4x2 fixture, given with another
     # tensor, listed the wrong profiles silently, or failed while rendering
     # with an IndexError or a numpy ValueError.
     scenario = _tight_fixture()
@@ -521,8 +523,11 @@ def test_report_rejects_arrays_of_another_game(sites):
     message = rf"^compromise has shape {fixture_shape}, the tensor {other_shape}$"
     with pytest.raises(ValueError, match=message):
         SolveReport(other, DEFAULT_TOLERANCE, None, compromise)
+    message = rf"^nash has shape {fixture_shape}, the tensor {other_shape}$"
+    with pytest.raises(ValueError, match=message):
+        SolveReport(other, DEFAULT_TOLERANCE, find_pure_nash(t), None)
     # Results of the report's own tensor stay accepted.
-    SolveReport(other, DEFAULT_TOLERANCE, None, find_compromise(other))
+    SolveReport(other, DEFAULT_TOLERANCE, find_pure_nash(other), find_compromise(other))
 
 
 def test_solve_checks_its_arguments_before_either_solver_runs(monkeypatch):
@@ -622,6 +627,27 @@ def test_pieces_of_an_all_violating_report_allocate_less_than_their_output(fmt):
     peak, written = _peak_and_length(report.text_pieces() if fmt == "text" else report.json_pieces())
     assert written > 5_000_000
     assert peak < written
+
+
+def test_renderers_read_the_result_arrays_not_their_tuple_views(monkeypatch, tmp_path):
+    # The renderers turned the solvers' tuples, one per listed profile, back
+    # into arrays.
+    def unread(result):
+        raise AssertionError("a tuple view was read")
+
+    for result, names in [(NashResult, ["equilibria", "payoffs"]), (CompromiseResult, ["minimizers", "payoffs"])]:
+        for name in names:
+            monkeypatch.setattr(result, name, property(unread))
+    scenario = _tight_fixture()
+    t = build_tensor(scenario)
+    report = solve(t, feasibility=tuple(check_scenario(scenario)), pairwise_spacing=spacing_codes(scenario))
+    assert report.to_text() and report.to_json()
+    path = tmp_path / "tight.json"
+    path.write_text(dumps_scenario(scenario), encoding="utf-8")
+    for fmt in ["text", "json"]:
+        assert main(["solve", str(path), "--pairwise-band", "--format", fmt]) == 0
+    with pytest.raises(AssertionError, match="tuple view"):
+        report.nash.equilibria
 
 
 def test_rendering_leaves_the_residuals_dict_unbuilt(tensor, scenario):

@@ -157,6 +157,20 @@ def test_command_loads_only_what_it_runs(tmp_path, command, not_loaded):
     assert not loaded & ({"sitegame.feasibility", "sitegame.fixtures"} | not_loaded)
 
 
+@pytest.mark.parametrize("command", ["solve", "tensor"])
+@pytest.mark.parametrize("document", ["missing", "truncated"])
+def test_unreadable_document_exits_before_numpy_loads(tmp_path, command, document):
+    # Both commands imported numpy, 60-100 ms, before reading their document.
+    _, tensor_path = sitegame.write_fixtures(tmp_path)
+    path = tmp_path / f"{document}.json"
+    if document == "truncated":
+        path.write_text(tensor_path.read_text(encoding="utf-8")[:200], encoding="utf-8")
+    result = run_python("-X", "importtime", "-m", "sitegame", command, str(path))
+    assert result.returncode == 2
+    assert "sitegame.document" in _imported_modules(result.stderr)
+    assert "numpy" not in _imported_modules(result.stderr)
+
+
 def test_document_module_imports_no_numpy_and_no_scenario_model():
     out = run_code(
         """
