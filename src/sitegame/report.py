@@ -59,14 +59,14 @@ class SolveReport:
     """Everything the CLI reports about one solve run.
 
     ``pairwise_spacing`` is what :func:`sitegame.feasibility.spacing_codes`
-    returns. A mapping from profiles to their violations is listed too, in
-    its own order: ``perfbench/traced.py`` builds one from
-    :func:`sitegame.feasibility.check_profile_spacing`. Either is listed in
-    the feasibility section and needs ``feasibility``: ``()`` lists no sites.
-    ``pairwise_spacing``, unless a mapping, ``nash`` and ``compromise`` must
-    be of the tensor's shape, each key of a mapping a profile of the tensor
-    (see checked_profile) and each value a sequence of PairSpacingViolation:
-    ValueError otherwise.
+    returns. A mapping from violating profiles to their violations is listed
+    too, in its own order: ``perfbench/traced.py`` builds one from
+    :func:`sitegame.feasibility.check_profile_spacing`. Either lists only
+    profiles with violations, in the feasibility section, and needs
+    ``feasibility``: ``()`` lists no sites. ``pairwise_spacing``, unless a
+    mapping, ``nash`` and ``compromise`` must be of the tensor's shape, each
+    key of a mapping a profile of the tensor (see checked_profile) and each
+    value a non-empty sequence of PairSpacingViolation: ValueError otherwise.
     """
 
     tensor: PayoffTensor
@@ -88,12 +88,12 @@ class SolveReport:
 
             for profile, found in spacing.items():
                 checked_profile(profile, self.tensor.shape, self.tensor.players)
-                if not isinstance(found, Sequence) or not all(
+                if not isinstance(found, Sequence) or not found or not all(
                     isinstance(violation, PairSpacingViolation) for violation in found
                 ):
                     raise ValueError(
-                        f"pairwise_spacing at profile {profile!r}: expected a sequence of "
-                        f"PairSpacingViolation, got {found!r}"
+                        f"pairwise_spacing at profile {profile!r}: expected a non-empty "
+                        f"sequence of PairSpacingViolation, got {found!r}"
                     )
         elif spacing is not None:
             shapes["pairwise_spacing"] = spacing.shape
@@ -236,10 +236,9 @@ class SolveReport:
         def spell(violation: PairSpacingViolation) -> str:
             return json.dumps(asdict(violation), indent=2).replace("\n", item)
 
-        close = ("[]", f"{between[1:]}  ]")
-        details, codes = _violation_columns(columns, codes, spell, f"[{item}", f",{item}", close)
+        details, codes = _violation_columns(columns, codes, spell, f",{item}")
         before, _, after = row.rpartition(SLOT)  # the violations' slot is the last
-        layout = (before + SLOT * len(details) + after, between)
+        layout = (f"{before}[{item}{SLOT * len(details)}{between[1:]}  ]{after}", between)
         return self._json_rows(layout, profiles, details, codes)
 
     def _spacing(self) -> _Spacing:
@@ -247,7 +246,7 @@ class SolveReport:
         columns and the codes of a block's rows in each. Code c >= 1 of a
         column names the violation at c - 1 in it, and 0 none: one column
         per player pair, or, for a mapping, column j for each row's
-        violation at j, and at least one."""
+        violation at j. Each row names one violation at least."""
         spacing = self.pairwise_spacing
         if not isinstance(spacing, Mapping):
             profiles = spacing.violating()
@@ -255,7 +254,7 @@ class SolveReport:
             return profiles, columns, lambda rows: spacing.codes_at(profiles[rows])
         found = list(spacing.values())
         columns, codes = [], []
-        for j in range(max([1, *map(len, found)])):  # one at least, for the close column
+        for j in range(max(map(len, found), default=0)):
             hit = np.fromiter((len(row) > j for row in found), bool, len(found))
             columns.append([row[j] for row in found if len(row) > j])
             codes.append(np.cumsum(hit) * hit)
@@ -309,7 +308,7 @@ class SolveReport:
         # Its own generator, so that the listing's profiles are freed with it.
         profiles, columns, codes = self._spacing()
         yield f"\npairwise spacing violations: {len(profiles)} profiles"
-        details, codes = _violation_columns(columns, codes, _violation_text, "", ", ")
+        details, codes = _violation_columns(columns, codes, _violation_text, ", ")
         yield from self._rows(profiles, details, codes, SLOT * len(details))
 
     def _rows(
@@ -347,36 +346,27 @@ def _violation_columns(
     columns: list[Sequence[PairSpacingViolation]],
     codes: Codes,
     spell: Callable[[PairSpacingViolation], str],
-    first: str,
     later: str,
-    close: tuple[str, str] | None = None,
 ) -> tuple[list[np.ndarray], Codes]:
     """A pairwise listing's details, and what gives their codes for a block
     (see listing): a row's violations, each spelled once per column by
-    ``spell``, after ``first`` in its first column with a violation and
-    after ``later`` in each later one. ``close``, if given, ends a row
-    without violations and a row with some."""
+    ``spell``, after ``later`` in each of its columns but the first."""
     details = []
     for j, column in enumerate(columns):
         spelled = list(map(spell, column))
-        every = ["", *(first + text for text in spelled)]
+        every = ["", *spelled]
         if j:  # no column comes before the first
             every += [later + text for text in spelled]
         details.append(np.array(every, dtype=object))
-    if close is not None:
-        details.append(np.array(close, dtype=object))
 
     def violation_codes(rows: slice) -> list[np.ndarray]:
         # Code c of a column stands for c + len(column) once an earlier
-        # column of its row has violations. A listing with rows has a
-        # column, so ``seen`` ends as an array.
+        # column of its row has violations.
         found, seen = [], False
         for c, column in zip(codes(rows), columns):
             hit = c != 0
             found.append(c + len(column) * (seen & hit))
             seen = seen | hit
-        if close is not None:
-            found.append(seen.view(np.uint8))
         return found
 
     return details, violation_codes

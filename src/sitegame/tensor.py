@@ -91,7 +91,7 @@ class PayoffTensor:
             arrays = [values]
         # min and max are nan if any value is, and need no array of flags.
         for array in arrays:
-            if array.size and not (math.isfinite(array.min()) and math.isfinite(array.max())):
+            if not (math.isfinite(array.min()) and math.isfinite(array.max())):
                 raise ValueError("all payoff values must be finite")
             array.setflags(write=False)
         object.__setattr__(self, "shape", shape)
@@ -107,9 +107,7 @@ class PayoffTensor:
         # Only a separable tensor lacks ``values``.
         if name != "values":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values = np.empty(self.shape + (self.n_players,))
-        for p in range(self.n_players):
-            values[..., p] = self.player_payoffs(p)
+        values = self.payoffs_at(...)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         return values
@@ -127,10 +125,13 @@ class PayoffTensor:
 
     def payoffs_at(self, where) -> np.ndarray:
         """The payoff vectors of the profiles where the boolean mask
-        ``where``, of ``shape``, holds, in C order; or of the one profile
-        ``where``, a tuple of indices."""
-        payoffs = (self.player_payoffs(p) for p in range(self.n_players))
-        return np.stack([np.broadcast_to(u, self.shape)[where] for u in payoffs], axis=-1)
+        ``where``, of ``shape``, holds, in C order; of the one profile
+        ``where``, a tuple of indices; or, given ``...``, of every profile."""
+        lead = np.broadcast_to(False, self.shape)[where].shape
+        payoffs = np.empty(lead + (self.n_players,))
+        for p in range(self.n_players):  # a column at a time: no payoff is held twice
+            payoffs[..., p] = np.broadcast_to(self.player_payoffs(p), self.shape)[where]
+        return payoffs
 
     @property
     def n_players(self) -> int:

@@ -115,7 +115,9 @@ def test_to_json_with_feasibility_sections(scenario, pairwise, band):
     report = solve(t, feasibility=tuple(check_scenario(scenario)), pairwise_spacing=spacing)
     _assert_to_json_is_json_dumps(report)
     if spacing is not None:
-        assert report.to_dict()["feasibility"]["pairwise_spacing"] == _pairwise_entries(scenario, t)
+        listed = report.to_dict()["feasibility"]["pairwise_spacing"]
+        assert listed == _pairwise_entries(scenario, t)
+        assert all(entry["violations"] for entry in listed)
 
 
 def test_labels_spelled_like_a_listing_placeholder_stay_labels():
@@ -429,13 +431,11 @@ def test_to_text_listing_split_into_head_and_tail(monkeypatch, shape):
     _assert_renders_in_blocks(monkeypatch, solve(t))
 
 
-@pytest.mark.parametrize(
-    "spacing", [{}, {(0, 0, 0): ()}, {(2, 3, 1): (), (0, 1, 0): ()}]
-)
+@pytest.mark.parametrize("spacing", [{}])
 def test_to_text_pairwise_rows_without_violations(spacing):
-    # spacing_codes lists only violating profiles, but a report may be
-    # given any mapping: rows with no violations end after ": ". to_json()
-    # raised AttributeError when no row held a violation.
+    # A mapping lists only violating profiles, as spacing_codes does: an
+    # empty one lists none. to_json() raised AttributeError when no row held
+    # a violation.
     report = solve(fixture_tensor(), feasibility=(), pairwise_spacing=spacing)
     assert_same_text(report.to_text(), _reference_text(report))
     _assert_to_json_is_json_dumps(report)
@@ -461,13 +461,16 @@ def test_report_rejects_a_mapping_key_that_is_no_profile_of_the_tensor(profile, 
         SolveReport(t, DEFAULT_TOLERANCE, None, None, (), spacing)
 
 
-@pytest.mark.parametrize("found", [(1,), "ab", None], ids=["ints", "string", "none"])
+@pytest.mark.parametrize(
+    "found", [(1,), "ab", None, ()], ids=["ints", "string", "none", "empty"]
+)
 def test_report_rejects_a_mapping_value_that_is_no_sequence_of_violations(found):
-    # Each was accepted; then to_text() raised AttributeError, and to_json()
-    # and to_dict() TypeError ("has no len()" for None).
+    # Each but the empty one was accepted; then to_text() raised
+    # AttributeError, and to_json() and to_dict() TypeError ("has no len()"
+    # for None). An empty one was listed as a row without violations.
     t, spacing = fixture_tensor(), {(0, 0, 0): found}
     message = (
-        "pairwise_spacing at profile (0, 0, 0): expected a sequence of "
+        "pairwise_spacing at profile (0, 0, 0): expected a non-empty sequence of "
         f"PairSpacingViolation, got {found!r}"
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -441,3 +441,18 @@ def test_listing_every_profile_holds_no_tuple_per_profile(solver):
         tracemalloc.stop()
     assert result.flat.size == t.n_profiles
     assert peak < 128 * t.n_profiles
+
+
+def test_payoffs_at_holds_each_listed_payoff_once():
+    # A gathered array per player, then np.stack of them, held every listed
+    # payoff twice: a peak of 96 bytes a profile for a 48-byte result.
+    t = _tensor_from_values(np.zeros((8,) * 6 + (6,)))
+    mask = np.ones(t.shape, bool)
+    tracemalloc.start()
+    try:
+        payoffs = t.payoffs_at(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payoffs.shape == (t.n_profiles, t.n_players)
+    assert peak < 64 * t.n_profiles

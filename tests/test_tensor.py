@@ -488,6 +488,7 @@ def test_separable_tensor_reads_each_payoff_from_its_totals(scenario):
     # A copy with other labels is a dense tensor with the same payoffs.
     relabeled = dataclasses.replace(t, players=("a", "b", "c"))
     assert not relabeled.separable and np.array_equal(relabeled.values, t.values)
+    assert np.array_equal(relabeled.payoffs_at(...), t.values)
 
 
 @pytest.mark.parametrize(
