@@ -431,12 +431,29 @@ def test_to_text_listing_split_into_head_and_tail(monkeypatch, shape):
     _assert_renders_in_blocks(monkeypatch, solve(t))
 
 
-@pytest.mark.parametrize("spacing", [{}])
-def test_to_text_pairwise_rows_without_violations(spacing):
+@pytest.mark.parametrize(
+    "spacing, rejected",
+    [
+        pytest.param({}, None, id="spacing0"),
+        pytest.param({(0, 0, 0): ()}, (0, 0, 0), id="spacing1"),
+        pytest.param({(2, 3, 1): (), (0, 1, 0): ()}, (2, 3, 1), id="spacing2"),
+    ],
+)
+def test_to_text_pairwise_rows_without_violations(spacing, rejected):
     # A mapping lists only violating profiles, as spacing_codes does: an
-    # empty one lists none. to_json() raised AttributeError when no row held
-    # a violation.
-    report = solve(fixture_tensor(), feasibility=(), pairwise_spacing=spacing)
+    # empty one lists no rows (to_json() raised AttributeError when no row
+    # held a violation), and the first profile mapped to no violations is
+    # rejected, where it was listed as a row ending after ": ".
+    t = fixture_tensor()
+    if rejected is not None:
+        message = (
+            f"pairwise_spacing at profile {rejected!r}: expected a non-empty sequence "
+            "of PairSpacingViolation, got ()"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve(t, feasibility=(), pairwise_spacing=spacing)
+        return
+    report = solve(t, feasibility=(), pairwise_spacing=spacing)
     assert_same_text(report.to_text(), _reference_text(report))
     _assert_to_json_is_json_dumps(report)
 
@@ -461,13 +478,11 @@ def test_report_rejects_a_mapping_key_that_is_no_profile_of_the_tensor(profile, 
         SolveReport(t, DEFAULT_TOLERANCE, None, None, (), spacing)
 
 
-@pytest.mark.parametrize(
-    "found", [(1,), "ab", None, ()], ids=["ints", "string", "none", "empty"]
-)
+@pytest.mark.parametrize("found", [(1,), "ab", None], ids=["ints", "string", "none"])
 def test_report_rejects_a_mapping_value_that_is_no_sequence_of_violations(found):
-    # Each but the empty one was accepted; then to_text() raised
-    # AttributeError, and to_json() and to_dict() TypeError ("has no len()"
-    # for None). An empty one was listed as a row without violations.
+    # Each was accepted; then to_text() raised AttributeError, and to_json()
+    # and to_dict() TypeError ("has no len()" for None). An empty one is
+    # rejected too: see test_to_text_pairwise_rows_without_violations.
     t, spacing = fixture_tensor(), {(0, 0, 0): found}
     message = (
         "pairwise_spacing at profile (0, 0, 0): expected a non-empty sequence of "
