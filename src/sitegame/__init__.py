@@ -21,6 +21,14 @@ __version__ = "0.1.0"
 # so that the CLI can build its parser without importing numpy.
 DEFAULT_TOLERANCE = 1e-9
 
+
+class FormatError(ValueError):
+    """A document that cannot be parsed: malformed JSON, or not the form of
+    its kind. The base of ScenarioFormatError and TensorFormatError, and the
+    one error the CLI ends with exit 2 and its message; defined here so that
+    the CLI can name it without loading a reader."""
+
+
 # The public names of each submodule.
 _EXPORTS = {
     "scenario": (
@@ -82,7 +90,7 @@ _EXPORTS = {
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = ["__version__", "DEFAULT_TOLERANCE", *_SUBMODULE_OF]
+__all__ = ["__version__", "DEFAULT_TOLERANCE", "FormatError", *_SUBMODULE_OF]
 
 
 def __getattr__(name: str) -> object:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 # error load no document reader, and no command loads numpy before it has
 # parsed its document. `validate` loads `document` and `scenario`, neither of
 # which imports numpy; `solve` on a tensor document loads no `scenario`.
-from . import DEFAULT_TOLERANCE, __version__
+from . import DEFAULT_TOLERANCE, FormatError, __version__
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -86,25 +86,20 @@ def _write_stderr(text: str) -> None:
 
 def _read_document(path: str) -> object:
     """The parsed JSON document at ``path``."""
-    from .document import ScenarioFormatError, read_json
+    from .document import read_json
 
     try:
-        return read_json(path)
+        return read_json(path, FormatError)  # of either kind, until it parses
     except (OSError, UnicodeDecodeError) as exc:  # read_text's error for non-UTF-8 bytes
         raise _Exit(EXIT_INPUT, f"cannot read {path}: {exc}")
-    except ScenarioFormatError as exc:
-        raise _Exit(EXIT_INPUT, str(exc))
 
 
 def _valid_scenario(doc: object, report: Callable[[str], object]) -> Scenario:
     """The valid Scenario of a parsed document; its violations, if any, go to
     ``report`` one per line before exit 1."""
-    from .scenario import ScenarioFormatError, scenario_from_dict, validate
+    from .scenario import scenario_from_dict, validate
 
-    try:
-        scenario = scenario_from_dict(doc)
-    except ScenarioFormatError as exc:
-        raise _Exit(EXIT_INPUT, str(exc))
+    scenario = scenario_from_dict(doc)
     violations = validate(scenario)
     if violations:
         report("".join(f"{violation}\n" for violation in violations))
@@ -145,18 +140,15 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     import numpy as np
 
     from .report import solve
-    from .tensor import TensorFormatError, profiles_at, tensor_from_dict
+    from .tensor import profiles_at, tensor_from_dict
 
     scenario = None
     if isinstance(doc, dict) and ("payoffs" in doc or "shape" in doc):
-        try:
-            tensor = tensor_from_dict(doc)
-        except TensorFormatError as exc:
-            raise _Exit(EXIT_INPUT, str(exc))
+        tensor = tensor_from_dict(doc)
     elif isinstance(doc, dict) and ("region" in doc or "players" in doc):
         scenario = _valid_scenario(doc, _write_stderr)
     else:
-        raise _Exit(EXIT_INPUT, f"{args.file}: not a scenario or tensor document")
+        raise FormatError(f"{args.file}: not a scenario or tensor document")
     del doc  # free the document tree before the tensor is built and solved
 
     feasibility = None
@@ -271,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         if exc.message is not None:
             _write_stderr(f"error: {exc.message}\n")
         return exc.code
+    except FormatError as exc:  # a document that cannot be parsed, wherever it is found
+        _write_stderr(f"error: {exc}\n")
+        return EXIT_INPUT
     return EXIT_OK
 
 

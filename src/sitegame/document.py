@@ -7,12 +7,14 @@ import json
 import operator
 from pathlib import Path
 
+from . import FormatError
 
-class ScenarioFormatError(ValueError):
+
+class ScenarioFormatError(FormatError):
     """A document could not be parsed into a Scenario (bad JSON or bad schema)."""
 
 
-def read_json(path: Path | str, error: type[ValueError] = ScenarioFormatError) -> object:
+def read_json(path: Path | str, error: type[FormatError] = ScenarioFormatError) -> object:
     """Read and parse a JSON file.
 
     Raises ``error`` naming the path, and the line/column for malformed JSON.
@@ -31,13 +33,13 @@ def read_json(path: Path | str, error: type[ValueError] = ScenarioFormatError) -
         raise error(f"{path}: {exc}") from exc
 
 
-def _expect_dict(value: object, path: str, error: type[ValueError] = ScenarioFormatError) -> dict:
+def _expect_dict(value: object, path: str, error: type[FormatError] = ScenarioFormatError) -> dict:
     if not isinstance(value, dict):
         raise error(f"{path}: expected an object, got {type(value).__name__}")
     return value
 
 
-def _get(doc: dict, key: str, path: str, error: type[ValueError] = ScenarioFormatError) -> object:
+def _get(doc: dict, key: str, path: str, error: type[FormatError] = ScenarioFormatError) -> object:
     if key not in doc:
         raise error(f"{path}: missing required key {key!r}")
     return doc[key]

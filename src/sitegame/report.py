@@ -205,8 +205,8 @@ class SolveReport:
         return {"indices": list(profile), "labels": list(self.tensor.labels_for(profile)), **fields}
 
     def _json_rows(
-        self, layout: tuple[str, str], profiles: np.ndarray, details: Sequence[np.ndarray],
-        codes: Codes,
+        self, layout: tuple[str, str], profiles: np.ndarray | range,
+        details: Sequence[np.ndarray], codes: Codes,
     ) -> Iterator[str]:
         """A JSON listing's rows laid out by ``layout``, (row, between) (see
         json_document), for the flat (C-order) indices ``profiles``, each
@@ -227,7 +227,7 @@ class SolveReport:
     def _json_residuals(self, *layout: str) -> Iterator[str]:
         shortfall = self.compromise.shortfall.reshape(-1)
         details, codes = distinct_spellings([shortfall], json_spellings)
-        return self._json_rows(layout, np.arange(shortfall.size), details, codes)
+        return self._json_rows(layout, range(shortfall.size), details, codes)
 
     def _spacing_json(self, row: str, between: str) -> Iterator[str]:
         profiles, columns, codes = self._spacing()
@@ -292,7 +292,7 @@ class SolveReport:
             yield f"\nnash equilibria ({self.nash.flat.size}):"
             yield from self._payoff_rows(self.nash)
         if self.compromise is not None:
-            yield f"\nideal vector: {_vector_text(self.compromise.ideal)}"
+            yield f"\nideal vector: ({', '.join(_text_spellings(self.compromise.ideal))})"
             yield (
                 f"\ncompromise minimizers ({self.compromise.flat.size}), "
                 f"min residual {_fmt(self.compromise.min_residual)}:"
@@ -301,7 +301,7 @@ class SolveReport:
             yield "\nresiduals:"
             shortfall = self.compromise.shortfall.reshape(-1)
             details, codes = distinct_spellings([shortfall], _text_spellings)
-            yield from self._rows(np.arange(shortfall.size), details, codes, SLOT)
+            yield from self._rows(range(shortfall.size), details, codes, SLOT)
 
     def _spacing_text(self) -> Iterator[str]:
         """The pairwise section: its count, then a row per profile."""
@@ -312,7 +312,7 @@ class SolveReport:
         yield from self._rows(profiles, details, codes, SLOT * len(details))
 
     def _rows(
-        self, profiles: np.ndarray, details: Sequence[np.ndarray], codes: Codes, text: str
+        self, profiles: np.ndarray | range, details: Sequence[np.ndarray], codes: Codes, text: str
     ) -> Iterator[str]:
         """The rows "\\n  (labels) = (indices): text" of a text listing, for
         the flat (C-order) indices ``profiles`` (see listing); ``text`` holds
@@ -370,10 +370,6 @@ def _violation_columns(
         return found
 
     return details, violation_codes
-
-
-def _vector_text(values) -> str:
-    return "(" + ", ".join(_fmt(v) for v in values) + ")"
 
 
 def solve(

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequ
 
 import numpy as np
 
+from . import FormatError
 from .document import NOT_UTF8, _expect_dict, _get, checked_index, encodes_as_utf8, read_json
 
 if TYPE_CHECKING:
@@ -30,7 +31,7 @@ PROVENANCE_COMPUTED = "computed-from-equation"
 PROVENANCE_LOADED = "loaded-from-file"
 
 
-class TensorFormatError(ValueError):
+class TensorFormatError(FormatError):
     """A document could not be parsed into a PayoffTensor."""
 
 
@@ -346,14 +347,16 @@ def index_spellings(shape: Sequence[int]) -> list[list[str]]:
 
 
 def listing(
-    row: str, between: str, profiles: np.ndarray, shape: tuple[int, ...],
+    row: str, between: str, profiles: np.ndarray | range, shape: tuple[int, ...],
     axes: Sequence[Sequence[Sequence[str]]] = (), details: list[np.ndarray] | tuple[()] = (),
     codes: Codes = lambda rows: (),
 ) -> Iterator[str]:
     """The rows laid out by ``row``, row r for the profile whose flat
     (C-order) index is ``profiles[r]``, joined by ``between``: in blocks of
     at most BLOCK_CHARS characters or of one row, with the separator between
-    two blocks as a piece of its own.
+    two blocks as a piece of its own. ``profiles`` is an array of flat
+    indices or a ``range`` of them; a listing of every profile passes
+    ``range(n_profiles)``, so that it holds only a block's indices at once.
 
     ``row`` is a row with each value replaced by SLOT: one slot for each
     player along each of ``axes``, then one for each of the ``details``,
@@ -399,7 +402,10 @@ def listing(
         if start:
             yield between
         rows = slice(start, start + size)
-        head, tail = divmod(profiles[rows], tail_size)
+        flat = profiles[rows]
+        if isinstance(flat, range):
+            flat = np.arange(flat.start, flat.stop, flat.step)
+        head, tail = divmod(flat, tail_size)
         # No name holds the block or its pieces while the caller writes it.
         yield "".join(_pieces(columns, [*(head, tail) * len(axes), *codes(rows)], cut, last))
 
@@ -574,7 +580,7 @@ def tensor_document(
     kernels that built the tensor (one PayoffTerms per player, in order, at all its sites),
     it ends with an ``explain`` listing: each profile's indices, labels and breakdowns."""
     n = tensor.n_players
-    rows = functools.partial(listing, profiles=np.arange(tensor.n_profiles), shape=tensor.shape)
+    rows = functools.partial(listing, profiles=range(tensor.n_profiles), shape=tensor.shape)
     head = tensor_head(tensor) | {"payoffs": LISTING}
     if tensor.separable:
         # A row lists each player's total at their own strategy: the totals

@@ -19,11 +19,16 @@ import pytest
 from hypothesis import given, settings
 
 from sitegame import (
+    FormatError,
     Point,
+    ScenarioFormatError,
+    TensorFormatError,
     dumps_scenario,
     dumps_tensor,
     fixture_scenario,
     fixture_tensor,
+    load_scenario,
+    load_tensor,
     scenario_to_dict,
     tensor_to_dict,
 )
@@ -938,14 +943,29 @@ _MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", ["malformed", "bom", "non-utf8", "missing"])
+# A document of each kind that parses but is not of its kind's form.
+_MISFORMED = {
+    "scenario": (lambda doc: doc.pop("region"), "document: missing required key 'region'"),
+    "tensor": (lambda doc: doc.update(shape=3), "shape: expected a non-empty list of integers"),
+}
+
+
+@pytest.mark.parametrize("case", ["malformed", "bom", "non-utf8", "missing", "schema"])
 @pytest.mark.parametrize("kind", ["scenario", "tensor"])
 def test_unreadable_document_exit2_with_one_error_line(fixture_files, tmp_path, capsys, kind, case):
     # The reader runs before `solve` tells a tensor from a scenario; a
-    # document of either kind that it refuses ends in the same one line.
+    # document of either kind that it refuses ends in the same one line, as
+    # does one that is not of its kind's form. The library raises each of
+    # those as a FormatError of the document's kind, and a file it cannot
+    # read as the read's own error, which the CLI spells "cannot read".
     text = fixture_files[kind == "tensor"].read_bytes()
     path = tmp_path / "document.json"
-    if case == "malformed":
+    if case == "schema":
+        doc = json.loads(text)
+        mutate, message = _MISFORMED[kind]
+        mutate(doc)
+        content = json.dumps(doc).encode()
+    elif case == "malformed":
         content, fault = _MALFORMED[kind]
         message = f"{path}: {fault}"
     elif case == "bom":
@@ -961,6 +981,13 @@ def test_unreadable_document_exit2_with_one_error_line(fixture_files, tmp_path, 
         path.write_bytes(content)
     for command in ["validate", "tensor", "solve"] if kind == "scenario" else ["solve"]:
         assert run_cli(capsys, command, str(path)) == (2, "", f"error: {message}\n")
+    unreadable = case in ("non-utf8", "missing")
+    load, error = (load_scenario, ScenarioFormatError) if kind == "scenario" else (load_tensor, TensorFormatError)
+    with pytest.raises((OSError, UnicodeDecodeError) if unreadable else error) as raised:
+        load(path)
+    assert isinstance(raised.value, FormatError) != unreadable
+    assert issubclass(error, FormatError) and issubclass(FormatError, ValueError)
+    assert message == (f"cannot read {path}: {raised.value}" if unreadable else str(raised.value))
 
 
 def test_scenario_with_oversized_integer_literal_exit2(fixture_files, tmp_path, capsys):
