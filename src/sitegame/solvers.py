@@ -77,9 +77,10 @@ class CompromiseResult:
 
 
 def _listed(tensor: PayoffTensor, where: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``flat`` and ``values`` of the profiles where the mask ``where`` holds:
-    boolean indexing, like np.flatnonzero, lists them in C order."""
-    arrays = np.flatnonzero(where), tensor.payoffs_at(where)
+    """``flat`` and ``values`` of the profiles where the mask ``where`` holds,
+    in C order: one pass over the mask, then a gather at those indices."""
+    flat = np.flatnonzero(where)
+    arrays = flat, tensor.payoffs_at(flat)
     for array in arrays:
         array.setflags(write=False)
     return arrays

@@ -48,9 +48,10 @@ class PayoffTensor:
     A separable tensor, as build_tensor makes, is given ``values=None`` and
     ``totals`` instead: ``totals[p][k]`` is player p's payoff at every profile
     where p plays strategy k. It holds these Σk_i numbers alone, and builds
-    ``values`` (and keeps it) only when that is read: player_payoffs never
-    does, dataclasses.replace does and returns a dense tensor. A separable
-    copy takes ``totals=[t.player_payoffs(p).ravel() for p in range(n)]``.
+    ``values`` (and keeps it) only when that is read: player_payoffs and
+    payoffs_at never do, dataclasses.replace does and returns a dense
+    tensor. A separable copy takes
+    ``totals=[t.player_payoffs(p).ravel() for p in range(n)]``.
     """
 
     shape: tuple[int, ...]
@@ -108,7 +109,9 @@ class PayoffTensor:
         # Only a separable tensor lacks ``values``.
         if name != "values":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values = self.payoffs_at(...)
+        values = np.empty(self.shape + (self.n_players,))
+        for p, total in enumerate(self._totals):  # broadcast: no index array
+            values[..., p] = total
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         return values
@@ -124,14 +127,19 @@ class PayoffTensor:
         tensor p's totals along p's axis, with every other axis of length 1."""
         return self.values[..., p] if self._totals is None else self._totals[p]
 
-    def payoffs_at(self, where) -> np.ndarray:
-        """The payoff vectors of the profiles where the boolean mask
-        ``where``, of ``shape``, holds, in C order; of the one profile
-        ``where``, a tuple of indices; or, given ``...``, of every profile."""
-        lead = np.broadcast_to(False, self.shape)[where].shape
-        payoffs = np.empty(lead + (self.n_players,))
-        for p in range(self.n_players):  # a column at a time: no payoff is held twice
-            payoffs[..., p] = np.broadcast_to(self.player_payoffs(p), self.shape)[where]
+    def payoffs_at(self, flat: np.ndarray) -> np.ndarray:
+        """The (m, n) payoff rows of the profiles at ``flat``, an integer
+        array of flat (C-order) indices. A separable tensor reads column p
+        from p's totals at ``flat // stride_p % k_p``: one 1-D index per
+        subscript, so 64 players of one site, too many axes for ``values``,
+        work too."""
+        if self._totals is None:
+            return self.values.reshape(-1, self.n_players)[flat]
+        payoffs = np.empty((len(flat), self.n_players))
+        stride = self.n_profiles
+        for p, (total, k) in enumerate(zip(self._totals, self.shape)):
+            stride //= k
+            payoffs[:, p] = total.ravel()[flat // stride % k]
         return payoffs
 
     @property
@@ -144,7 +152,7 @@ class PayoffTensor:
 
     def payoff_vector(self, profile: Sequence[int]) -> tuple[float, ...]:
         profile = checked_profile(profile, self.shape, self.players)
-        return tuple(self.payoffs_at(profile).tolist())
+        return tuple(self.payoffs_at(flat_indices([profile], self.shape))[0].tolist())
 
     def labels_for(self, profile: Sequence[int]) -> tuple[str, ...]:
         profile = checked_profile(profile, self.shape, self.players)

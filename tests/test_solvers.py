@@ -447,10 +447,10 @@ def test_payoffs_at_holds_each_listed_payoff_once():
     # A gathered array per player, then np.stack of them, held every listed
     # payoff twice: a peak of 96 bytes a profile for a 48-byte result.
     t = _tensor_from_values(np.zeros((8,) * 6 + (6,)))
-    mask = np.ones(t.shape, bool)
+    flat = np.flatnonzero(np.ones(t.shape, bool))
     tracemalloc.start()
     try:
-        payoffs = t.payoffs_at(mask)
+        payoffs = t.payoffs_at(flat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -488,7 +488,69 @@ def test_separable_tensor_reads_each_payoff_from_its_totals(scenario):
     # A copy with other labels is a dense tensor with the same payoffs.
     relabeled = dataclasses.replace(t, players=("a", "b", "c"))
     assert not relabeled.separable and np.array_equal(relabeled.values, t.values)
-    assert np.array_equal(relabeled.payoffs_at(...), t.values)
+    every = np.arange(t.n_profiles)
+    for copy in (t, relabeled):
+        assert np.array_equal(copy.payoffs_at(every), t.values.reshape(-1, 3))
+
+
+def _best_sites_doubled(scenario: Scenario) -> Scenario:
+    """``scenario`` with each player's best site listed twice, at the same
+    point: every player's argmax set has two members."""
+    players = []
+    for p, player in enumerate(scenario.players):
+        k = int(np.argmax(PayoffTerms(scenario, p).total))
+        twin = CandidateSite(player.sites[k].id + "'", player.sites[k].position)
+        players.append(dataclasses.replace(
+            player, sites=(*player.sites, twin), loss=(*player.loss, player.loss[k]),
+            damage_weight=(*player.damage_weight, player.damage_weight[k]),
+        ))
+    return dataclasses.replace(scenario, players=tuple(players))
+
+
+def _one_site_players(n: int) -> Scenario:
+    """``n`` copies of the fixture's first player, each at its first site."""
+    scenario = fixture_scenario()
+    first = scenario.players[0]
+    one = dataclasses.replace(
+        first, sites=first.sites[:1], loss=first.loss[:1], damage_weight=first.damage_weight[:1]
+    )
+    players = tuple(dataclasses.replace(one, id=f"P{i}") for i in range(n))
+    return dataclasses.replace(scenario, players=players)
+
+
+@pytest.mark.parametrize(
+    "make, equilibria",
+    [
+        pytest.param(lambda: PayoffTensor(
+            (4, 3, 5), ("a", "b", "c"), (("w",) * 4, ("x",) * 3, ("y",) * 5),
+            np.random.default_rng(3).uniform(-5.0, 5.0, (4, 3, 5, 3)), PROVENANCE_LOADED,
+        ), None, id="dense"),
+        pytest.param(
+            lambda: build_tensor(seeded_scenario(players=4, sites=5, objects=6)), 1, id="separable"
+        ),
+        pytest.param(
+            lambda: build_tensor(_best_sites_doubled(seeded_scenario(players=4, sites=5, objects=6))),
+            2**4, id="separable ties",
+        ),
+        pytest.param(lambda: build_tensor(_one_site_players(64)), 1, id="64 players"),
+    ],
+)
+def test_payoffs_at_gathers_the_rows_of_values_at_flat_indices(make, equilibria):
+    t = make()
+    n = t.n_players
+    if n < 64:
+        rows = t.values.reshape(-1, n)
+    else:  # ``values`` would need 65 axes, one more than numpy allows
+        rows = np.column_stack([np.broadcast_to(t.player_payoffs(p), t.shape).ravel() for p in range(n)])
+    m = t.n_profiles
+    for flat in (np.arange(m), np.array([m - 1, m // 2, 0, m // 2]), np.array([], dtype=np.intp)):
+        payoffs = t.payoffs_at(flat)
+        assert payoffs.shape == (len(flat), n)
+        assert np.array_equal(payoffs, rows[flat])
+    nash, compromise = find_pure_nash(t), find_compromise(t)
+    assert equilibria is None or nash.flat.size == equilibria
+    for result in (nash, compromise):
+        assert np.array_equal(result.values, rows[result.flat])
 
 
 @pytest.mark.parametrize(
