@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
 
@@ -37,21 +37,21 @@ class TensorFormatError(FormatError):
 
 @dataclass(frozen=True, eq=False)
 class PayoffTensor:
-    """Payoff vectors for every strategy profile of a finite game.
+    """Payoff vectors for every strategy profile of a finite game, held in
+    one of two forms: exactly one of ``values`` and ``totals`` is set.
 
     ``values`` has shape ``shape + (n_players,)``; ``values[profile][p]`` is
-    player p's payoff at that profile. The array is frozen after construction
-    so tensors can be shared across threads. A read-only, C-contiguous float
-    array is kept as it is rather than copied, so a large tensor is never
-    held twice; whoever passes one must not write to it through another view.
+    player p's payoff at that profile. A separable tensor, as build_tensor
+    makes, has ``values=None`` and ``totals`` instead, a tuple of each
+    player's 1-D array: ``totals[p][k]`` is player p's payoff at every
+    profile where p plays strategy k, Σk_i numbers in all. Read the payoffs
+    of either form through player_payoffs and payoffs_at.
 
-    A separable tensor, as build_tensor makes, is given ``values=None`` and
-    ``totals`` instead: ``totals[p][k]`` is player p's payoff at every profile
-    where p plays strategy k. It holds these Σk_i numbers alone, and builds
-    ``values`` (and keeps it) only when that is read: player_payoffs and
-    payoffs_at never do, dataclasses.replace does and returns a dense
-    tensor. A separable copy takes
-    ``totals=[t.player_payoffs(p).ravel() for p in range(n)]``.
+    The arrays are frozen after construction so tensors can be shared across
+    threads. A read-only, C-contiguous float array is kept as it is rather
+    than copied, so a large tensor is never held twice, and replace and copy
+    keep the arrays they are given; whoever passes one must not write to it
+    through another view.
     """
 
     shape: tuple[int, ...]
@@ -59,9 +59,9 @@ class PayoffTensor:
     strategy_labels: tuple[tuple[str, ...], ...]
     values: np.ndarray | None = field(repr=False)
     provenance: str
-    totals: InitVar[Sequence[Sequence[float]] | None] = None
+    totals: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
-    def __post_init__(self, totals: Sequence[Sequence[float]] | None) -> None:
+    def __post_init__(self) -> None:
         shape = tuple(int(s) for s in self.shape)
         players = tuple(self.players)
         labels = tuple(tuple(axis) for axis in self.strategy_labels)
@@ -73,19 +73,23 @@ class PayoffTensor:
             raise ValueError(f"every player needs at least one strategy, got shape {shape}")
         if len(labels) != len(shape) or any(len(axis) != s for axis, s in zip(labels, shape)):
             raise ValueError("strategy_labels must match shape")
-        values = self.values
+        values, totals = self.values, self.totals
         if values is None:
-            arrays = _separable(totals, shape)
+            totals = tuple(map(_float_array, totals or ()))
+            if [total.shape for total in totals] != [(s,) for s in shape]:
+                raise ValueError(
+                    f"a tensor needs values, or totals of one payoff per strategy of {shape}"
+                )
+            try:  # player_payoffs views totals[p] with one axis per player
+                np.empty((1,) * len(shape))
+            except ValueError as exc:  # more axes than numpy's limit on dimensions
+                message = f"{len(shape)} players are more than numpy supports: {exc}"
+                raise ValueError(message) from None
+            arrays = totals
         elif totals is not None:
             raise ValueError("a tensor takes values or totals, not both")
         else:
-            if not (
-                isinstance(values, np.ndarray)
-                and values.dtype == float
-                and values.flags.c_contiguous
-                and not values.flags.writeable
-            ):
-                values = np.array(values, dtype=float)
+            values = _float_array(values)
             if values.shape != shape + (len(players),):
                 raise ValueError(
                     f"values shape {values.shape} does not match {shape + (len(players),)}"
@@ -99,47 +103,34 @@ class PayoffTensor:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "players", players)
         object.__setattr__(self, "strategy_labels", labels)
-        object.__setattr__(self, "_totals", None if values is not None else arrays)
-        if values is None:
-            object.__delattr__(self, "values")  # __getattr__ builds it when read
-        else:
-            object.__setattr__(self, "values", values)
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        # Only a separable tensor lacks ``values``.
-        if name != "values":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values = np.empty(self.shape + (self.n_players,))
-        for p, total in enumerate(self._totals):  # broadcast: no index array
-            values[..., p] = total
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        return values
+        object.__setattr__(self, "totals", totals)
 
     @property
     def separable(self) -> bool:
-        """Whether the tensor holds each player's totals rather than ``values``."""
-        return self._totals is not None
+        """Whether the tensor holds each player's ``totals`` rather than ``values``."""
+        return self.totals is not None
 
     def player_payoffs(self, p: int) -> np.ndarray:
         """Player p's payoff at every profile, as a read-only array that
         broadcasts to ``shape``: ``values[..., p]``, or for a separable
-        tensor p's totals along p's axis, with every other axis of length 1."""
-        return self.values[..., p] if self._totals is None else self._totals[p]
+        tensor a view of ``totals[p]`` along p's axis, with every other axis
+        of length 1."""
+        if self.totals is None:
+            return self.values[..., p]
+        return self.totals[p].reshape([k if q == p else 1 for q, k in enumerate(self.shape)])
 
     def payoffs_at(self, flat: np.ndarray) -> np.ndarray:
         """The (m, n) payoff rows of the profiles at ``flat``, an integer
         array of flat (C-order) indices. A separable tensor reads column p
-        from p's totals at ``flat // stride_p % k_p``: one 1-D index per
-        subscript, so 64 players of one site, too many axes for ``values``,
-        work too."""
-        if self._totals is None:
+        from ``totals[p]`` at ``flat // stride_p % k_p``."""
+        if self.totals is None:
             return self.values.reshape(-1, self.n_players)[flat]
         payoffs = np.empty((len(flat), self.n_players))
         stride = self.n_profiles
-        for p, (total, k) in enumerate(zip(self._totals, self.shape)):
+        for p, (total, k) in enumerate(zip(self.totals, self.shape)):
             stride //= k
-            payoffs[:, p] = total.ravel()[flat // stride % k]
+            payoffs[:, p] = total[flat // stride % k]
         return payoffs
 
     @property
@@ -173,21 +164,11 @@ def checked_profile(
     )
 
 
-def _separable(
-    totals: Sequence[Sequence[float]] | None, shape: tuple[int, ...]
-) -> list[np.ndarray]:
-    """Each player's totals as a float array along that player's axis, with
-    every other axis of length 1."""
-    arrays = [np.array(total, dtype=float) for total in totals or ()]
-    if [array.shape for array in arrays] != [(s,) for s in shape]:
-        raise ValueError(f"a tensor needs values, or totals of one payoff per strategy of {shape}")
-    try:
-        return [
-            np.expand_dims(array, tuple(q for q in range(len(shape)) if q != p))
-            for p, array in enumerate(arrays)
-        ]
-    except ValueError as exc:  # more axes than numpy's limit on dimensions
-        raise ValueError(f"{len(shape)} players are more than numpy supports: {exc}") from None
+def _float_array(array: object) -> np.ndarray:
+    """``array`` as it is if it is a read-only, C-contiguous float array,
+    else as a new float array."""
+    kept = isinstance(array, np.ndarray) and array.dtype == float and array.flags.c_contiguous
+    return array if kept and not array.flags.writeable else np.array(array, dtype=float)
 
 
 def _physical_memory() -> int | None:
@@ -296,7 +277,7 @@ def tensor_head(tensor: PayoffTensor) -> dict:
 def tensor_to_dict(tensor: PayoffTensor) -> dict:
     """Tensor document; payoff rows listed in normative profile order."""
     doc = tensor_head(tensor)
-    doc["payoffs"] = tensor.values.reshape(-1, tensor.n_players).tolist()
+    doc["payoffs"] = tensor.payoffs_at(np.arange(tensor.n_profiles)).tolist()
     return doc
 
 
@@ -593,7 +574,7 @@ def tensor_document(
     if tensor.separable:
         # A row lists each player's total at their own strategy: the totals
         # are a listing axis.
-        totals = [json_spellings(tensor.player_payoffs(p).ravel().tolist()) for p in range(n)]
+        totals = [json_spellings(total.tolist()) for total in tensor.totals]
         payoff_rows = functools.partial(rows, axes=[totals])
     else:
         # Each player's distinct payoffs are spelled apart, since the text

@@ -190,6 +190,16 @@ def seeded_scenario(players: int, sites: int, objects: int, seed: int = 0) -> Sc
     )
 
 
+def dense_values(tensor: PayoffTensor) -> np.ndarray:
+    """The ``shape + (n_players,)`` payoff array of a tensor of either form,
+    filled by broadcasting each player_payoffs(p): a reference that does not
+    read payoffs_at."""
+    values = np.empty(tensor.shape + (tensor.n_players,))
+    for p in range(tensor.n_players):
+        values[..., p] = tensor.player_payoffs(p)
+    return values
+
+
 def assert_same_text(actual: str, expected: str) -> None:
     """``assert actual == expected`` for rendered documents. A failure reports
     the first differing line and both digests; pytest's own diff of two large

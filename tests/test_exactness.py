@@ -41,7 +41,7 @@ from sitegame import scenario as scenario_module
 from sitegame.feasibility import ABOVE, BELOW
 from sitegame.payoff import Gradient, _running_sums, _sums
 from sitegame.scenario import Violation, _expect_list, _finite, _number
-from conftest import scenarios
+from conftest import dense_values, scenarios
 
 # The package's payoff function hides its module of the same name.
 payoff_module = importlib.import_module("sitegame.payoff")
@@ -248,7 +248,7 @@ def assert_kernel_matches(scenario, anywhere):
     except ZeroDivisionError:
         assert zero_distance_fields(lambda: build_tensor(scenario))[:2] == first_singular_site(scenario)
     else:
-        assert bits(build_tensor(scenario).values) == bits(expected)
+        assert bits(dense_values(build_tensor(scenario))) == bits(expected)
     assert repr(check_scenario(scenario)) == repr(per_object_check_scenario(scenario))
 
 
@@ -369,14 +369,14 @@ def test_totals_follow_the_running_pythons_sum(scenario):
     # stand-in with other rounding (math.fsum) must carry through to payoff
     # and build_tensor.
     with mock.patch.object(payoff_module, "sum", math.fsum, create=True):
-        values = build_tensor(scenario).values
+        values = dense_values(build_tensor(scenario))
         for p, player in enumerate(scenario.players):
             for k, site in enumerate(player.sites):
                 breakdown = payoff(p, site.position, scenario, site_index=k)
                 total = math.fsum(breakdown.income) - math.fsum(breakdown.damage)
                 assert breakdown.total == total
                 assert set(values.take(k, axis=p)[..., p].ravel().tolist()) == {total}
-    assert values.tolist() != build_tensor(scenario).values.tolist()
+    assert values.tolist() != dense_values(build_tensor(scenario)).tolist()
 
 
 # --- the per-entry document code -----------------------------------------------

@@ -1,9 +1,11 @@
 
+import copy
 import dataclasses
 import importlib
 import json
 import operator
 import os
+import pickle
 import re
 import sys
 import tracemalloc
@@ -43,6 +45,7 @@ from conftest import (
     address_space_grows_at_most,
     assert_renders_in_blocks,
     assert_same_text,
+    dense_values,
     json_tensors,
     scenarios,
     seeded_scenario,
@@ -73,7 +76,7 @@ def test_build_tensor_payoffs_constant_along_other_axes(scenario):
         for k, expected in enumerate(totals):
             slicer = [slice(None)] * 3
             slicer[p] = k
-            block = tensor.values[tuple(slicer) + (p,)]
+            block = dense_values(tensor)[tuple(slicer) + (p,)]
             assert np.all(block == block.flat[0])
             assert block.flat[0] == pytest.approx(expected, abs=1e-9)
 
@@ -213,7 +216,7 @@ def test_site_reorder_permutes_one_axis(scenario):
         players=(reordered_player,) + scenario.players[1:],
     )
     permuted = build_tensor(shuffled)
-    assert np.array_equal(permuted.values, base.values[order])
+    assert np.array_equal(dense_values(permuted), dense_values(base)[order])
     assert permuted.strategy_labels[0] == ("B3", "B1", "B2")
     assert permuted.strategy_labels[1:] == base.strategy_labels[1:]
 
@@ -444,7 +447,7 @@ def test_dumps_tensor_explain_is_json_dumps_of_document(scenario):
 
 
 def _dense_copy(t: PayoffTensor) -> PayoffTensor:
-    return PayoffTensor(t.shape, t.players, t.strategy_labels, t.values, t.provenance)
+    return PayoffTensor(t.shape, t.players, t.strategy_labels, dense_values(t), t.provenance)
 
 
 @settings(max_examples=150, deadline=None)
@@ -482,15 +485,45 @@ def test_separable_tensor_reads_each_payoff_from_its_totals(scenario):
         assert t.player_payoffs(p).ravel().tolist() == totals[p]
         assert not t.player_payoffs(p).flags.writeable
     assert t.payoff_vector((2, 0, 1)) == (totals[0][2], totals[1][0], totals[2][1])
-    assert "values" not in vars(t)
-    assert t.values is t.values
-    assert t.values[2, 0, 1].tolist() == list(t.payoff_vector((2, 0, 1)))
-    # A copy with other labels is a dense tensor with the same payoffs.
+    assert vars(t)["values"] is None
+    assert t.values is None
+    assert [total.tolist() for total in t.totals] == totals
+    assert dense_values(t)[2, 0, 1].tolist() == list(t.payoff_vector((2, 0, 1)))
+    # A copy with other labels is a separable tensor that holds the same totals.
     relabeled = dataclasses.replace(t, players=("a", "b", "c"))
-    assert not relabeled.separable and np.array_equal(relabeled.values, t.values)
+    assert relabeled.separable and relabeled.values is None
+    assert all(a is b for a, b in zip(relabeled.totals, t.totals, strict=True))
     every = np.arange(t.n_profiles)
-    for copy in (t, relabeled):
-        assert np.array_equal(copy.payoffs_at(every), t.values.reshape(-1, 3))
+    for each in (t, relabeled):
+        assert np.array_equal(each.payoffs_at(every), dense_values(t).reshape(-1, 3))
+
+
+def test_replace_copy_and_pickle_keep_a_separable_tensor_separable():
+    # replace read ``values``, which built the dense tensor: 12,585,512 bytes
+    # at its peak on this game, and a dense copy.
+    t = build_tensor(seeded_scenario(players=6, sites=8, objects=2))
+    tracemalloc.start()
+    try:
+        copies = [dataclasses.replace(t, provenance="x"), copy.copy(t), pickle.loads(pickle.dumps(t))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert t.values is None
+    for each in copies:
+        assert each.separable and each.values is None
+        assert [total.tolist() for total in each.totals] == [total.tolist() for total in t.totals]
+
+
+def test_64_players_of_one_site_replace_and_write_their_document():
+    # The players of CI's s64.json. ``values`` would need 65 axes, one more
+    # than numpy allows: replace and tensor_to_dict read it, and raised.
+    scenario = _one_site_players(64)
+    t = dataclasses.replace(build_tensor(scenario))
+    assert t.separable
+    doc = tensor_to_dict(t)
+    assert doc["payoffs"] == [[PayoffTerms(scenario, 0).total[0]] * 64]
+    assert json.dumps(doc, indent=2) + "\n" == dumps_tensor(t)
 
 
 def _best_sites_doubled(scenario: Scenario) -> Scenario:
@@ -539,7 +572,7 @@ def test_payoffs_at_gathers_the_rows_of_values_at_flat_indices(make, equilibria)
     t = make()
     n = t.n_players
     if n < 64:
-        rows = t.values.reshape(-1, n)
+        rows = dense_values(t).reshape(-1, n)
     else:  # ``values`` would need 65 axes, one more than numpy allows
         rows = np.column_stack([np.broadcast_to(t.player_payoffs(p), t.shape).ravel() for p in range(n)])
     m = t.n_profiles
@@ -858,8 +891,12 @@ def test_a_built_or_loaded_tensor_is_held_once(how):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tensor.values.nbytes == 50**3 * 3 * 8
-    assert peak < 1.25 * tensor.values.nbytes
+    nbytes = 50**3 * 3 * 8
+    if how == "built":
+        assert tensor.values is None and [total.size for total in tensor.totals] == [50] * 3
+    else:
+        assert tensor.values.nbytes == nbytes
+    assert peak < 1.25 * nbytes
 
 
 def test_a_writable_array_is_copied():
@@ -891,7 +928,7 @@ def test_repr_holds_nothing_per_profile(scenario):
     # printed the compromise residual of every profile.
     tensor = build_tensor(scenario)
     text = repr(solve(tensor))
-    assert "values" not in vars(tensor)
+    assert vars(tensor)["values"] is None
     assert "values=" not in text and "shortfall=" not in text
     assert repr(tensor) == (
         "PayoffTensor(shape=(3, 4, 2), players=('P1', 'P2', 'P3'), strategy_labels="
