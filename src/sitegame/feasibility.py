@@ -22,7 +22,7 @@ import numpy as np
 
 from .payoff import distance, offsets
 from .scenario import Point, RegionConfig, Scenario
-from .tensor import checked_profile, profiles_at
+from .tensor import _ReadOnlyArrays, checked_profile, profiles_at
 
 BELOW = "below"
 ABOVE = "above"
@@ -160,7 +160,7 @@ def check_profile_spacing(
 
 
 @dataclass(frozen=True, eq=False)
-class SpacingCodes:
+class SpacingCodes(_ReadOnlyArrays):
     """The pairwise band over every profile of a scenario, kept per player
     pair: the code tables hold nothing per profile, and :meth:`violating`
     holds one bool per profile while it runs.

@@ -13,6 +13,7 @@ at once; :func:`payoff` and :func:`payoff_gradient` are its one-location views.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
@@ -96,6 +97,23 @@ def _coordinates(points: Sequence[Point], axis: str) -> np.ndarray:
     return np.fromiter(map(attrgetter(axis), points), dtype=float, count=len(points))
 
 
+def _coefficients(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
+    """``np.array(rows, dtype=float)``: each row packed as C doubles straight
+    into its line of the array, when every row has ``width`` entries that
+    pack; other rows get ``np.array``'s own result or error."""
+    if all(len(row) == width for row in rows):
+        out = np.empty((len(rows), width))
+        doubles = struct.Struct(f"{width}d")
+        try:
+            for row, line in zip(rows, out):
+                doubles.pack_into(line, 0, *row)
+        except (struct.error, OverflowError):
+            pass
+        else:
+            return out
+    return np.array(rows, dtype=float)
+
+
 def _sums(terms: np.ndarray) -> np.ndarray:
     """``sum(row)`` of every row, by ``sum`` itself: the per-object code summed
     income and damage with ``sum``, which compensates float rounding from
@@ -140,8 +158,9 @@ class PayoffTerms:
         self._rows = rows
         self._objects = scenario.objects
         self.dx, self.dy, self.rho = offsets(positions, [obj.position for obj in self._objects])
-        self._loss = np.array([player.loss[k] for k in rows], dtype=float)
-        self._weight = np.array([player.damage_weight[k] for k in rows], dtype=float)
+        width = len(self._objects)
+        self._loss = _coefficients([player.loss[k] for k in rows], width)
+        self._weight = _coefficients([player.damage_weight[k] for k in rows], width)
         self._gradient_scale = player.emission / scenario.region.pi_value
         scale = player.emission / (2.0 * scenario.region.pi_value)
         # Python float arithmetic overflows to inf, and makes nan of inf - inf,

@@ -104,7 +104,10 @@ class Violation:
 
 
 def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _check_nonnegative(value: float, path: str, out: list[Violation]) -> None:
@@ -112,26 +115,53 @@ def _check_nonnegative(value: float, path: str, out: list[Violation]) -> None:
         out.append(Violation(path, f"must be a finite number >= 0, got {value!r}"))
 
 
+def _labeled_clean(items: tuple, box: tuple[float, float] | None) -> bool:
+    """Whether no object or site of ``items`` has a violation, checked on the
+    whole list: unique ids (by set size), float coordinates, finite (by their
+    sum) and, if ``box`` is given, inside it (by min and max). False may also
+    mean a sum that overflows; the caller then checks item by item."""
+    if not items:
+        return True
+    ids = [item.id for item in items]
+    positions = [item.position for item in items]
+    xs, ys = [p.x for p in positions], [p.y for p in positions]
+    coordinates = xs + ys
+    return (
+        len(set(ids)) == len(ids)
+        and set(map(type, coordinates)) <= {float}
+        and math.isfinite(sum(coordinates))
+        and (box is None or all(
+            0.0 <= min(values) and max(values) <= bound for values, bound in zip((xs, ys), box)
+        ))
+    )
+
+
 def _check_labeled(
-    item: NaturalObject | CandidateSite, path: str, kind: str, seen: set[str],
+    items: tuple[NaturalObject | CandidateSite, ...], path: str, kind: str,
     out: list[Violation], box: tuple[float, float] | None = None,
 ) -> None:
-    """Append the violations of an object or a site: an id already in
-    ``seen`` (which then holds it), each coordinate that is not a finite
-    number and, once both are, each outside ``box`` (x_max, y_max) if given."""
-    if item.id in seen:
-        out.append(Violation(path + ".id", f"duplicate {kind} id {item.id!r}"))
-    seen.add(item.id)
-    path += ".position"
-    values = (item.position.x, item.position.y)
-    for axis, value in zip("xy", values):
-        if not _finite(value):
-            out.append(Violation(f"{path}.{axis}", f"must be a finite number, got {value!r}"))
-    if box is not None and all(map(_finite, values)):
-        for axis, value, bound in zip("xy", values, box):
-            if not 0 <= value <= bound:
-                message = f"outside region box [0, {bound!r}], got {value!r}"
-                out.append(Violation(f"{path}.{axis}", message))
+    """Append the violations of the objects or sites ``items``, found item by
+    item once the whole-list check fails: an id seen before, each coordinate
+    that is not a finite number and, once both are, each outside ``box``
+    (x_max, y_max) if given."""
+    if _labeled_clean(items, box):
+        return
+    seen: set[str] = set()
+    for k, item in enumerate(items):
+        at = f"{path}[{k}]"
+        if item.id in seen:
+            out.append(Violation(at + ".id", f"duplicate {kind} id {item.id!r}"))
+        seen.add(item.id)
+        at += ".position"
+        values = (item.position.x, item.position.y)
+        for axis, value in zip("xy", values):
+            if not _finite(value):
+                out.append(Violation(f"{at}.{axis}", f"must be a finite number, got {value!r}"))
+        if box is not None and all(map(_finite, values)):
+            for axis, value, bound in zip("xy", values, box):
+                if not 0 <= value <= bound:
+                    message = f"outside region box [0, {bound!r}], got {value!r}"
+                    out.append(Violation(f"{at}.{axis}", message))
 
 
 def _finite_nonnegative_floats(row: tuple) -> bool:
@@ -192,9 +222,7 @@ def validate(scenario: Scenario) -> list[Violation]:
 
     if scenario.n_objects < 1:
         out.append(Violation("objects", "at least one natural object is required"))
-    seen_ids: set[str] = set()
-    for j, obj in enumerate(scenario.objects):
-        _check_labeled(obj, f"objects[{j}]", "object", seen_ids, out, box)
+    _check_labeled(scenario.objects, "objects", "object", out, box)
 
     if scenario.n_players < 1:
         out.append(Violation("players", "at least one player is required"))
@@ -203,9 +231,7 @@ def validate(scenario: Scenario) -> list[Violation]:
         _check_nonnegative(player.emission, path + ".emission", out)
         if not player.sites:
             out.append(Violation(path + ".sites", "at least one candidate site is required"))
-        site_ids: set[str] = set()
-        for k, site in enumerate(player.sites):
-            _check_labeled(site, f"{path}.sites[{k}]", "site", site_ids, out)
+        _check_labeled(player.sites, path + ".sites", "site", out)
         for name in ("loss", "damage_weight"):
             _check_matrix(
                 getattr(player, name), f"{path}.{name}", len(player.sites), scenario.n_objects, out
@@ -244,23 +270,40 @@ def _matrix(value: object, path: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _matrix_row(row: object, path: str) -> tuple[float, ...]:
-    # A list of plain ints and floats (bool is a type of its own) converts as
-    # a whole; any other row is walked entry by entry, to name its first bad
-    # entry or to accept subclasses of int and float.
-    if isinstance(row, list) and set(map(type, row)) <= {float, int}:
-        try:
-            return tuple(map(float, row))
-        except OverflowError:
-            pass
+    # A list of plain floats is kept as it is, and one of plain ints and
+    # floats (bool is a type of its own) converts as a whole; any other row
+    # is walked entry by entry, to name its first bad entry or to accept
+    # subclasses of int and float.
+    if isinstance(row, list):
+        types = set(map(type, row))
+        if types <= {float}:
+            return tuple(row)
+        if types <= {float, int}:
+            try:
+                return tuple(map(float, row))
+            except OverflowError:
+                pass
     return tuple(_number(entry, f"{path}[{j}]") for j, entry in enumerate(_expect_list(row, path)))
 
 
 def _labeled_points(value: object, path: str, kind: type) -> tuple:
     """The list ``value`` of ``{"id", "x", "y"}`` entries, each as ``kind(id, Point(x, y))``."""
+    entries = _expect_list(value, path)
     points = []
-    for k, entry in enumerate(_expect_list(value, path)):
+    # A plain dict with a UTF-8 str id and float coordinates is taken as it
+    # is; from the first other entry on, each is walked, to name its fault
+    # or to convert ints and subclasses.
+    for entry in entries:
+        if type(entry) is not dict:
+            break
+        label, x, y = entry.get("id"), entry.get("x"), entry.get("y")
+        plain = type(label) is str and type(x) is float and type(y) is float
+        if not (plain and encodes_as_utf8(label)):
+            break
+        points.append(kind(label, Point(x, y)))
+    for k in range(len(points), len(entries)):
         at = f"{path}[{k}]"
-        entry = _expect_dict(entry, at)
+        entry = _expect_dict(entries[k], at)
         label = _string(_get(entry, "id", at), f"{at}.id")
         x, y = _number(_get(entry, "x", at), f"{at}.x"), _number(_get(entry, "y", at), f"{at}.y")
         points.append(kind(label, Point(x, y)))

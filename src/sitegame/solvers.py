@@ -23,6 +23,7 @@ import numpy as np
 from . import DEFAULT_TOLERANCE
 from .document import checked_index
 from .tensor import PayoffTensor, Profile, checked_profile, iterate_profiles, profiles_at
+from .tensor import _ReadOnlyArrays
 
 
 def _payoff_tuples(listed: NashResult | CompromiseResult) -> tuple[tuple[float, ...], ...]:
@@ -30,7 +31,7 @@ def _payoff_tuples(listed: NashResult | CompromiseResult) -> tuple[tuple[float, 
 
 
 @dataclass(frozen=True, eq=False)
-class NashResult:
+class NashResult(_ReadOnlyArrays):
     """Pure equilibria in normative order: ``flat``, their flat C-order
     indices in a game of ``shape``, and ``values``, their payoff vectors, as
     read-only arrays; ``equilibria`` and ``payoffs`` are tuple views, built
@@ -48,7 +49,7 @@ class NashResult:
 
 
 @dataclass(frozen=True, eq=False)
-class CompromiseResult:
+class CompromiseResult(_ReadOnlyArrays):
     """Ideal payoffs; ``shortfall``, ``max_i(ideal[i] - payoff_i)`` at every
     profile, as a read-only array of the tensor's shape; and the minimizers,
     the profiles whose residual is within tolerance of ``min_residual``,
@@ -80,10 +81,7 @@ def _listed(tensor: PayoffTensor, where: np.ndarray) -> tuple[np.ndarray, np.nda
     """``flat`` and ``values`` of the profiles where the mask ``where`` holds,
     in C order: one pass over the mask, then a gather at those indices."""
     flat = np.flatnonzero(where)
-    arrays = flat, tensor.payoffs_at(flat)
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
+    return flat, tensor.payoffs_at(flat)
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -147,7 +145,6 @@ def find_compromise(
     shortfall = np.full(tensor.shape, -np.inf)
     for p, best in enumerate(ideal):
         np.maximum(shortfall, best - tensor.player_payoffs(p), out=shortfall)
-    shortfall.setflags(write=False)
     min_residual = float(shortfall.min())
     minimal = shortfall <= min_residual + tolerance
     return CompromiseResult(ideal, *_listed(tensor, minimal), min_residual, shortfall)

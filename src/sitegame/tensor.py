@@ -35,8 +35,32 @@ class TensorFormatError(FormatError):
     """A document could not be parsed into a PayoffTensor."""
 
 
+def _read_only(values: Iterable[object]) -> None:
+    """Make each array among ``values``, or in their tuples at any depth, read-only."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        elif isinstance(value, tuple):
+            _read_only(value)
+
+
+class _ReadOnlyArrays:
+    """Base of the frozen dataclasses that hold arrays: every array among
+    their fields, or in tuples of them, is made read-only on construction
+    (PayoffTensor checks its own), and again when pickle or deepcopy
+    restores the fields, which they do with writeable copies and without
+    ``__post_init__``."""
+
+    def __post_init__(self) -> None:
+        _read_only(vars(self).values())
+
+    def __setstate__(self, state: dict) -> None:
+        _read_only(state.values())
+        vars(self).update(state)
+
+
 @dataclass(frozen=True, eq=False)
-class PayoffTensor:
+class PayoffTensor(_ReadOnlyArrays):
     """Payoff vectors for every strategy profile of a finite game, held in
     one of two forms: exactly one of ``values`` and ``totals`` is set.
 

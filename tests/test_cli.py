@@ -44,6 +44,7 @@ from conftest import (
     twelve_player_scenario,
 )
 from oracles import oracle_compromise, oracle_nash, profile_payoffs
+from whole_list_cases import CASES, document, expected
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,6 +71,16 @@ def test_validate_fixture_ok(fixture_files, capsys):
     assert code == 0
     assert "valid" in out
     assert err == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("case", CASES)
+def test_whole_list_cases_give_what_the_library_gives(tmp_path, capsys, case, command):
+    # Each document fails one whole-list check of an object or site list;
+    # CI runs the same cases through the installed script.
+    path = tmp_path / f"{case}.json"
+    path.write_text(document(case), encoding="utf-8")
+    assert run_cli(capsys, command, str(path)) == expected(case, command)
 
 
 def test_validate_lists_violations_one_per_line(tmp_path, scenario, capsys):

@@ -2,10 +2,10 @@
 replaced.
 
 The payoff kernel (``PayoffTerms``) serves ``payoff``, ``payoff_gradient``,
-``build_tensor`` and ``check_scenario``; the document loaders check and
-convert whole rows. Each must give what the code below gives, bit for bit:
-floats are compared through ``repr`` or their bit patterns, so that -0.0 and
-0.0 differ.
+``build_tensor`` and ``check_scenario``; the document loaders and
+``validate`` check and convert whole rows and whole object and site lists.
+Each must give what the code below gives, bit for bit: floats are compared
+through ``repr`` or their bit patterns, so that -0.0 and 0.0 differ.
 """
 
 import dataclasses
@@ -40,7 +40,8 @@ from sitegame import (
 from sitegame import scenario as scenario_module
 from sitegame.feasibility import ABOVE, BELOW
 from sitegame.payoff import Gradient, _running_sums, _sums
-from sitegame.scenario import Violation, _expect_list, _finite, _number
+from sitegame.document import _expect_dict, _get
+from sitegame.scenario import Point, Violation, _expect_list, _finite, _number, _string
 from conftest import dense_values, scenarios
 
 # The package's payoff function hides its module of the same name.
@@ -425,6 +426,36 @@ def per_entry_payoff_rows(payoffs_doc, n):
     return rows
 
 
+def per_entry_labeled_points(value, path, kind):
+    points = []
+    for k, entry in enumerate(_expect_list(value, path)):
+        at = f"{path}[{k}]"
+        entry = _expect_dict(entry, at)
+        label = _string(_get(entry, "id", at), f"{at}.id")
+        x, y = _number(_get(entry, "x", at), f"{at}.x"), _number(_get(entry, "y", at), f"{at}.y")
+        points.append(kind(label, Point(x, y)))
+    return tuple(points)
+
+
+def per_entry_check_labeled(items, path, kind, out, box=None):
+    seen = set()
+    for k, item in enumerate(items):
+        at = f"{path}[{k}]"
+        if item.id in seen:
+            out.append(Violation(at + ".id", f"duplicate {kind} id {item.id!r}"))
+        seen.add(item.id)
+        at += ".position"
+        values = (item.position.x, item.position.y)
+        for axis, value in zip("xy", values):
+            if not _finite(value):
+                out.append(Violation(f"{at}.{axis}", f"must be a finite number, got {value!r}"))
+        if box is not None and all(map(_finite, values)):
+            for axis, value, bound in zip("xy", values, box):
+                if not 0 <= value <= bound:
+                    message = f"outside region box [0, {bound!r}], got {value!r}"
+                    out.append(Violation(f"{at}.{axis}", message))
+
+
 # Entries that load, some of which validate flags, and entries that do not load.
 ODD_NUMBERS = (math.nan, math.inf, -math.inf, -1.5, -1e-300, -0.0, 0, 7, 2**63 + 1)
 ODD_ENTRIES = (True, False, "1", None, 10**400, [1.0])
@@ -481,6 +512,86 @@ def test_scenario_rows_equal_per_entry_walk(scenario, edits, which):
     with mock.patch.object(scenario_module, "_check_matrix", per_entry_check_matrix):
         expected_violations = validate(built)
     assert validate(built) == expected_violations
+
+
+# Edits of an object or a site: values that load, some of which validate
+# flags (a copy of another entry's id, a point far outside any region box,
+# two coordinates whose sum overflows), values that do not load, a key
+# dropped and an entry that is not an object.
+POINT_EDITS = (
+    [("id", value) for value in ("copied id", "A1", "P1S1", "\ud800", 7, None)]
+    + [
+        (axis, value)
+        for axis in "xy"
+        for value in ODD_NUMBERS + (1e6, 1.5e308, True, "1", None, 10**400)
+    ]
+    + [("drop", key) for key in ("id", "x", "y")]
+    + [("entry", value) for value in (None, [1.0, 2.0], "A1", 0.0)]
+)
+
+
+@st.composite
+def point_mutations(draw):
+    """One to three edits of object or site lists, each given as (list pick,
+    entry pick, other entry pick, edit)."""
+    picks = st.integers(0, 10**6)
+    edits = st.tuples(picks, picks, picks, st.sampled_from(POINT_EDITS))
+    return draw(st.lists(edits, min_size=1, max_size=3))
+
+
+def mutate_points(lists, edits):
+    for list_pick, entry_pick, other_pick, (key, value) in edits:
+        points = lists[list_pick % len(lists)]
+        k = entry_pick % len(points)
+        other = points[other_pick % len(points)]
+        if key == "entry":
+            points[k] = value
+        elif not isinstance(points[k], dict):
+            continue
+        elif key == "drop":
+            points[k].pop(value, None)
+        elif value == "copied id":
+            points[k][key] = other.get("id") if isinstance(other, dict) else value
+        else:
+            points[k][key] = value
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios(), edits=point_mutations())
+def test_scenario_points_equal_per_entry_walk(scenario, edits):
+    doc = scenario_to_dict(scenario)
+    mutate_points([doc["objects"]] + [player["sites"] for player in doc["players"]], edits)
+    with mock.patch.object(scenario_module, "_labeled_points", per_entry_labeled_points):
+        expected = loaded(lambda: scenario_from_dict(doc))
+    assert loaded(lambda: scenario_from_dict(doc)) == expected
+    if expected.startswith("ScenarioFormatError"):
+        return
+    built = scenario_from_dict(doc)
+    with mock.patch.object(scenario_module, "_check_labeled", per_entry_check_labeled):
+        expected_violations = validate(built)
+    assert validate(built) == expected_violations
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios(), edits=point_mutations())
+def test_validate_points_of_a_built_scenario_equal_per_item_walk(scenario, edits):
+    # Built through the library, which checks nothing: ids and coordinates
+    # may be of any type, an int too large for a float included.
+    lists = [list(scenario.objects)] + [list(player.sites) for player in scenario.players]
+    for list_pick, entry_pick, other_pick, (key, value) in edits:
+        items = lists[list_pick % len(lists)]
+        k = entry_pick % len(items)
+        if key == "id":
+            label = items[other_pick % len(items)].id if value == "copied id" else value
+            items[k] = dataclasses.replace(items[k], id=label)
+        elif key in ("x", "y"):
+            position = dataclasses.replace(items[k].position, **{key: value})
+            items[k] = dataclasses.replace(items[k], position=position)
+    players = [dataclasses.replace(p, sites=sites) for p, sites in zip(scenario.players, lists[1:])]
+    built = dataclasses.replace(scenario, objects=lists[0], players=players)
+    with mock.patch.object(scenario_module, "_check_labeled", per_entry_check_labeled):
+        expected = validate(built)
+    assert validate(built) == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,6 +15,7 @@ from sitegame import (
     RegionConfig,
     Scenario,
     ZeroDistanceError,
+    build_tensor,
     distance,
     payoff,
     payoff_gradient,
@@ -150,6 +151,23 @@ def test_short_coefficient_row_raises(scenario):
     message = "player 'P1': every coefficient row needs one entry per object"
     with pytest.raises(ValueError, match=re.escape(message)):
         payoff(0, p1.sites[0].position, scenario)
+
+
+@pytest.mark.parametrize("fault", ["ragged rows", "sequence entry"])
+def test_odd_coefficient_rows_raise_as_np_array_does(scenario, fault):
+    # The kernel fills its arrays by np.fromiter only from rows of one entry
+    # per object; other rows raise numpy's own error, as they did.
+    p1 = scenario.players[0]
+    row = p1.loss[1]
+    row = row[:-1] if fault == "ragged rows" else (row[0], (1.0,)) + row[2:]
+    loss = (p1.loss[0], row, *p1.loss[2:])
+    p1 = dataclasses.replace(p1, loss=loss)
+    scenario = dataclasses.replace(scenario, players=(p1, *scenario.players[1:]))
+    with pytest.raises(ValueError) as expected:
+        np.array(loss, dtype=float)
+    with pytest.raises(ValueError) as raised:
+        build_tensor(scenario)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_explicit_row_matches_oracle_at_arbitrary_point(scenario):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from sitegame import (
     RegionConfig,
     Scenario,
     ScenarioFormatError,
+    Violation,
     ZeroDistanceError,
     build_tensor,
     check_scenario,
@@ -105,6 +107,50 @@ def test_nonfinite_coordinate_flagged(scenario):
     doc["players"][0]["sites"][0]["y"] = float("nan")
     violations = validate(scenario_from_dict(doc))
     assert [v.path for v in violations] == ["players[0].sites[0].position.y"]
+
+
+HUGE = 10**400  # an int too large for a float
+
+
+def _with_huge_int(scenario, field):
+    """``scenario`` with HUGE in ``field``, built through the library, which
+    checks nothing; scenario_from_dict rejects such an int first."""
+    region, objects, players = scenario.region, list(scenario.objects), list(scenario.players)
+    player = players[0]
+    if field in ("x_max", "rho_min", "rho_max", "pi_value"):
+        region = dataclasses.replace(region, **{field: HUGE})
+    elif field == "emission":
+        players[0] = dataclasses.replace(player, emission=HUGE)
+    elif field == "object":
+        objects[0] = dataclasses.replace(objects[0], position=Point(HUGE, objects[0].position.y))
+    elif field == "site":
+        site = player.sites[1]
+        sites = (player.sites[0], dataclasses.replace(site, position=Point(site.position.x, HUGE)))
+        players[0] = dataclasses.replace(player, sites=sites + player.sites[2:])
+    else:
+        loss = ((player.loss[0][0], HUGE) + player.loss[0][2:],) + player.loss[1:]
+        players[0] = dataclasses.replace(player, loss=loss)
+    return dataclasses.replace(scenario, region=region, objects=objects, players=players)
+
+
+# The violation each field holding HUGE gets, by field.
+HUGE_INT_VIOLATIONS = {
+    "x_max": ("region.x_max", "must be > 0, got {}"),
+    "rho_min": ("region.rho_min", "must be > 0, got {}"),
+    "rho_max": ("region.rho_max", "must be >= rho_min (0.5), got {}"),
+    "pi_value": ("region.pi_value", "must be > 0, got {}"),
+    "emission": ("players[0].emission", "must be a finite number >= 0, got {}"),
+    "object": ("objects[0].position.x", "must be a finite number, got {}"),
+    "site": ("players[0].sites[1].position.y", "must be a finite number, got {}"),
+    "loss": ("players[0].loss[0][1]", "must be a finite number >= 0, got {}"),
+}
+
+
+@pytest.mark.parametrize("field", list(HUGE_INT_VIOLATIONS))
+def test_validate_flags_an_int_too_large_for_a_float(scenario, field):
+    # math.isfinite raised OverflowError for it, out of validate.
+    path, message = HUGE_INT_VIOLATIONS[field]
+    assert validate(_with_huge_int(scenario, field)) == [Violation(path, message.format(HUGE))]
 
 
 def test_empty_scenario_counts():

@@ -36,6 +36,7 @@ from sitegame import (
     iterate_profiles,
     load_tensor,
     solve,
+    spacing_codes,
     tensor_from_dict,
     tensor_to_dict,
 )
@@ -513,6 +514,32 @@ def test_replace_copy_and_pickle_keep_a_separable_tensor_separable():
     for each in copies:
         assert each.separable and each.values is None
         assert [total.tolist() for total in each.totals] == [total.tolist() for total in t.totals]
+
+
+def _arrays(value):
+    """Every array in ``value``, or among its items at any depth if it is a tuple."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_arrays_stay_read_only_after_pickle_and_deepcopy(scenario, tensor):
+    # pickle and deepcopy restored every array writeable, and the code tables
+    # of SpacingCodes were writeable from the start.
+    tight = dataclasses.replace(scenario, region=dataclasses.replace(scenario.region, rho_min=3.0))
+    holders = [
+        tensor,
+        build_tensor(scenario),
+        find_pure_nash(tensor),
+        find_compromise(tensor),
+        spacing_codes(tight),
+    ]
+    for holder in holders:
+        for each in (holder, pickle.loads(pickle.dumps(holder)), copy.deepcopy(holder)):
+            held = list(_arrays(tuple(vars(each).values())))
+            assert held and not any(array.flags.writeable for array in held), type(each).__name__
 
 
 def test_64_players_of_one_site_replace_and_write_their_document():
