@@ -118,17 +118,17 @@ class SolveReport:
                 for r, profile in enumerate(profiles_at(profiles, self.tensor.shape))
             ]
         if self.nash is not None:
+            rows = self.tensor.payoffs_at(self.nash.flat).tolist()
             doc["nash"]["equilibria"] = [
-                self._entry(profile, payoffs=list(payoffs))
-                for profile, payoffs in zip(self.nash.equilibria, self.nash.payoffs)
+                self._entry(profile, payoffs=payoffs)
+                for profile, payoffs in zip(self.nash.equilibria, rows)
             ]
         if self.compromise is not None:
             compromise = self.compromise
+            rows = self.tensor.payoffs_at(compromise.flat).tolist()
             doc["compromise"]["minimizers"] = [
-                self._entry(
-                    profile, payoffs=list(payoffs), residual=float(compromise.shortfall[profile])
-                )
-                for profile, payoffs in zip(compromise.minimizers, compromise.payoffs)
+                self._entry(profile, payoffs=payoffs, residual=float(compromise.shortfall[profile]))
+                for profile, payoffs in zip(compromise.minimizers, rows)
             ]
             shortfall = compromise.shortfall
             residuals = zip(iterate_profiles(shortfall.shape), shortfall.reshape(-1).tolist())
@@ -219,10 +219,10 @@ class SolveReport:
     ) -> Iterator[str]:
         """The rows of ``listed``'s profiles (see _payoff_rows) and, given
         ``shortfall``, their residuals."""
-        flat, values = listed.flat, listed.values
+        values = self.tensor.payoffs_at(listed.flat)
         if shortfall is not None:
-            values = np.column_stack([values, shortfall.reshape(-1)[flat]])
-        return self._json_rows(layout, flat, *distinct_spellings(values.T, json_spellings))
+            values = np.column_stack([values, shortfall.reshape(-1)[listed.flat]])
+        return self._json_rows(layout, listed.flat, *distinct_spellings(values.T, json_spellings))
 
     def _json_residuals(self, *layout: str) -> Iterator[str]:
         shortfall = self.compromise.shortfall.reshape(-1)
@@ -324,8 +324,8 @@ class SolveReport:
 
     def _payoff_rows(self, listed: NashResult | CompromiseResult) -> Iterator[str]:
         """The text rows of ``listed``'s profiles, those at its flat (C-order)
-        indices, each with its payoff vector, a row of its values: "payoffs (...)"."""
-        details, codes = distinct_spellings(listed.values.T, _text_spellings)
+        indices, each with its payoff vector, read from the tensor: "payoffs (...)"."""
+        details, codes = distinct_spellings(self.tensor.payoffs_at(listed.flat).T, _text_spellings)
         return self._rows(listed.flat, details, codes, f"payoffs ({', '.join([SLOT] * len(details))})")
 
 

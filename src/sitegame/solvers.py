@@ -26,26 +26,20 @@ from .tensor import PayoffTensor, Profile, checked_profile, iterate_profiles, pr
 from .tensor import _ReadOnlyArrays
 
 
-def _payoff_tuples(listed: NashResult | CompromiseResult) -> tuple[tuple[float, ...], ...]:
-    return tuple(map(tuple, listed.values.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class NashResult(_ReadOnlyArrays):
     """Pure equilibria in normative order: ``flat``, their flat C-order
-    indices in a game of ``shape``, and ``values``, their payoff vectors, as
-    read-only arrays; ``equilibria`` and ``payoffs`` are tuple views, built
-    on first access. Compares and hashes by identity, as it holds arrays."""
+    indices in a game of ``shape``, as a read-only array; ``equilibria`` is
+    its tuple view, built on first access. It holds no payoffs: read them
+    with ``tensor.payoffs_at(flat)``. Compares and hashes by identity, as it
+    holds an array."""
 
     shape: tuple[int, ...]
     flat: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
 
     @cached_property
     def equilibria(self) -> tuple[Profile, ...]:
         return profiles_at(self.flat, self.shape)
-
-    payoffs = cached_property(_payoff_tuples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,19 +47,16 @@ class CompromiseResult(_ReadOnlyArrays):
     """Ideal payoffs; ``shortfall``, ``max_i(ideal[i] - payoff_i)`` at every
     profile, as a read-only array of the tensor's shape; and the minimizers,
     the profiles whose residual is within tolerance of ``min_residual``,
-    listed as in NashResult."""
+    listed as in NashResult: ``flat`` and its tuple view ``minimizers``."""
 
     ideal: tuple[float, ...]
     flat: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
     min_residual: float
     shortfall: np.ndarray = field(repr=False)
 
     @cached_property
     def minimizers(self) -> tuple[Profile, ...]:
         return profiles_at(self.flat, self.shortfall.shape)
-
-    payoffs = cached_property(_payoff_tuples)
 
     @cached_property
     def residuals(self) -> MappingProxyType[Profile, float]:
@@ -75,13 +66,6 @@ class CompromiseResult(_ReadOnlyArrays):
         return MappingProxyType(
             dict(zip(iterate_profiles(self.shortfall.shape), self.shortfall.reshape(-1).tolist()))
         )
-
-
-def _listed(tensor: PayoffTensor, where: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``flat`` and ``values`` of the profiles where the mask ``where`` holds,
-    in C order: one pass over the mask, then a gather at those indices."""
-    flat = np.flatnonzero(where)
-    return flat, tensor.payoffs_at(flat)
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -125,7 +109,7 @@ def find_pure_nash(
     for p in range(tensor.n_players):
         payoffs_p = tensor.player_payoffs(p)
         stable &= payoffs_p >= payoffs_p.max(axis=p, keepdims=True) - tolerance
-    return NashResult(tensor.shape, *_listed(tensor, stable))
+    return NashResult(tensor.shape, np.flatnonzero(stable))
 
 
 def ideal_vector(tensor: PayoffTensor) -> tuple[float, ...]:
@@ -147,4 +131,4 @@ def find_compromise(
         np.maximum(shortfall, best - tensor.player_payoffs(p), out=shortfall)
     min_residual = float(shortfall.min())
     minimal = shortfall <= min_residual + tolerance
-    return CompromiseResult(ideal, *_listed(tensor, minimal), min_residual, shortfall)
+    return CompromiseResult(ideal, np.flatnonzero(minimal), min_residual, shortfall)

@@ -146,15 +146,17 @@ class PayoffTensor(_ReadOnlyArrays):
 
     def payoffs_at(self, flat: np.ndarray) -> np.ndarray:
         """The (m, n) payoff rows of the profiles at ``flat``, an integer
-        array of flat (C-order) indices. A separable tensor reads column p
-        from ``totals[p]`` at ``flat // stride_p % k_p``."""
+        array of flat (C-order) indices; as in a dense gather, -1 is the
+        last profile and an index outside the game raises IndexError. A
+        separable tensor reads column p from ``totals[p]`` at
+        ``flat // stride_p % k_p``, with no ``% k_0``."""
         if self.totals is None:
             return self.values.reshape(-1, self.n_players)[flat]
         payoffs = np.empty((len(flat), self.n_players))
         stride = self.n_profiles
         for p, (total, k) in enumerate(zip(self.totals, self.shape)):
             stride //= k
-            payoffs[:, p] = total[flat // stride % k]
+            payoffs[:, p] = total[flat // stride % k if p else flat // stride]
         return payoffs
 
     @property

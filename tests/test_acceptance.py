@@ -47,7 +47,7 @@ def test_criterion_1_nash_reproduction():
     assert result.equilibria == ((0, 3, 1),)
     assert tensor.labels_for((0, 3, 1)) == ("B1", "C4", "D2")
     # exact: these payoffs are read from the transcribed matrices, not computed
-    assert result.payoffs == ((4.600, 6.946, 4.537),)
+    assert tensor.payoffs_at(result.flat).tolist() == [[4.600, 6.946, 4.537]]
     assert elapsed < 1.0
 
     # independent deviation-scan oracle over all 24 profiles confirms uniqueness

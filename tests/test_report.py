@@ -201,7 +201,8 @@ def _reference_text(report, scenario=None):
                 lines.append(f"  {_profile_text(tensor, profile)}: {descriptions}")
     if report.nash is not None:
         lines.append(f"nash equilibria ({len(report.nash.equilibria)}):")
-        for profile, payoffs in zip(report.nash.equilibria, report.nash.payoffs):
+        for profile in report.nash.equilibria:
+            payoffs = tensor.payoff_vector(profile)
             lines.append(f"  {_profile_text(tensor, profile)}: payoffs {_vector_text(payoffs)}")
     if report.compromise is not None:
         lines.append(f"ideal vector: {_vector_text(report.compromise.ideal)}")
@@ -653,9 +654,8 @@ def test_renderers_read_the_result_arrays_not_their_tuple_views(monkeypatch, tmp
     def unread(result):
         raise AssertionError("a tuple view was read")
 
-    for result, names in [(NashResult, ["equilibria", "payoffs"]), (CompromiseResult, ["minimizers", "payoffs"])]:
-        for name in names:
-            monkeypatch.setattr(result, name, property(unread))
+    for result, name in [(NashResult, "equilibria"), (CompromiseResult, "minimizers")]:
+        monkeypatch.setattr(result, name, property(unread))
     scenario = _tight_fixture()
     t = build_tensor(scenario)
     report = solve(t, feasibility=tuple(check_scenario(scenario)), pairwise_spacing=spacing_codes(scenario))

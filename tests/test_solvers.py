@@ -13,6 +13,8 @@ from sitegame import (
     build_tensor,
     find_compromise,
     find_pure_nash,
+    fixture_scenario,
+    fixture_tensor,
     ideal_vector,
     iterate_profiles,
 )
@@ -68,7 +70,7 @@ def test_best_response_ties_within_tolerance(tensor):
 def test_nash_fixture_unique_equilibrium(tensor):
     result = find_pure_nash(tensor)
     assert result.equilibria == ((0, 3, 1),)
-    assert result.payoffs == ((4.600, 6.946, 4.537),)
+    assert tensor.payoffs_at(result.flat).tolist() == [[4.600, 6.946, 4.537]]
 
 
 def test_nash_fixture_matches_bruteforce_oracle(tensor):
@@ -111,8 +113,9 @@ def test_nash_payoffs_follow_the_equilibria_when_all_profiles_tie():
     t = _tensor_from_values(values)
     result = find_pure_nash(t)
     assert result.equilibria == tuple(iterate_profiles(shape))
-    assert result.payoffs == tuple(t.payoff_vector(u) for u in result.equilibria)
-    assert all(type(v) is float for vector in result.payoffs for v in vector)
+    payoffs = tuple(map(tuple, t.payoffs_at(result.flat).tolist()))
+    assert payoffs == tuple(t.payoff_vector(u) for u in result.equilibria)
+    assert all(type(v) is float for vector in payoffs for v in vector)
 
 
 def test_nash_matching_pennies_has_no_pure_equilibrium():
@@ -421,10 +424,10 @@ def test_residuals_dict_is_built_once(tensor):
 # --- results as arrays ---------------------------------------------------------
 
 def test_result_arrays_are_read_only(tensor):
-    for result in (find_pure_nash(tensor), find_compromise(tensor)):
-        for array in (result.flat, result.values):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+    nash, compromise = find_pure_nash(tensor), find_compromise(tensor)
+    for array in (nash.flat, compromise.flat, compromise.shortfall):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("solver", [find_pure_nash, find_compromise])
@@ -441,6 +444,30 @@ def test_listing_every_profile_holds_no_tuple_per_profile(solver):
         tracemalloc.stop()
     assert result.flat.size == t.n_profiles
     assert peak < 128 * t.n_profiles
+
+
+@pytest.mark.parametrize("solver", [find_pure_nash, find_compromise])
+def test_solvers_gather_no_payoffs(solver, monkeypatch):
+    # A result holds the flat indices of the profiles its solver picks, not a
+    # copy of their payoffs: that copy was 48 bytes a profile when every
+    # profile of the all-ties 8**6 game is listed.
+    t = _tensor_from_values(np.zeros((8,) * 6 + (6,)))
+    tracemalloc.start()
+    try:
+        result = solver(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.flat.size == t.n_profiles
+    assert peak < 24 * t.n_profiles
+
+    def unread(self, flat):
+        raise AssertionError("payoffs_at was called")
+
+    tensors = [fixture_tensor(), build_tensor(fixture_scenario())]
+    expected = [solver(each).flat.tolist() for each in tensors]
+    monkeypatch.setattr(PayoffTensor, "payoffs_at", unread)
+    assert [solver(each).flat.tolist() for each in tensors] == expected
 
 
 def test_payoffs_at_holds_each_listed_payoff_once():

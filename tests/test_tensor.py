@@ -465,10 +465,15 @@ def test_separable_tensor_solves_and_renders_as_its_dense_copy(scenario):
     # Results compare by identity: these are the fields that a generated
     # __eq__ compared.
     nash, dense_nash = find_pure_nash(separable), find_pure_nash(dense)
-    assert (nash.equilibria, nash.payoffs) == (dense_nash.equilibria, dense_nash.payoffs)
+    assert nash.equilibria == dense_nash.equilibria
+    assert separable.payoffs_at(nash.flat).tolist() == dense.payoffs_at(dense_nash.flat).tolist()
     compromise, dense_compromise = find_compromise(separable), find_compromise(dense)
-    fields = operator.attrgetter("ideal", "minimizers", "payoffs", "min_residual")
+    fields = operator.attrgetter("ideal", "minimizers", "min_residual")
     assert fields(compromise) == fields(dense_compromise)
+    assert (
+        separable.payoffs_at(compromise.flat).tolist()
+        == dense.payoffs_at(dense_compromise.flat).tolist()
+    )
     expected = (np.asarray(compromise.ideal) - dense.values).max(axis=-1)
     assert compromise.shortfall.tobytes() == expected.tobytes()
     assert compromise.shortfall.tobytes() == dense_compromise.shortfall.tobytes()
@@ -607,10 +612,46 @@ def test_payoffs_at_gathers_the_rows_of_values_at_flat_indices(make, equilibria)
         payoffs = t.payoffs_at(flat)
         assert payoffs.shape == (len(flat), n)
         assert np.array_equal(payoffs, rows[flat])
-    nash, compromise = find_pure_nash(t), find_compromise(t)
-    assert equilibria is None or nash.flat.size == equilibria
-    for result in (nash, compromise):
-        assert np.array_equal(result.values, rows[result.flat])
+    assert equilibria is None or find_pure_nash(t).flat.size == equilibria
+
+
+@pytest.mark.parametrize(
+    "index",
+    [lambda n: n, lambda n: n + 5, lambda n: -1, lambda n: -n, lambda n: -n - 1],
+    ids=["n", "n + 5", "-1", "-n", "-n - 1"],
+)
+def test_payoffs_at_reads_an_index_as_the_dense_gather_does(index):
+    # A separable tensor took every index modulo k_0, so n read the first
+    # profile and -n - 1 the last, where the dense gather raises IndexError.
+    separable = build_tensor(fixture_scenario())
+    dense = _dense_copy(separable)
+    flat = np.array([index(separable.n_profiles)])
+    try:
+        expected = dense.payoffs_at(flat)
+    except IndexError:
+        with pytest.raises(IndexError):
+            separable.payoffs_at(flat)
+    else:
+        assert np.array_equal(separable.payoffs_at(flat), expected)
+
+
+def test_separable_payoffs_at_holds_one_index_array_besides_its_rows():
+    # The rows take 48 bytes a profile; a player's indices and the totals
+    # gathered at them 8 bytes each.
+    shape = (8,) * 6
+    t = PayoffTensor(
+        shape, tuple(f"P{p}" for p in range(6)), (("s",) * 8,) * 6, None, PROVENANCE_LOADED,
+        tuple(np.zeros(8) for _ in shape),
+    )
+    flat = np.arange(t.n_profiles)
+    tracemalloc.start()
+    try:
+        payoffs = t.payoffs_at(flat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payoffs.shape == (t.n_profiles, 6) and not payoffs.any()
+    assert peak < 65 * t.n_profiles
 
 
 @pytest.mark.parametrize(
