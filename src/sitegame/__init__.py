@@ -22,6 +22,13 @@ __version__ = "0.1.0"
 DEFAULT_TOLERANCE = 1e-9
 
 
+def _checked_tolerance(tolerance: float) -> float:
+    """``tolerance`` if finite and >= 0, for the solvers, report and CLI; else ValueError."""
+    if not 0 <= tolerance < float("inf"):  # also rejects NaN
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    return tolerance
+
+
 class FormatError(ValueError):
     """A document that cannot be parsed: malformed JSON, or not the form of
     its kind. The base of ScenarioFormatError and TensorFormatError, and the

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 # error load no document reader, and no command loads numpy before it has
 # parsed its document. `validate` loads `document` and `scenario`, neither of
 # which imports numpy; `solve` on a tensor document loads no `scenario`.
-from . import DEFAULT_TOLERANCE, FormatError, __version__
+from . import DEFAULT_TOLERANCE, FormatError, __version__, _checked_tolerance
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -199,11 +199,9 @@ def _cmd_fixtures(args: argparse.Namespace) -> None:
     _write(f"{path}\n" for path in paths)
 
 
-def _nonnegative_float(text: str) -> float:
+def _tolerance(text: str) -> float:
     with contextlib.suppress(ValueError):
-        value = float(text)
-        if math.isfinite(value) and value >= 0:
-            return value
+        return _checked_tolerance(float(text))
     raise argparse.ArgumentTypeError("tolerance must be a finite number >= 0")
 
 
@@ -231,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--nash", action="store_true", help="report pure Nash equilibria")
     p_solve.add_argument("--compromise", action="store_true", help="report the compromise set")
     p_solve.add_argument(
-        "--tolerance", type=_nonnegative_float, default=DEFAULT_TOLERANCE,
+        "--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
         help=f"tie tolerance for both solvers (default {DEFAULT_TOLERANCE})",
     )
     p_solve.add_argument("--format", choices=["text", "json"], default="text")

@@ -27,7 +27,7 @@ from .scenario import Point, PlayerSpec, Scenario
 class ZeroDistanceError(ArithmeticError):
     """The payoff is singular: the evaluated location sits on a natural object,
     or so close to it that a power of the distance in the formula is 0 as a
-    float."""
+    float. ``site_id`` is the row's site if the location is its position, else None."""
 
     def __init__(self, player_id: str, site_id: str | None, object_id: str):
         self.player_id = player_id
@@ -155,6 +155,7 @@ class PayoffTerms:
             positions = [site.position for site in player.sites]
             rows = range(len(player.sites))
         self.player = player
+        self._positions = positions
         self._rows = rows
         self._objects = scenario.objects
         self.dx, self.dy, self.rho = offsets(positions, [obj.position for obj in self._objects])
@@ -180,7 +181,8 @@ class PayoffTerms:
         the first location, then object, where one is."""
         if not denominators.all():
             r, j = np.argwhere(denominators == 0.0)[0].tolist()
-            site_id = self.player.sites[self._rows[r]].id
+            site = self.player.sites[self._rows[r]]
+            site_id = site.id if site.position == self._positions[r] else None
             raise ZeroDistanceError(self.player.id, site_id, self._objects[j].id)
         return denominators
 

@@ -8,17 +8,15 @@ significant digits.
 
 from __future__ import annotations
 
-import functools
 import json
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
+from . import DEFAULT_TOLERANCE, __version__, _checked_tolerance
 from .solvers import (
-    DEFAULT_TOLERANCE,
     CompromiseResult,
     NashResult,
     find_compromise,
@@ -30,6 +28,7 @@ from .tensor import (
     Codes,
     PayoffTensor,
     Profile,
+    Rows,
     checked_profile,
     distinct_spellings,
     flat_indices,
@@ -77,6 +76,7 @@ class SolveReport:
     pairwise_spacing: _Pairwise | None = None
 
     def __post_init__(self) -> None:
+        _checked_tolerance(self.tolerance)
         spacing = self.pairwise_spacing
         if spacing is not None and self.feasibility is None:
             raise ValueError("pairwise_spacing needs feasibility; feasibility=() lists no sites")
@@ -147,14 +147,18 @@ class SolveReport:
         if self.pairwise_spacing is not None:
             entry = {**profile, "violations": SLOT}
             listings.append(("pairwise_spacing", entry, self._spacing_json))
+        # A lambda looks up its names when it runs: each listing's indices have their own.
+        payoffs = self.tensor.payoffs_at
         if self.nash is not None:
-            rows = functools.partial(self._json_payoffs, self.nash, None)
+            equilibria = self.nash.flat
+            rows = self._json_rows(equilibria, lambda: payoffs(equilibria).T)
             listings.append(("equilibria", {**profile, "payoffs": slots}, rows))
         if self.compromise is not None:
-            compromise = self.compromise
-            rows = functools.partial(self._json_payoffs, compromise, compromise.shortfall)
+            minimal, shortfall = self.compromise.flat, self.compromise.shortfall.reshape(-1)
+            rows = self._json_rows(minimal, lambda: [*payoffs(minimal).T, shortfall[minimal]])
             listings.append(("minimizers", {**profile, "payoffs": slots, "residual": SLOT}, rows))
-            listings.append(("residuals", {**profile, "residual": SLOT}, self._json_residuals))
+            rows = self._json_rows(range(shortfall.size), lambda: [shortfall])
+            listings.append(("residuals", {**profile, "residual": SLOT}, rows))
         return json_document(self._head_dict(), listings)
 
     def _head_dict(self) -> dict:
@@ -205,29 +209,18 @@ class SolveReport:
         return {"indices": list(profile), "labels": list(self.tensor.labels_for(profile)), **fields}
 
     def _json_rows(
-        self, layout: tuple[str, str], profiles: np.ndarray | range,
-        details: Sequence[np.ndarray], codes: Codes,
-    ) -> Iterator[str]:
-        """A JSON listing's rows laid out by ``layout``, (row, between) (see
-        json_document), for the flat (C-order) indices ``profiles``, each
-        starting with its indices and labels."""
-        axes = json_profile_axes(self.tensor)
-        return listing(*layout, profiles, self.tensor.shape, axes, details, codes)
+        self, profiles: np.ndarray | range, columns: Callable[[], Iterable[np.ndarray]]
+    ) -> Rows:
+        """The writer of a JSON listing (see json_document) of the flat (C-order)
+        indices ``profiles``: each row holds its indices and labels, then its
+        float in each of ``columns()``, called only as the listing is written."""
 
-    def _json_payoffs(
-        self, listed: NashResult | CompromiseResult, shortfall: np.ndarray | None, *layout: str
-    ) -> Iterator[str]:
-        """The rows of ``listed``'s profiles (see _payoff_rows) and, given
-        ``shortfall``, their residuals."""
-        values = self.tensor.payoffs_at(listed.flat)
-        if shortfall is not None:
-            values = np.column_stack([values, shortfall.reshape(-1)[listed.flat]])
-        return self._json_rows(layout, listed.flat, *distinct_spellings(values.T, json_spellings))
+        def rows(row: str, between: str) -> Iterator[str]:
+            details, codes = distinct_spellings(columns(), json_spellings)
+            axes = json_profile_axes(self.tensor)
+            return listing(row, between, profiles, self.tensor.shape, axes, details, codes)
 
-    def _json_residuals(self, *layout: str) -> Iterator[str]:
-        shortfall = self.compromise.shortfall.reshape(-1)
-        details, codes = distinct_spellings([shortfall], json_spellings)
-        return self._json_rows(layout, range(shortfall.size), details, codes)
+        return rows
 
     def _spacing_json(self, row: str, between: str) -> Iterator[str]:
         profiles, columns, codes = self._spacing()
@@ -238,8 +231,9 @@ class SolveReport:
 
         details, codes = _violation_columns(columns, codes, spell, f",{item}")
         before, _, after = row.rpartition(SLOT)  # the violations' slot is the last
-        layout = (f"{before}[{item}{SLOT * len(details)}{between[1:]}  ]{after}", between)
-        return self._json_rows(layout, profiles, details, codes)
+        row = f"{before}[{item}{SLOT * len(details)}{between[1:]}  ]{after}"
+        axes = json_profile_axes(self.tensor)
+        return listing(row, between, profiles, self.tensor.shape, axes, details, codes)
 
     def _spacing(self) -> _Spacing:
         """The pairwise listing: its profiles' flat (C-order) indices, its

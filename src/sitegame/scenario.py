@@ -226,8 +226,12 @@ def validate(scenario: Scenario) -> list[Violation]:
 
     if scenario.n_players < 1:
         out.append(Violation("players", "at least one player is required"))
+    ids: set[str] = set()
     for i, player in enumerate(scenario.players):
         path = f"players[{i}]"
+        if player.id in ids:
+            out.append(Violation(path + ".id", f"duplicate player id {player.id!r}"))
+        ids.add(player.id)
         _check_nonnegative(player.emission, path + ".emission", out)
         if not player.sites:
             out.append(Violation(path + ".sites", "at least one candidate site is required"))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import DEFAULT_TOLERANCE
+from . import DEFAULT_TOLERANCE, _checked_tolerance
 from .document import checked_index
 from .tensor import PayoffTensor, Profile, checked_profile, iterate_profiles, profiles_at
 from .tensor import _ReadOnlyArrays
@@ -68,11 +68,6 @@ class CompromiseResult(_ReadOnlyArrays):
         )
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not tolerance >= 0:  # also rejects NaN
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-
-
 def best_response(
     tensor: PayoffTensor,
     player: int,
@@ -86,7 +81,7 @@ def best_response(
     a player or an index that is not an integer in range (see checked_index),
     or a profile of the wrong length.
     """
-    _check_tolerance(tolerance)
+    _checked_tolerance(tolerance)
     player = checked_index(player, tensor.n_players, "player", "players")
     fixed = [0 if p == player else index for p, index in enumerate(others_fixed)]
     index: list[object] = list(checked_profile(fixed, tensor.shape, tensor.players))
@@ -104,7 +99,7 @@ def find_pure_nash(
     A profile qualifies iff every player's strategy is within ``tolerance`` of
     that player's best response to the others' fixed strategies.
     """
-    _check_tolerance(tolerance)
+    _checked_tolerance(tolerance)
     stable = np.ones(tensor.shape, dtype=bool)
     for p in range(tensor.n_players):
         payoffs_p = tensor.player_payoffs(p)
@@ -122,7 +117,7 @@ def find_compromise(
     tensor: PayoffTensor, tolerance: float = DEFAULT_TOLERANCE
 ) -> CompromiseResult:
     """Minimize the worst per-player shortfall from the ideal vector."""
-    _check_tolerance(tolerance)
+    _checked_tolerance(tolerance)
     ideal = ideal_vector(tensor)
     # (ideal - values).max(axis=-1), one player at a time: no array holds a
     # value per profile and player.

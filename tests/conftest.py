@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -7,6 +8,7 @@ import resource
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume
 
 from sitegame import (
     CandidateSite,
@@ -17,6 +19,9 @@ from sitegame import (
     RegionConfig,
     Scenario,
     PROVENANCE_LOADED,
+    DEFAULT_TOLERANCE,
+    ZeroDistanceError,
+    build_tensor,
     fixture_scenario,
     fixture_tensor,
 )
@@ -188,6 +193,76 @@ def seeded_scenario(players: int, sites: int, objects: int, seed: int = 0) -> Sc
             for i in range(players)
         ),
     )
+
+
+def with_twin_sites(scenario: Scenario, picks) -> Scenario:
+    """``scenario`` with player p's sites ``picks[p]`` listed once more, after
+    its own, each under a new id at the same position with the same
+    coefficient rows: a twin ties with its site in every profile."""
+    players = []
+    for player, pick in zip(scenario.players, picks):
+        sites = [player.sites[k] for k in pick]
+        twins = [CandidateSite(f"{site.id}'{j}", site.position) for j, site in enumerate(sites)]
+        players.append(
+            dataclasses.replace(
+                player,
+                sites=(*player.sites, *twins),
+                loss=(*player.loss, *(player.loss[k] for k in pick)),
+                damage_weight=(*player.damage_weight, *(player.damage_weight[k] for k in pick)),
+            )
+        )
+    return dataclasses.replace(scenario, players=tuple(players))
+
+
+# Totals of tied separable games. Every difference and sum of two of them, and
+# of one of them and a tolerance of TIED_TOLERANCES but the last, is exact:
+# 1.0 and 0.5 sit exactly 0.5 apart, on the inclusive bound of tolerance 0.5,
+# and 1.0 and 0.5 - 2**-10 just outside it.
+TIED_TOTALS = (1.0, 0.5, 0.5 - 2**-10, 0.0, -1.0)
+TIED_TOLERANCES = (0.0, 2**-10, 0.5, DEFAULT_TOLERANCE)
+
+
+@st.composite
+def tied_separable_games(draw, max_players: int = 4, max_strategies: int = 5):
+    """``(tensor, scenario, tolerance)``: a separable game whose argmax and
+    minimizer sets often have several members, built one of two ways.
+
+    - ``PayoffTensor(..., values=None, totals=...)``, with totals drawn from
+      TIED_TOTALS, a tolerance from TIED_TOLERANCES and ``scenario`` None,
+      a third of them of ``max_players`` players of 3 strategies or more;
+    - ``build_tensor(scenario)`` of a scenario from ``scenarios`` with up to
+      two twin sites a player (see with_twin_sites), and DEFAULT_TOLERANCE.
+    """
+    form = draw(st.sampled_from(["totals", "many totals", "scenario"]))
+    if form != "scenario":
+        # "many totals": max_players players of 3 strategies or more.
+        many = form == "many totals"
+        n = max_players if many else draw(st.integers(1, max_players))
+        shape = tuple(draw(st.integers(3 if many else 1, max_strategies)) for _ in range(n))
+        totals = tuple(
+            np.array(draw(st.lists(st.sampled_from(TIED_TOTALS), min_size=k, max_size=k)))
+            for k in shape
+        )
+        tensor = PayoffTensor(
+            shape=shape,
+            players=tuple(f"P{p + 1}" for p in range(n)),
+            strategy_labels=tuple(tuple(f"S{k + 1}" for k in range(s)) for s in shape),
+            values=None,
+            provenance=PROVENANCE_LOADED,
+            totals=totals,
+        )
+        return tensor, None, draw(st.sampled_from(TIED_TOLERANCES))
+    scenario = draw(scenarios(max_players=max_players))
+    picks = [
+        draw(st.lists(st.integers(0, len(player.sites) - 1), max_size=2))
+        for player in scenario.players
+    ]
+    scenario = with_twin_sites(scenario, picks)
+    try:
+        tensor = build_tensor(scenario)
+    except ZeroDistanceError:
+        assume(False)
+    return tensor, scenario, DEFAULT_TOLERANCE
 
 
 def dense_values(tensor: PayoffTensor) -> np.ndarray:

@@ -843,6 +843,8 @@ def test_negative_tolerance_rejected_by_parser(fixture_files, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", str(tensor_path), "--tolerance", "-1"])
     assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --tolerance: tolerance must be a finite number >= 0\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "x"])

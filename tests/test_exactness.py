@@ -50,6 +50,13 @@ payoff_module = importlib.import_module("sitegame.payoff")
 
 # --- the per-object code ------------------------------------------------------
 
+def site_at(player, site_index, position):
+    """The id of the site of coefficient row ``site_index``, if ``position``
+    is that site's position: what a ZeroDistanceError names; else None."""
+    site = player.sites[site_index]
+    return site.id if position == site.position else None
+
+
 def per_object_payoff(player_index, position, scenario, site_index):
     player = scenario.players[player_index]
     loss_row = player.loss[site_index]
@@ -60,7 +67,7 @@ def per_object_payoff(player_index, position, scenario, site_index):
     for j, obj in enumerate(scenario.objects):
         rho = math.hypot(position.x - obj.position.x, position.y - obj.position.y)
         if rho == 0.0:
-            raise ZeroDistanceError(player.id, player.sites[site_index].id, obj.id)
+            raise ZeroDistanceError(player.id, site_at(player, site_index, position), obj.id)
         income.append(loss_row[j] / rho)
         damage.append(weight_row[j] * scale / (rho * rho))
     return PayoffBreakdown(tuple(income), tuple(damage), sum(income) - sum(damage))
@@ -78,7 +85,7 @@ def per_object_gradient(player_index, position, scenario, site_index):
         dy = position.y - obj.position.y
         rho = math.hypot(dx, dy)
         if rho == 0.0:
-            raise ZeroDistanceError(player.id, player.sites[site_index].id, obj.id)
+            raise ZeroDistanceError(player.id, site_at(player, site_index, position), obj.id)
         rho2 = rho * rho
         income_factor = -loss_row[j] / (rho2 * rho)
         damage_factor = weight_row[j] * scale / (rho2 * rho2)
@@ -134,15 +141,15 @@ def outcome(call):
         return zero_distance_fields(call)
 
 
-def assert_same(kernel_call, per_object_call, player, site):
+def assert_same(kernel_call, per_object_call, player, site_id):
     """The kernel's outcome equals the per-object code's. Where a distance is
     so small that a power of it underflows to 0, the per-object code divided
     by zero; the kernel raises ZeroDistanceError there instead, naming the
-    player and the site."""
+    player and ``site_id`` (see site_at)."""
     try:
         expected = outcome(per_object_call)
     except ZeroDivisionError:
-        assert zero_distance_fields(kernel_call)[:2] == (player.id, site.id)
+        assert zero_distance_fields(kernel_call)[:2] == (player.id, site_id)
     else:
         assert outcome(kernel_call) == expected
 
@@ -232,13 +239,13 @@ def assert_kernel_matches(scenario, anywhere):
                     lambda: payoff(p, position, scenario, site_index=k),
                     lambda: per_object_payoff(p, position, scenario, k),
                     player,
-                    site,
+                    site_at(player, k, position),
                 )
                 assert_same(
                     lambda: payoff_gradient(p, position, scenario, site_index=k),
                     lambda: per_object_gradient(p, position, scenario, k),
                     player,
-                    site,
+                    site_at(player, k, position),
                 )
     try:
         expected = per_object_tensor_values(scenario)

@@ -98,18 +98,20 @@ def test_single_object_unit_income():
 
 
 def test_payoff_raises_on_zero_distance(scenario):
-    # move player 3's first site onto object A2 via the explicit row override
+    # evaluate player 3's first row on object A2, away from site D1: the
+    # error names the location, not the row's site
     with pytest.raises(ZeroDistanceError) as excinfo:
         payoff(2, Point(5, 9), scenario, site_index=0)
     err = excinfo.value
     assert err.player_id == "P3"
-    assert err.site_id == "D1"
+    assert err.site_id is None
     assert err.object_id == "A2"
-    assert "A2" in str(err)
+    assert str(err) == "player 'P3': location coincides with natural object 'A2'"
 
 
 def test_gradient_raises_on_zero_distance(scenario):
-    with pytest.raises(ZeroDistanceError):
+    message = "^player 'P1': location coincides with natural object 'A1'$"
+    with pytest.raises(ZeroDistanceError, match=message):
         payoff_gradient(0, Point(2, 3), scenario, site_index=1)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -86,6 +87,28 @@ def test_duplicate_site_ids_flagged(scenario):
     doc["players"][2]["sites"][1]["id"] = doc["players"][2]["sites"][0]["id"]
     violations = validate(scenario_from_dict(doc))
     assert [v.path for v in violations] == ["players[2].sites[1].id"]
+
+
+def test_duplicate_player_ids_flagged(scenario):
+    doc = scenario_to_dict(scenario)
+    doc["players"][2]["id"] = doc["players"][0]["id"]
+    violations = validate(scenario_from_dict(doc))
+    assert [str(v) for v in violations] == ["players[2].id: duplicate player id 'P1'"]
+
+
+def test_from_dict_reads_numpy_floats_as_their_plain_values(scenario):
+    # np.float64 is a float subclass: such coefficient rows miss the
+    # whole-row paths and are read entry by entry, to plain floats.
+    doc = scenario_to_dict(scenario)
+    numpy_doc = json.loads(json.dumps(doc))
+    for player in numpy_doc["players"]:
+        for name in ("loss", "damage_weight"):
+            player[name] = [[np.float64(v) for v in row] for row in player[name]]
+    numpy_doc["players"][0]["loss"][1][2] = doc["players"][0]["loss"][1][2] = 5  # an int among them
+    read = scenario_from_dict(numpy_doc)
+    assert read == scenario_from_dict(doc)
+    rows = [row for player in read.players for row in (*player.loss, *player.damage_weight)]
+    assert {type(v) for row in rows for v in row} == {float}
 
 
 def test_matrix_row_count_mismatch(scenario):

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from sitegame import (
     PROVENANCE_LOADED,
     PayoffTensor,
+    SolveReport,
     best_response,
     build_tensor,
     find_compromise,
@@ -17,6 +18,7 @@ from sitegame import (
     fixture_tensor,
     ideal_vector,
     iterate_profiles,
+    solve,
 )
 from conftest import tensors
 from oracles import oracle_compromise, oracle_nash, profile_payoffs
@@ -182,22 +184,32 @@ def test_best_response_rejects_a_non_integer_index(tensor, player, others_fixed,
         best_response(tensor, player, others_fixed)
 
 
+def assert_tolerance_rejected(tensor, tolerance):
+    """Each solver, ``solve`` and ``SolveReport`` refuse ``tolerance`` with
+    the one message of the tolerance rule."""
+    calls = [
+        lambda: find_pure_nash(tensor, tolerance=tolerance),
+        lambda: find_compromise(tensor, tolerance=tolerance),
+        lambda: best_response(tensor, 0, (None, 0, 0), tolerance=tolerance),
+        lambda: solve(tensor, tolerance=tolerance),
+        lambda: SolveReport(tensor, tolerance, None, None),
+    ]
+    message = f"tolerance must be a finite number >= 0, got {tolerance!r}"
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def test_negative_tolerance_rejected(tensor):
-    with pytest.raises(ValueError):
-        find_pure_nash(tensor, tolerance=-1e-3)
-    with pytest.raises(ValueError):
-        find_compromise(tensor, tolerance=-1e-3)
+    assert_tolerance_rejected(tensor, -1e-3)
     with pytest.raises(ValueError):
         best_response(tensor, 0, (None, 0, 0), tolerance=-1.0)
 
 
 def test_nan_tolerance_rejected(tensor):
-    with pytest.raises(ValueError, match="tolerance"):
-        find_pure_nash(tensor, tolerance=float("nan"))
-    with pytest.raises(ValueError, match="tolerance"):
-        find_compromise(tensor, tolerance=float("nan"))
-    with pytest.raises(ValueError, match="tolerance"):
-        best_response(tensor, 0, (None, 0, 0), tolerance=float("nan"))
+    # inf and -inf are not finite either.
+    for tolerance in (float("nan"), float("inf"), -float("inf")):
+        assert_tolerance_rejected(tensor, tolerance)
 
 
 # --- ideal vector and compromise ---------------------------------------------

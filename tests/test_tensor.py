@@ -2,7 +2,9 @@
 import copy
 import dataclasses
 import importlib
+import itertools
 import json
+import math
 import operator
 import os
 import pickle
@@ -17,6 +19,7 @@ import hypothesis.strategies as st
 from hypothesis import assume, example, given, settings
 
 from sitegame import (
+    DEFAULT_TOLERANCE,
     CandidateSite,
     NaturalObject,
     PayoffTensor,
@@ -41,6 +44,7 @@ from sitegame import (
     tensor_to_dict,
 )
 from sitegame.payoff import PayoffTerms
+from oracles import oracle_compromise, oracle_nash, oracle_payoff_total, profile_payoffs
 from conftest import (
     SPECIAL_FLOATS,
     address_space_grows_at_most,
@@ -51,7 +55,9 @@ from conftest import (
     scenarios,
     seeded_scenario,
     text_labels,
+    tied_separable_games,
     twelve_player_scenario,
+    with_twin_sites,
 )
 
 tensor_module = importlib.import_module("sitegame.tensor")
@@ -290,6 +296,10 @@ def test_from_dict_reads_numpy_floats_as_their_plain_values(tensor):
     doc = tensor_to_dict(tensor)
     numpy_doc = {**doc, "payoffs": [[np.float64(v) for v in row] for row in doc["payoffs"]]}
     assert tensor_from_dict(numpy_doc).values.tobytes() == tensor_from_dict(doc).values.tobytes()
+    # Rows that start with an np.float64, the first with an int among its floats.
+    doc["payoffs"][0][1] = 7
+    mixed = {**doc, "payoffs": [[np.float64(row[0]), *row[1:]] for row in doc["payoffs"]]}
+    assert np.array_equal(tensor_from_dict(mixed).values, tensor_from_dict(doc).values)
 
 
 def test_load_tensor_names_line_and_column(tmp_path):
@@ -481,6 +491,75 @@ def test_separable_tensor_solves_and_renders_as_its_dense_copy(scenario):
     assert_same_text(solve(separable).to_json(), solve(dense).to_json())
     assert_same_text(dumps_tensor(separable), dumps_tensor(dense))
     assert_same_text(dumps_tensor(separable, scenario), dumps_tensor(dense, scenario))
+
+
+# Above this many profiles, the deviation scan of oracles.oracle_nash is left
+# out, and the equilibria are checked against each player's argmax set.
+ORACLE_PROFILES = 64
+
+_TIED_AT_THE_BOUND = PayoffTensor(
+    shape=(3, 2),
+    players=("P1", "P2"),
+    strategy_labels=(("a", "b", "c"), ("d", "e")),
+    values=None,
+    provenance=PROVENANCE_LOADED,
+    totals=(np.array([1.0, 0.5, 0.5 - 2**-10]), np.array([0.5, 1.0])),
+)
+# Every site listed twice: 6**4 profiles, 2**4 equilibria and minimizers.
+_TWINNED = with_twin_sites(seeded_scenario(4, 3, 5), [range(3)] * 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(game=tied_separable_games())
+@example(game=(_TIED_AT_THE_BOUND, None, 0.5))
+@example(game=(_TIED_AT_THE_BOUND, None, 0.5 - 2**-10))
+@example(game=(build_tensor(_TWINNED), _TWINNED, DEFAULT_TOLERANCE))
+def test_tied_separable_game_solves_and_renders_as_its_dense_copy(game):
+    separable, scenario, tolerance = game
+    dense = _dense_copy(separable)
+    nash, dense_nash = find_pure_nash(separable, tolerance), find_pure_nash(dense, tolerance)
+    assert nash.flat.tolist() == dense_nash.flat.tolist()
+    compromise = find_compromise(separable, tolerance)
+    dense_compromise = find_compromise(dense, tolerance)
+    assert compromise.flat.tolist() == dense_compromise.flat.tolist()
+    for field in ("ideal", "min_residual", "shortfall"):
+        ours, theirs = getattr(compromise, field), getattr(dense_compromise, field)
+        assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+    report, dense_report = solve(separable, tolerance=tolerance), solve(dense, tolerance=tolerance)
+    assert_same_text(report.to_text(), dense_report.to_text())
+    assert_same_text(report.to_json(), dense_report.to_json())
+    # The listings of many tied profiles, against the per-profile dicts.
+    assert_same_text(report.to_json(), json.dumps(report.to_dict(), indent=2))
+    assert_same_text(dumps_tensor(separable), dumps_tensor(dense))
+    if scenario is not None:
+        assert_same_text(dumps_tensor(separable, scenario), dumps_tensor(dense, scenario))
+
+    if math.prod(separable.shape) <= ORACLE_PROFILES:
+        payoffs = profile_payoffs(dense)
+        assert list(nash.equilibria) == oracle_nash(separable.shape, payoffs, tolerance)
+        ideal, _, minimizers, min_residual = oracle_compromise(separable.shape, payoffs, tolerance)
+        assert (list(compromise.ideal), compromise.min_residual) == (ideal, min_residual)
+        assert list(compromise.minimizers) == minimizers
+        return
+    # Each player's payoff depends on their own strategy alone, so the
+    # equilibria are the C-order product of the players' argmax sets.
+    if scenario is None:
+        totals = [total.tolist() for total in separable.totals]
+    else:
+        objects = [(o.position.x, o.position.y) for o in scenario.objects]
+        pi_value = scenario.region.pi_value
+        totals = [
+            [
+                oracle_payoff_total(
+                    (site.position.x, site.position.y), player.loss[k],
+                    player.damage_weight[k], player.emission, objects, pi_value,
+                )
+                for k, site in enumerate(player.sites)
+            ]
+            for player in scenario.players
+        ]
+    best = [[k for k, total in enumerate(row) if total >= max(row) - tolerance] for row in totals]
+    assert list(nash.equilibria) == list(itertools.product(*best))
 
 
 def test_separable_tensor_reads_each_payoff_from_its_totals(scenario):

@@ -1,6 +1,6 @@
-"""Scenario documents that each fail one whole-list check of an object or
-site list, in the document reader or in ``validate``, with what the library
-says of each.
+"""Scenario documents that each fail one whole-list check of an object,
+site or player list, in the document reader or in ``validate``, with what
+the library says of each.
 
 A failed whole-list check only sends the list to the walk item by item, which
 names the fault, if there is one. So each case's ``validate`` and ``solve``
@@ -42,6 +42,8 @@ def _edit(case):
         objects[3]["id"] = objects[1]["id"]
     elif case == "duplicate_site_id":
         sites[1][4]["id"] = sites[1][0]["id"]
+    elif case == "duplicate_player_id":
+        doc["players"][2]["id"] = doc["players"][0]["id"]
     elif case == "nan_coordinate":
         objects[2]["x"] = math.nan
     elif case == "inf_coordinate":
@@ -67,6 +69,7 @@ def _edit(case):
 CASES = (
     "duplicate_object_id",
     "duplicate_site_id",
+    "duplicate_player_id",
     "nan_coordinate",
     "inf_coordinate",
     "object_outside_box",
