@@ -6,8 +6,9 @@ Subcommands:
   solve <file>             solve a tensor or scenario document
   fixtures emit <dir>      write the bundled example files
 
-Exit codes: 0 success, 1 domain error (invalid scenario, singular payoff),
-2 unreadable or unparseable input, or output that cannot be written.
+Exit codes: 0 success, 1 domain error (invalid scenario, singular payoff, a
+value beyond a float), 2 unreadable or unparseable input, or output that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import contextlib
 import errno
 import gc
 import itertools
-import math
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -108,12 +108,11 @@ def _valid_scenario(doc: object, report: Callable[[str], object]) -> Scenario:
 
 
 def _build_tensor(scenario: Scenario, on_kernel: Callable[[object], object] | None = None):
-    from .payoff import ZeroDistanceError
     from .tensor import build_tensor
 
     try:
         return build_tensor(scenario, on_kernel)
-    except (ZeroDistanceError, ValueError) as exc:
+    except ValueError as exc:
         raise _Exit(EXIT_DOMAIN, str(exc))
 
 
@@ -137,10 +136,8 @@ def _cmd_tensor(args: argparse.Namespace) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> None:
     doc = _read_document(args.file)
-    import numpy as np
-
     from .report import solve
-    from .tensor import profiles_at, tensor_from_dict
+    from .tensor import tensor_from_dict
 
     scenario = None
     if isinstance(doc, dict) and ("payoffs" in doc or "shape" in doc):
@@ -165,26 +162,14 @@ def _cmd_solve(args: argparse.Namespace) -> None:
     del scenario  # read by the checks and the pairwise codes, so freed too
 
     both = not (args.nash or args.compromise)
-    # Payoffs further apart than the largest float overflow a residual to
-    # inf; that is reported below, so numpy's warning would only repeat it.
-    with np.errstate(over="ignore"):
-        report = solve(
-            tensor,
-            nash=args.nash or both,
-            compromise=args.compromise or both,
-            tolerance=args.tolerance,
-            feasibility=feasibility,
-            pairwise_spacing=pairwise,
-        )
-    if report.compromise is not None:
-        shortfall = report.compromise.shortfall
-        if not math.isfinite(shortfall.max()):  # the first inf, by one bool a profile
-            profile = list(profiles_at([np.isinf(shortfall).argmax()], tensor.shape)[0])
-            raise _Exit(
-                EXIT_DOMAIN,
-                f"compromise residual overflows to inf at profile {profile} "
-                f"(labels {list(tensor.labels_for(profile))!r}): payoffs too far apart for a float",
-            )
+    report = solve(
+        tensor,
+        nash=args.nash or both,
+        compromise=args.compromise or both,
+        tolerance=args.tolerance,
+        feasibility=feasibility,
+        pairwise_spacing=pairwise,
+    )
     pieces = report.json_pieces() if args.format == "json" else report.text_pieces()
     _write(itertools.chain(pieces, "\n"))
 
@@ -264,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:  # a document that cannot be parsed, wherever it is found
         _write_stderr(f"error: {exc}\n")
         return EXIT_INPUT
+    except ArithmeticError as exc:  # a payoff singular at a site, a value beyond a float
+        _write_stderr(f"error: {exc}\n")
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ they are given and never consult these checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,7 +68,9 @@ def check_site(
     player_id: str | None = None,
     site_id: str | None = None,
 ) -> FeasibilityReport:
-    """Check one location against the region box and the per-object band."""
+    """Check one location against the region box and the per-object band.
+    A distance beyond the largest float raises OverflowError naming the
+    site, or the location if ``site_id`` is None, and the object."""
     return _check_sites(scenario, [(player_id, site_id, position)])[0]
 
 
@@ -78,6 +81,7 @@ def check_scenario(
 
     ``distances``, if given, holds each player's (sites × objects) array of
     distances, as the payoff kernel's ``rho``; else they are computed.
+    Raises OverflowError as :func:`check_site` does.
     """
     return _check_sites(
         scenario,
@@ -100,6 +104,8 @@ def _check_sites(
         _, _, rho = offsets(positions, [obj.position for obj in objects])
     found: list[list[BandViolation]] = [[] for _ in sites]
     for (r, j), rho_rj, bound in _band_violations(rho, region):
+        if rho_rj == math.inf:
+            raise _distance_overflow(_end(*sites[r]), f"natural object {objects[j].id!r}")
         found[r].append(BandViolation(objects[j].id, rho_rj, bound))
     return [
         FeasibilityReport(
@@ -111,6 +117,24 @@ def _check_sites(
         )
         for (player_id, site_id, position), violations in zip(sites, found)
     ]
+
+
+def _end(player_id: str | None, site_id: str | None, position: Point | None) -> str:
+    """One end of a distance: a site by its ids, else a location by its coordinates."""
+    if site_id is None:
+        return f"location ({position.x!r}, {position.y!r})"
+    return f"site {site_id!r}" if player_id is None else f"player {player_id!r} site {site_id!r}"
+
+
+def _distance_overflow(a: str, b: str) -> OverflowError:
+    """The error for a distance from ``a`` to ``b`` beyond the largest float,
+    which the band check found: an inf distance is always above rho_max."""
+    return OverflowError(f"distance from {a} to {b} overflows to inf")
+
+
+def _pair_overflow(player_a: str, site_a: str, player_b: str, site_b: str) -> OverflowError:
+    """The error for two players' sites further apart than the largest float."""
+    return _distance_overflow(_end(player_a, site_a, None), _end(player_b, site_b, None))
 
 
 def _band(rho, region: RegionConfig):
@@ -139,7 +163,8 @@ def check_profile_spacing(
     natural objects, facilities of distinct players must also keep the band
     between each other. ``profile`` holds one site index per player; an index
     outside a player's sites raises ValueError. The violations come in
-    (player a, player b) lexicographic order, a < b.
+    (player a, player b) lexicographic order, a < b. A distance beyond the
+    largest float raises OverflowError naming both sites.
     """
     players = scenario.players
     profile = checked_profile(
@@ -151,6 +176,8 @@ def check_profile_spacing(
         rho = distance(site_a.position, site_b.position)
         below, above = _band(rho, scenario.region)
         if below or above:
+            if rho == math.inf:
+                raise _pair_overflow(player_a.id, site_a.id, player_b.id, site_b.id)
             violations.append(
                 PairSpacingViolation(
                     player_a.id, site_a.id, player_b.id, site_b.id, rho, BELOW if below else ABOVE
@@ -194,7 +221,8 @@ class SpacingCodes(_ReadOnlyArrays):
 def spacing_codes(scenario: Scenario) -> SpacingCodes:
     """The pairwise band of :func:`check_profile_spacing` over every profile,
     as codes per player pair: the band between two sites depends on those
-    two sites alone, so each player pair classifies its site pairs once."""
+    two sites alone, so each player pair classifies its site pairs once.
+    Raises OverflowError as :func:`check_profile_spacing` does."""
     players = scenario.players
     pairs = []
     for a, b in itertools.combinations(range(len(players)), 2):
@@ -203,11 +231,10 @@ def spacing_codes(scenario: Scenario) -> SpacingCodes:
         codes = np.zeros(rho.shape, dtype=np.intp)
         found = []
         for (k_a, k_b), rho_ab, bound in _band_violations(rho, scenario.region):
-            found.append(
-                PairSpacingViolation(
-                    players[a].id, sites_a[k_a].id, players[b].id, sites_b[k_b].id, rho_ab, bound
-                )
-            )
+            ends = (players[a].id, sites_a[k_a].id, players[b].id, sites_b[k_b].id)
+            if rho_ab == math.inf:
+                raise _pair_overflow(*ends)
+            found.append(PairSpacingViolation(*ends, rho_ab, bound))
             codes[k_a, k_b] = len(found)
         if found:
             pairs.append((a, b, codes, tuple(found)))

@@ -83,9 +83,12 @@ def offsets(
 
     Each distance is ``math.hypot`` of its differences, so it equals
     :func:`distance` bit for bit; ``np.hypot`` rounds some inputs differently.
+    A difference or distance beyond the largest float is inf, as in Python
+    float arithmetic, without a warning.
     """
-    dx = _coordinates(origins, "x")[:, None] - _coordinates(targets, "x")
-    dy = _coordinates(origins, "y")[:, None] - _coordinates(targets, "y")
+    with np.errstate(over="ignore"):
+        dx = _coordinates(origins, "x")[:, None] - _coordinates(targets, "x")
+        dy = _coordinates(origins, "y")[:, None] - _coordinates(targets, "y")
     # Iterating a memoryview yields each difference as a float, without a list.
     rho = np.fromiter(
         map(math.hypot, memoryview(dx.ravel()), memoryview(dy.ravel())), dtype=float, count=dx.size

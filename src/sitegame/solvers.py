@@ -13,6 +13,7 @@ Ties are resolved with an absolute tolerance; strategies or profiles within
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -103,7 +104,8 @@ def find_pure_nash(
     stable = np.ones(tensor.shape, dtype=bool)
     for p in range(tensor.n_players):
         payoffs_p = tensor.player_payoffs(p)
-        stable &= payoffs_p >= payoffs_p.max(axis=p, keepdims=True) - tolerance
+        with np.errstate(over="ignore"):  # a bound of -inf admits every strategy
+            stable &= payoffs_p >= payoffs_p.max(axis=p, keepdims=True) - tolerance
     return NashResult(tensor.shape, np.flatnonzero(stable))
 
 
@@ -116,14 +118,23 @@ def ideal_vector(tensor: PayoffTensor) -> tuple[float, ...]:
 def find_compromise(
     tensor: PayoffTensor, tolerance: float = DEFAULT_TOLERANCE
 ) -> CompromiseResult:
-    """Minimize the worst per-player shortfall from the ideal vector."""
+    """Minimize the worst per-player shortfall from the ideal vector; raises
+    OverflowError naming the first profile, in C order, whose residual
+    overflows to inf, its payoffs further apart than the largest float."""
     _checked_tolerance(tolerance)
     ideal = ideal_vector(tensor)
     # (ideal - values).max(axis=-1), one player at a time: no array holds a
     # value per profile and player.
     shortfall = np.full(tensor.shape, -np.inf)
-    for p, best in enumerate(ideal):
-        np.maximum(shortfall, best - tensor.player_payoffs(p), out=shortfall)
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        for p, best in enumerate(ideal):
+            np.maximum(shortfall, best - tensor.player_payoffs(p), out=shortfall)
+    if not math.isfinite(shortfall.max()):  # the first inf, by one bool a profile
+        profile = profiles_at([np.isinf(shortfall).argmax()], tensor.shape)[0]
+        raise OverflowError(
+            f"compromise residual overflows to inf at profile {list(profile)} "
+            f"(labels {list(tensor.labels_for(profile))!r}): payoffs too far apart for a float"
+        )
     min_residual = float(shortfall.min())
     minimal = shortfall <= min_residual + tolerance
     return CompromiseResult(ideal, np.flatnonzero(minimal), min_residual, shortfall)

@@ -168,6 +168,27 @@ def json_tensors(draw, max_players: int = 3, max_strategies: int = 3, labels=_js
     )
 
 
+# A tensor document with finite payoffs 2e308 apart: the compromise residual
+# of (b, x) and of (b, y) overflows.
+OVERFLOW_TENSOR = {
+    "shape": [2, 2],
+    "strategy_labels": [["a", "b\n"], ["x", "y"]],
+    "payoffs": [[1e308, 0.0], [1e308, 1.0], [-1e308, 0.0], [-1e308, 2.0]],
+}
+
+
+def far_apart_scenario() -> Scenario:
+    """A valid scenario whose one site, P1S1 at (0, 0), is farther from its
+    one object, A1 at (1.7e308, 1.7e308), than the largest float."""
+    return Scenario(
+        region=RegionConfig(1.7e308, 1.7e308, 1.0, 1e308),
+        objects=(NaturalObject("A1", Point(1.7e308, 1.7e308)),),
+        players=(
+            PlayerSpec("P1", 1.0, (CandidateSite("P1S1", Point(0.0, 0.0)),), ((1.0,),), ((1.0,),)),
+        ),
+    )
+
+
 def seeded_scenario(players: int, sites: int, objects: int, seed: int = 0) -> Scenario:
     """A valid scenario with uniformly random sites, objects and
     coefficients in a 100 x 100 square, and a band wide enough for all."""

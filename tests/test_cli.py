@@ -36,9 +36,11 @@ from sitegame.cli import main
 from sitegame.payoff import PayoffTerms
 from sitegame.tensor import PROFILE_BYTES
 from conftest import (
+    OVERFLOW_TENSOR,
     CountingSink,
     address_space_grows_at_most,
     assert_same_text,
+    far_apart_scenario,
     random_tensor,
     seeded_scenario,
     twelve_player_scenario,
@@ -731,18 +733,10 @@ def test_solve_fixture_tensor_text_matches_golden(fixture_files, capsys):
     assert_same_text(out, (GOLDEN / "solve_fixture_tensor.txt").read_text(encoding="utf-8"))
 
 
-# Finite payoffs 2e308 apart: the residual of (b, x) and of (b, y) overflows.
-_OVERFLOW_TENSOR = {
-    "shape": [2, 2],
-    "strategy_labels": [["a", "b\n"], ["x", "y"]],
-    "payoffs": [[1e308, 0.0], [1e308, 1.0], [-1e308, 0.0], [-1e308, 2.0]],
-}
-
-
 @pytest.mark.parametrize("flags", [(), ("--format", "json"), ("--compromise",)])
 def test_solve_residual_overflow_exit1(tmp_path, capsys, flags):
     path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(_OVERFLOW_TENSOR), encoding="utf-8")
+    path.write_text(json.dumps(OVERFLOW_TENSOR), encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning would raise
         code, out, err = run_cli(capsys, "solve", str(path), *flags)
@@ -755,7 +749,7 @@ def test_solve_residual_overflow_exit1(tmp_path, capsys, flags):
 
 def test_solve_nash_ignores_residual_overflow(tmp_path, capsys):
     path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(_OVERFLOW_TENSOR), encoding="utf-8")
+    path.write_text(json.dumps(OVERFLOW_TENSOR), encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         text = run_cli(capsys, "solve", str(path), "--nash")
@@ -763,6 +757,42 @@ def test_solve_nash_ignores_residual_overflow(tmp_path, capsys):
     assert text[0] == doc[0] == 0 and text[2] == doc[2] == ""
     assert "nash equilibria (1):\n  (a, y) = (0, 1): payoffs (1e+308, 1)\n" in text[1]
     assert [e["indices"] for e in json.loads(doc[1])["nash"]["equilibria"]] == [[0, 1]]
+
+
+def _outside_the_box_scenario():
+    """far_apart_scenario with P1S1 at (-1.7e308, 0): its difference in x
+    from A1 overflows as well as its distance."""
+    scenario = far_apart_scenario()
+    player = scenario.players[0]
+    site = dataclasses.replace(player.sites[0], position=Point(-1.7e308, 0.0))
+    return dataclasses.replace(scenario, players=(dataclasses.replace(player, sites=(site,)),))
+
+
+@pytest.mark.parametrize("flags", [(), ("--format", "json"), ("--nash",), ("--pairwise-band",)])
+@pytest.mark.parametrize("make", [far_apart_scenario, _outside_the_box_scenario])
+def test_solve_distance_overflow_exit1(tmp_path, capsys, make, flags):
+    # JSON cannot write an inf distance; earlier versions wrote
+    # "distance": Infinity, and text `solve` printed "distance inf", with
+    # exit 0, after numpy's "overflow encountered in subtract" on stderr
+    # for the site outside the box.
+    path = tmp_path / "far.json"
+    path.write_text(dumps_scenario(make()), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "solve", str(path), *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: distance from player 'P1' site 'P1S1' to natural object 'A1' overflows to inf\n"
+
+
+@pytest.mark.parametrize("make", [far_apart_scenario, _outside_the_box_scenario])
+def test_tensor_writes_no_distance_so_an_overflowing_one_passes(tmp_path, capsys, make):
+    path = tmp_path / "far.json"
+    path.write_text(dumps_scenario(make()), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "tensor", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payoffs"] == [[0.0]]  # the far object adds 0
 
 
 def _overflowing_scenario():

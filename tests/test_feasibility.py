@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from sitegame import (
     iterate_profiles,
     spacing_codes,
 )
-from conftest import scenarios
+from sitegame.payoff import PayoffTerms
+from conftest import far_apart_scenario, scenarios
 
 
 def _single_object_scenario(obj_xy, rho_min, rho_max, box=100.0):
@@ -348,3 +350,46 @@ def test_check_profile_spacing_rejects_out_of_range_index(scenario, player, end)
     message = rf"strategy index {index} is out of range for player 'P{player + 1}'"
     with pytest.raises(ValueError, match=message):
         check_profile_spacing(scenario, profile)
+
+
+# --- distances beyond the largest float -----------------------------------------
+
+def test_site_distance_overflow_names_both_ends():
+    # JSON cannot write an inf distance: earlier versions listed it as a
+    # violation of the band's upper bound. The payoff kernel's distances,
+    # which check_scenario takes from the CLI, give the same error.
+    scn = far_apart_scenario()
+    message = "distance from player 'P1' site 'P1S1' to natural object 'A1' overflows to inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            check_scenario(scn)
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            check_scenario(scn, [PayoffTerms(scn, 0).rho])
+        with pytest.raises(OverflowError, match=r"^distance from location \(0\.0, -1e\+308\) to "):
+            check_site(Point(0.0, -1e308), scn)
+
+
+def _far_apart_sites_scenario():
+    """P1S1 at (0, 0) and P2S1 at (1.7e308, 1.7e308), farther apart than the
+    largest float, with one object between them that both keep the band to."""
+    scn = far_apart_scenario()
+    region = dataclasses.replace(scn.region, rho_max=1.5e308)
+    p1 = scn.players[0]
+    sites = (CandidateSite("P2S1", Point(1.7e308, 1.7e308)), CandidateSite("P2S2", Point(1.0, 0.0)))
+    p2 = PlayerSpec("P2", 1.0, sites, p1.loss * 2, p1.damage_weight * 2)
+    middle = (NaturalObject("A1", Point(0.85e308, 0.85e308)),)
+    return dataclasses.replace(scn, region=region, objects=middle, players=(p1, p2))
+
+
+def test_pairwise_distance_overflow_names_both_sites():
+    scn = _far_apart_sites_scenario()
+    message = "distance from player 'P1' site 'P1S1' to player 'P2' site 'P2S1' overflows to inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(report.feasible for report in check_scenario(scn))
+        assert check_profile_spacing(scn, (0, 1)) == []  # 1.0 apart: on rho_min
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            check_profile_spacing(scn, (0, 0))
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            spacing_codes(scn)

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -49,8 +51,45 @@ from conftest import (
 SOLVER_CHOICES = [(True, True), (True, False), (False, True), (False, False)]
 
 
+# Finite payoffs 2e308 apart overflow the shortfall of S2 to inf.
+_FAR_APART = PayoffTensor(
+    shape=(2,),
+    players=("P1",),
+    strategy_labels=(("S1", "S2"),),
+    values=np.array([[1e308], [-1e308]]),
+    provenance=PROVENANCE_LOADED,
+)
+
+
+def _refuse(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
 def _assert_to_json_is_json_dumps(report):
-    assert_same_text(report.to_json(), json.dumps(report.to_dict(), indent=2))
+    text = report.to_json()
+    assert_same_text(text, json.dumps(report.to_dict(), indent=2))
+    json.loads(text, parse_constant=_refuse)  # JSON has no Infinity or NaN
+
+
+def _residual_overflows(t):
+    """Whether some shortfall ``ideal[p] - payoff``, in Python floats, is inf:
+    then the largest one, from the player's smallest payoff, is."""
+    return any(
+        float(payoffs.max()) - float(payoffs.min()) == math.inf
+        for payoffs in map(t.player_payoffs, range(t.n_players))
+    )
+
+
+def _solve_or_overflow(t, nash, compromise, tolerance):
+    """``solve(...)``, which must raise OverflowError exactly when a
+    compromise residual overflows, and warn of nothing; None if it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if compromise and _residual_overflows(t):
+            with pytest.raises(OverflowError, match="^compromise residual overflows to inf at"):
+                solve(t, nash=nash, compromise=compromise, tolerance=tolerance)
+            return None
+        return solve(t, nash=nash, compromise=compromise, tolerance=tolerance)
 
 
 def _checked_spacing(scenario):
@@ -84,13 +123,14 @@ def _pairwise_entries(scenario, tensor):
     tolerance=st.sampled_from([0.0, 1e-9, 0.5, 1e16]),
 )
 @example(t=fixture_tensor(), solvers=(True, True), tolerance=1e-9)
+@example(t=_FAR_APART, solvers=(True, True), tolerance=0.0)
+@example(t=_FAR_APART, solvers=(True, False), tolerance=0.0)
 def test_to_json_is_json_dumps_of_to_dict(t, solvers, tolerance):
-    nash, compromise = solvers
     # Payoffs near the largest double can overflow the shortfall; see
-    # test_residual_overflow_is_written_as_infinity.
-    with np.errstate(over="ignore"):
-        report = solve(t, nash=nash, compromise=compromise, tolerance=tolerance)
-    _assert_to_json_is_json_dumps(report)
+    # test_residual_overflow_raises_and_nash_still_answers.
+    report = _solve_or_overflow(t, *solvers, tolerance)
+    if report is not None:
+        _assert_to_json_is_json_dumps(report)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,21 +171,20 @@ def test_labels_spelled_like_a_listing_placeholder_stay_labels():
     _assert_to_json_is_json_dumps(solve(t))
 
 
-def test_residual_overflow_is_written_as_infinity():
-    # Pins current behaviour: finite payoffs 2e308 apart overflow the
-    # shortfall to inf, which JSON output spells with the non-standard token
-    # Infinity.
-    t = PayoffTensor(
-        shape=(2,),
-        players=("P1",),
-        strategy_labels=(("S1", "S2"),),
-        values=np.array([[1e308], [-1e308]]),
-        provenance=PROVENANCE_LOADED,
+def test_residual_overflow_raises_and_nash_still_answers():
+    # JSON cannot write an inf residual: the compromise solver refuses it
+    # without numpy's warning, and the Nash solver, which computes no
+    # residual, answers.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as raised:
+            solve(_FAR_APART)
+        report = solve(_FAR_APART, compromise=False)
+    assert str(raised.value) == (
+        "compromise residual overflows to inf at profile [1] (labels ['S2']): "
+        "payoffs too far apart for a float"
     )
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        report = solve(t)
-    assert report.compromise.residuals[(1,)] == float("inf")
-    assert '"residual": Infinity' in report.to_json()
+    assert report.nash.equilibria == ((0,),)
     _assert_to_json_is_json_dumps(report)
 
 
@@ -226,11 +265,12 @@ def _reference_text(report, scenario=None):
     tolerance=st.sampled_from([0.0, 1e-9, 0.5, 1e16]),
 )
 @example(t=fixture_tensor(), solvers=(True, True), tolerance=1e-9)
+@example(t=_FAR_APART, solvers=(True, True), tolerance=0.0)
+@example(t=_FAR_APART, solvers=(True, False), tolerance=0.0)
 def test_to_text_matches_per_profile_rendering(t, solvers, tolerance):
-    nash, compromise = solvers
-    with np.errstate(over="ignore"):
-        report = solve(t, nash=nash, compromise=compromise, tolerance=tolerance)
-    assert_same_text(report.to_text(), _reference_text(report))
+    report = _solve_or_overflow(t, *solvers, tolerance)
+    if report is not None:
+        assert_same_text(report.to_text(), _reference_text(report))
 
 
 # Four players make profiles with several pairwise violations common.

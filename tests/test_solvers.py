@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from sitegame import (
     ideal_vector,
     iterate_profiles,
     solve,
+    tensor_from_dict,
 )
-from conftest import tensors
+from conftest import OVERFLOW_TENSOR, tensors
 from oracles import oracle_compromise, oracle_nash, profile_payoffs
 
 
@@ -279,6 +281,24 @@ def test_compromise_reports_all_tied_minimizers():
     )
     tied_result = find_compromise(tied)
     assert tied_result.minimizers == ((1, 0), (1, 1))
+
+
+def test_solvers_warn_of_nothing_when_a_value_overflows():
+    # max - tolerance is -inf for every player here, a bound that admits
+    # every strategy; a compromise residual that overflows is refused.
+    t = tensor_from_dict({
+        "shape": [2, 2],
+        "payoffs": [[-1e308, -1e308], [-1.5e308, -1e308], [-1e308, -1.7e308], [-1.2e308, -1.1e308]],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_pure_nash(t, 1e308).equilibria == ((0, 0), (0, 1), (1, 0), (1, 1))
+        with pytest.raises(OverflowError) as raised:
+            solve(tensor_from_dict(OVERFLOW_TENSOR))
+    assert str(raised.value) == (
+        "compromise residual overflows to inf at profile [1, 0] "
+        "(labels ['b\\n', 'x']): payoffs too far apart for a float"
+    )
 
 
 # --- oracle equivalence and invariance properties ----------------------------
