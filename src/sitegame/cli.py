@@ -6,9 +6,10 @@ Subcommands:
   solve <file>             solve a tensor or scenario document
   fixtures emit <dir>      write the bundled example files
 
-Exit codes: 0 success, 1 domain error (invalid scenario, singular payoff, a
-value beyond a float), 2 unreadable or unparseable input, or output that
-cannot be written.
+Exit codes: 0 success, 1 domain error (invalid scenario, a game the library
+refuses), 2 unreadable or unparseable input, or output that cannot be
+written. ``main`` alone maps an exception to a code: a FormatError to 2, any
+other ValueError or ArithmeticError to 1.
 """
 
 from __future__ import annotations
@@ -107,15 +108,6 @@ def _valid_scenario(doc: object, report: Callable[[str], object]) -> Scenario:
     return scenario
 
 
-def _build_tensor(scenario: Scenario, on_kernel: Callable[[object], object] | None = None):
-    from .tensor import build_tensor
-
-    try:
-        return build_tensor(scenario, on_kernel)
-    except ValueError as exc:
-        raise _Exit(EXIT_DOMAIN, str(exc))
-
-
 def _cmd_validate(args: argparse.Namespace) -> None:
     scenario = _valid_scenario(_read_document(args.file), lambda text: _write([text]))
     sites = sum(len(player.sites) for player in scenario.players)
@@ -125,10 +117,10 @@ def _cmd_validate(args: argparse.Namespace) -> None:
 
 def _cmd_tensor(args: argparse.Namespace) -> None:
     scenario = _valid_scenario(_read_document(args.file), _write_stderr)
-    from .tensor import tensor_document
+    from .tensor import build_tensor, tensor_document
 
     kernels = []  # with --explain, the kernels that build the tensor spell its breakdowns
-    tensor = _build_tensor(scenario, kernels.append if args.explain else None)
+    tensor = build_tensor(scenario, kernels.append if args.explain else None)
     document = tensor_document(tensor, kernels if args.explain else None)
     del kernels  # spelled, so freed before the first piece is written
     _write(itertools.chain(document, "\n"))
@@ -137,7 +129,7 @@ def _cmd_tensor(args: argparse.Namespace) -> None:
 def _cmd_solve(args: argparse.Namespace) -> None:
     doc = _read_document(args.file)
     from .report import solve
-    from .tensor import tensor_from_dict
+    from .tensor import build_tensor, tensor_from_dict
 
     scenario = None
     if isinstance(doc, dict) and ("payoffs" in doc or "shape" in doc):
@@ -154,7 +146,7 @@ def _cmd_solve(args: argparse.Namespace) -> None:
         from .feasibility import check_scenario, spacing_codes
 
         kernels = []  # the payoff kernel's distances serve the site checks too
-        tensor = _build_tensor(scenario, kernels.append)
+        tensor = build_tensor(scenario, kernels.append)
         feasibility = tuple(check_scenario(scenario, [terms.rho for terms in kernels]))
         del kernels  # read, so freed before the game is solved
         if args.pairwise_band:
@@ -249,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:  # a document that cannot be parsed, wherever it is found
         _write_stderr(f"error: {exc}\n")
         return EXIT_INPUT
-    except ArithmeticError as exc:  # a payoff singular at a site, a value beyond a float
+    except (ArithmeticError, ValueError) as exc:  # the library refuses the game: exit 1
         _write_stderr(f"error: {exc}\n")
         return EXIT_DOMAIN
     return EXIT_OK

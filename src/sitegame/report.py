@@ -227,7 +227,7 @@ class SolveReport:
         item = f"{between[1:]}    "  # a row's violations sit one level below its keys
 
         def spell(violation: PairSpacingViolation) -> str:
-            return json.dumps(asdict(violation), indent=2).replace("\n", item)
+            return json.dumps(asdict(violation), indent=2, allow_nan=False).replace("\n", item)
 
         details, codes = _violation_columns(columns, codes, spell, f",{item}")
         before, _, after = row.rpartition(SLOT)  # the violations' slot is the last

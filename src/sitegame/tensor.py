@@ -246,7 +246,7 @@ def build_tensor(
     keeps its totals (see PayoffTensor). ``on_kernel``, if given, is called
     with each player's PayoffTerms in turn. Raises ZeroDistanceError (naming
     player, site and object) if any candidate site sits on a natural object,
-    ValueError naming player and site if a payoff overflows to inf or nan,
+    OverflowError naming player and site if a payoff overflows to inf or nan,
     ValueError if there are more players than numpy has dimensions, and
     ValueError, before the kernel runs, if PROFILE_BYTES per profile would not
     fit in physical memory.
@@ -274,7 +274,7 @@ def build_tensor(
         for site, value in zip(player.sites, terms.total.tolist()):
             if not math.isfinite(value):
                 message = f"payoff at site {site.id!r} overflows to {value!r}"
-                raise ValueError(f"player {player.id!r}: {message}")
+                raise OverflowError(f"player {player.id!r}: {message}")
         totals.append(terms.total)
 
     return PayoffTensor(
@@ -352,8 +352,9 @@ def distinct_spellings(
 def json_spellings(floats: list[float]) -> list[str]:
     """``json.dumps``'s spelling of each of ``floats``, for distinct_spellings."""
     # The indent-free encoder spells floats the way the indented one does
-    # (float.__repr__, Infinity, -Infinity, NaN); no spelling contains ", ".
-    return json.dumps(floats)[1:-1].split(", ")
+    # (float.__repr__); no spelling contains ", ". JSON has no inf or nan
+    # (RFC 8259, section 6), so either raises ValueError.
+    return json.dumps(floats, allow_nan=False)[1:-1].split(", ")
 
 
 def index_spellings(shape: Sequence[int]) -> list[list[str]]:
@@ -449,7 +450,7 @@ def json_document(head: dict, listings: Iterable[tuple[str, object, Rows]]) -> I
     unique in it. ``rows(row, between)`` gives the entries in blocks, each
     shaped like ``entry`` with each SLOT string standing for a slot (see
     listing); with no entries the list is ``[]``."""
-    rest = json.dumps(head, indent=2)
+    rest = json.dumps(head, indent=2, allow_nan=False)
     for key, entry, rows in listings:
         # A string value escapes its quotes, so only the key itself, with
         # the placeholder after it, matches.
@@ -617,7 +618,8 @@ def tensor_document(
             columns = (terms.income.tolist(), terms.damage.tolist(), terms.total.tolist())
             breakdowns.append([
                 json.dumps({"player": terms.player.id, "site": site.id, "income": income,
-                            "damage": damage, "total": total}, indent=2).replace("\n", "\n        ")
+                            "damage": damage, "total": total}, indent=2, allow_nan=False)
+                .replace("\n", "\n        ")
                 for site, income, damage, total in zip(terms.player.sites, *columns)
             ])
         head["explain"] = LISTING

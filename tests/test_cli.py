@@ -31,6 +31,7 @@ from sitegame import (
     load_tensor,
     scenario_to_dict,
     tensor_to_dict,
+    validate,
 )
 from sitegame.cli import main
 from sitegame.payoff import PayoffTerms
@@ -1147,6 +1148,16 @@ def test_payoff_overflow_names_player_and_site_exit1(tmp_path, scenario, capsys,
     assert err == "error: player 'P1': payoff at site 'B1' overflows to -inf\n"
 
 
+def test_main_alone_maps_a_library_value_error_to_exit1(fixture_files, capsys, monkeypatch):
+    # No command catches a ValueError of the library: main turns any that is
+    # not a FormatError into exit 1 and one error: line.
+    def refuse(*args, **kwargs):
+        raise ValueError("x")
+
+    monkeypatch.setattr("sitegame.report.solve", refuse)
+    assert run_cli(capsys, "solve", str(fixture_files[1])) == (1, "", "error: x\n")
+
+
 # --- output that cannot be written --------------------------------------------
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
@@ -1363,5 +1374,12 @@ def test_mutated_documents_end_in_an_exit_code(tmp_path_factory, doc, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([argv[0], str(path), *argv[1:]])
     assert code in (0, 1, 2)
-    if code == 2:
-        _assert_one_line_error(err.getvalue())
+    stdout, stderr = out.getvalue(), err.getvalue()
+    if code == 1 and not stderr.startswith("error: "):
+        # The scenario's violations, one per line: on stdout for validate,
+        # on stderr for the commands that write a document.
+        violations = "".join(f"{violation}\n" for violation in validate(load_scenario(path)))
+        assert violations
+        assert (stdout, stderr) == ((violations, "") if argv[0] == "validate" else ("", violations))
+    elif code != 0:
+        _assert_one_line_error(stderr)

@@ -14,10 +14,13 @@ from sitegame import (
     DEFAULT_TOLERANCE,
     PROVENANCE_LOADED,
     __version__,
+    BandViolation,
     CandidateSite,
     CompromiseResult,
+    FeasibilityReport,
     NashResult,
     NaturalObject,
+    PairSpacingViolation,
     PayoffTensor,
     PlayerSpec,
     Point,
@@ -186,6 +189,33 @@ def test_residual_overflow_raises_and_nash_still_answers():
     )
     assert report.nash.equilibria == ((0,),)
     _assert_to_json_is_json_dumps(report)
+
+
+# Reports built by hand, each holding one float that JSON cannot write.
+_NONFINITE_REPORTS = {
+    "residual": SolveReport(
+        _FAR_APART, 1e-9, None, CompromiseResult((1e308,), np.array([0]), 0.0, np.array([0.0, np.inf]))
+    ),
+    "band distance": SolveReport(
+        _FAR_APART, 1e-9, None, None,
+        feasibility=(FeasibilityReport("P1", "S1", Point(0.0, 0.0), True, (BandViolation("A1", math.inf, "above"),)),),
+    ),
+    "pairwise distance": SolveReport(
+        fixture_tensor(), 1e-9, None, None, feasibility=(),
+        pairwise_spacing={(0, 0, 0): (PairSpacingViolation("P1", "B1", "P2", "C1", math.inf, "above"),)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONFINITE_REPORTS))
+def test_to_json_refuses_a_float_json_cannot_write(name):
+    # JSON has no Infinity or NaN (RFC 8259, section 6): the JSON writer
+    # raises rather than spell one; the text report still shows it.
+    report = _NONFINITE_REPORTS[name]
+    for write in (report.to_json, lambda: "".join(report.json_pieces())):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            write()
+    assert " inf" in report.to_text()
 
 
 # --- text rendering ----------------------------------------------------------

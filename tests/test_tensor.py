@@ -150,6 +150,29 @@ def test_build_tensor_rejects_player_without_sites(scenario):
         build_tensor(scn)
 
 
+def _payoff_overflow(scenario):
+    """``scenario`` with P1's damage at B1 overflowing to inf."""
+    p1 = scenario.players[0]
+    weights = ((1e308, *p1.damage_weight[0][1:]), *p1.damage_weight[1:])
+    p1 = dataclasses.replace(p1, emission=1e308, damage_weight=weights)
+    return dataclasses.replace(scenario, players=(p1, *scenario.players[1:]))
+
+
+def test_build_tensor_payoff_overflow_raises_overflow_error(scenario):
+    # An OverflowError, as for every value beyond a float, naming the
+    # player, the site and the payoff.
+    with pytest.raises(OverflowError) as excinfo:
+        build_tensor(_payoff_overflow(scenario))
+    assert str(excinfo.value) == "player 'P1': payoff at site 'B1' overflows to -inf"
+
+
+def test_explain_refuses_a_breakdown_json_cannot_write(scenario):
+    # JSON has no Infinity (RFC 8259, section 6): breakdowns of a scenario
+    # whose damage overflows raise rather than spell one.
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        dumps_tensor(build_tensor(scenario), _payoff_overflow(scenario))
+
+
 def test_iterate_profiles_fixture_shape():
     profiles = list(iterate_profiles([3, 4, 2]))
     assert len(profiles) == 24
