@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 domain error (invalid scenario, a game the library
 refuses), 2 unreadable or unparseable input, or output that cannot be
-written. ``main`` alone maps an exception to a code: a FormatError to 2, any
-other ValueError or ArithmeticError to 1.
+written. ``main`` alone maps an exception to a code, by its type: a
+SystemExit, raised once a command has reported why, to its own code; a
+FormatError or an OSError to 2; any other ValueError or ArithmeticError to 1.
 """
 
 from __future__ import annotations
@@ -38,23 +39,13 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 
-class _Exit(Exception):
-    """Ends a command with exit ``code``; ``main`` writes ``message``, if any,
-    as one ``error:`` line on stderr."""
-
-    def __init__(self, code: int, message: str | None = None) -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
 def _write(pieces: Iterable[str]) -> None:
     """Write each of ``pieces`` to stdout as it is rendered, and flush it.
-    Output that cannot be written, or spelled in the stream's encoding, exits
-    2, without a message for a broken pipe."""
+    Output that cannot be written, or spelled in the stream's encoding, raises
+    OSError; a broken pipe ends the command with exit 2 and no message."""
     out = sys.stdout
     try:
-        if out is None:  # the process started with stdout closed
+        if out is None or getattr(out, "closed", False):  # closed at start, or by the caller
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         for piece in pieces:
             out.write(piece)
@@ -70,8 +61,9 @@ def _write(pieces: Iterable[str]) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
-        message = None if isinstance(exc, BrokenPipeError) else f"cannot write to stdout: {exc}"
-        raise _Exit(EXIT_INPUT, message)
+        if isinstance(exc, BrokenPipeError):
+            raise SystemExit(EXIT_INPUT)
+        raise OSError(f"cannot write to stdout: {exc}")
 
 
 def _write_stderr(text: str) -> None:
@@ -92,7 +84,7 @@ def _read_document(path: str) -> object:
     try:
         return read_json(path, FormatError)  # of either kind, until it parses
     except (OSError, UnicodeDecodeError) as exc:  # read_text's error for non-UTF-8 bytes
-        raise _Exit(EXIT_INPUT, f"cannot read {path}: {exc}")
+        raise OSError(f"cannot read {path}: {exc}")
 
 
 def _valid_scenario(doc: object, report: Callable[[str], object]) -> Scenario:
@@ -104,7 +96,7 @@ def _valid_scenario(doc: object, report: Callable[[str], object]) -> Scenario:
     violations = validate(scenario)
     if violations:
         report("".join(f"{violation}\n" for violation in violations))
-        raise _Exit(EXIT_DOMAIN)
+        raise SystemExit(EXIT_DOMAIN)
     return scenario
 
 
@@ -172,7 +164,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> None:
     try:
         paths = write_fixtures(args.directory)
     except OSError as exc:
-        raise _Exit(EXIT_INPUT, f"cannot write {args.directory}: {exc}")
+        raise OSError(f"cannot write {args.directory}: {exc}")
     _write(f"{path}\n" for path in paths)
 
 
@@ -234,11 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except _Exit as exc:
-        if exc.message is not None:
-            _write_stderr(f"error: {exc.message}\n")
+    except SystemExit as exc:  # the command has reported why, if there is anything to say
         return exc.code
-    except FormatError as exc:  # a document that cannot be parsed, wherever it is found
+    except (FormatError, OSError) as exc:  # unreadable or unparseable input, unwritable output
         _write_stderr(f"error: {exc}\n")
         return EXIT_INPUT
     except (ArithmeticError, ValueError) as exc:  # the library refuses the game: exit 1

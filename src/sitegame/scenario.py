@@ -379,7 +379,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def dumps_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    """The scenario as a JSON document. JSON has no Infinity or NaN, so a
+    non-finite coefficient raises ValueError instead of being written."""
+    return json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False) + "\n"
 
 
 def load_scenario(path: Path | str) -> Scenario:

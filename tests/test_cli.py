@@ -1243,6 +1243,41 @@ def test_closed_stderr_keeps_exit_code(fixture_files, tmp_path, document, code):
     assert (result.returncode, result.stdout) == (code, "")
 
 
+def test_closed_stdout_stream_exit2(fixture_files):
+    # An in-process caller whose stdout is a closed stream: writing to it
+    # raises ValueError, which exited 1 as if the library had refused the
+    # game.
+    _, tensor_path = fixture_files
+    out, err = io.StringIO(), io.StringIO()
+    out.close()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["solve", str(tensor_path)]) == 2
+    _assert_one_line_error(err.getvalue())
+    assert err.getvalue().startswith("error: cannot write to stdout: ")
+
+
+def test_refusal_partway_through_a_listing_exits_1(fixture_files, monkeypatch):
+    # A renderer's own ValueError, raised after the first piece is written,
+    # is a refusal of the game, not output that cannot be written.
+    cli_module = importlib.import_module("sitegame.cli")
+    write = cli_module._write
+
+    def refusing_write(pieces):
+        def first_piece_then_refusal():
+            yield next(iter(pieces))
+            raise ValueError("Out of range float values are not JSON compliant")
+
+        write(first_piece_then_refusal())
+
+    monkeypatch.setattr(cli_module, "_write", refusing_write)
+    _, tensor_path = fixture_files
+    sink, err = CountingSink(), io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
+        assert main(["solve", str(tensor_path), "--format", "json"]) == 1
+    assert sink.written > 0
+    assert err.getvalue() == "error: Out of range float values are not JSON compliant\n"
+
+
 def test_broken_pipe_exit2_silently(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(dumps_scenario(seeded_scenario(players=4, sites=6, objects=20)), encoding="utf-8")

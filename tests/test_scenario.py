@@ -274,6 +274,16 @@ def test_load_scenario_round_trip(tmp_path, scenario):
     assert scenario_to_dict(load_scenario(path)) == scenario_to_dict(scenario)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_dumps_scenario_refuses_a_non_finite_coefficient(scenario, value):
+    # JSON has no Infinity or NaN (RFC 8259, section 6): a hand-built
+    # scenario with one was written as `"emission": Infinity`.
+    player = dataclasses.replace(scenario.players[0], emission=value)
+    broken = dataclasses.replace(scenario, players=(player, *scenario.players[1:]))
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        dumps_scenario(broken)
+
+
 @settings(max_examples=60)
 @given(scenario=scenarios())
 def test_generated_scenarios_validate_clean(scenario):
